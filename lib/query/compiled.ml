@@ -47,7 +47,7 @@ and group = {
   input : t;
   key_pos : int array;
   aggs : agg array;
-  group_by : Algebra.group_by; (* original, for affected-group recompute *)
+  slot : int; (* this node's key in a plan's [groups] state *)
 }
 
 let schema t = t.schema
@@ -82,9 +82,11 @@ let rec eval_pred p tup =
 
 (* Plan compilation. [Rename] changes only the schema, never the tuples, so
    it compiles away entirely: the renamed schema propagates upward and the
-   child plan is used directly. *)
+   child plan is used directly. Each [Group_by] node gets the next slot
+   number, its key in the plan's persistent group state. *)
 
-let rec compile ~lookup (expr : Algebra.t) =
+let rec compile_from ~slots ~lookup (expr : Algebra.t) =
+  let compile = compile_from ~slots in
   match expr with
   | Algebra.Base name -> { node = Base name; schema = lookup name }
   | Algebra.Select (pred, e) ->
@@ -122,7 +124,7 @@ let rec compile ~lookup (expr : Algebra.t) =
   | Algebra.Rename (mapping, e) ->
     let child = compile ~lookup e in
     { child with schema = Schema.rename child.schema mapping }
-  | Algebra.Group_by ({ keys; aggregates; input } as group_by) ->
+  | Algebra.Group_by { keys; aggregates; input } ->
     let child = compile ~lookup input in
     let key_attrs =
       List.map (fun k -> (k, Schema.type_of child.schema k)) keys
@@ -146,13 +148,17 @@ let rec compile ~lookup (expr : Algebra.t) =
       | Algebra.Min n -> A_min (Schema.index_of child.schema n)
       | Algebra.Max n -> A_max (Schema.index_of child.schema n)
     in
+    let slot = !slots in
+    incr slots;
     { node =
         Group_by
           { input = child;
             key_pos = Schema.positions child.schema keys;
             aggs = Array.of_list (List.map agg_of aggregates);
-            group_by };
+            slot };
       schema = out_schema }
+
+let compile ~lookup expr = compile_from ~slots:(ref 0) ~lookup expr
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate kernels (shared with the interpreted reference path).    *)
@@ -258,6 +264,56 @@ let aggregate_group_pos ~aggs ~key contents =
   in
   Tuple.concat key
     (Tuple.of_list (Array.to_list (Array.map compute aggs)))
+
+(* ------------------------------------------------------------------ *)
+(* Per-group state.                                                   *)
+
+(* A [Group_by] node's input partitioned by group key: one member bag
+   per live group. A plan's [groups] maps its Group_by slots to these
+   partitions; a slot is absent until the first delta reaching the node
+   builds it. Both layers are persistent maps, so a step over an
+   immutable pre-state returns the new state without touching the old. *)
+module Tuple_map = Map.Make (Tuple)
+module Slot_map = Map.Make (Int)
+
+type groups = Bag.t Tuple_map.t Slot_map.t
+
+let no_groups = Slot_map.empty
+
+let builds_counter = Atomic.make 0
+
+let drops_counter = Atomic.make 0
+
+let group_rows_counter = Atomic.make 0
+
+let group_state_builds () = Atomic.get builds_counter
+
+let group_state_drops () = Atomic.get drops_counter
+
+let group_rows () = Atomic.get group_rows_counter
+
+let drop_groups groups =
+  ignore (Atomic.fetch_and_add drops_counter (Slot_map.cardinal groups));
+  no_groups
+
+let members key partition =
+  match Tuple_map.find_opt key partition with Some b -> b | None -> Bag.empty
+
+(* Partition [bag] by the key at [key_pos], keeping the groups whose key
+   satisfies [keep]. *)
+let group_members ~key_pos ~keep bag =
+  Bag.fold
+    (fun tup n acc ->
+      let key = Tuple.project_pos key_pos tup in
+      if keep key then
+        Tuple_map.add key (Bag.add ~count:n tup (members key acc)) acc
+      else acc)
+    bag Tuple_map.empty
+
+(* One group's output row, recomputed by maintenance from its members. *)
+let recompute ~aggs ~key contents =
+  ignore (Atomic.fetch_and_add group_rows_counter (Bag.cardinal contents));
+  aggregate_group_pos ~aggs ~key contents
 
 (* ------------------------------------------------------------------ *)
 (* Hash join on counted tuple lists.                                  *)
@@ -428,14 +484,6 @@ let join_col ~exec ~key_left ~key_right ~right_extra l r =
 (* ------------------------------------------------------------------ *)
 (* Full evaluation.                                                   *)
 
-module Tuple_tbl = Hashtbl.Make (struct
-  type t = Tuple.t
-
-  let equal = Tuple.equal
-
-  let hash = Tuple.hash
-end)
-
 (* Join-bearing plans route through the columnar kernels (conversion
    overhead amortizes over the join work); join-free plans stay on the
    boxed bags, whose Base case is a free pointer read. *)
@@ -446,6 +494,14 @@ let rec plan_joins t =
   | Join _ -> true
   | Union (a, b) -> plan_joins a || plan_joins b
   | Group_by g -> plan_joins g.input
+
+let rec has_group_by t =
+  match t.node with
+  | Base _ -> false
+  | Select (_, e) | Project (_, e) -> has_group_by e
+  | Join { left; right; _ } | Union (left, right) ->
+    has_group_by left || has_group_by right
+  | Group_by _ -> true
 
 let rec eval_bag ?(exec = Parallel.Exec.sequential) db t =
   match t.node with
@@ -462,23 +518,12 @@ let rec eval_bag ?(exec = Parallel.Exec.sequential) db t =
          (Bag.to_counted_list (eval_bag ~exec db left))
          (Bag.to_counted_list (eval_bag ~exec db right)))
   | Union (a, b) -> Bag.union (eval_bag ~exec db a) (eval_bag ~exec db b)
-  | Group_by { input; key_pos; aggs; group_by = _ } ->
-    let contents = eval_bag ~exec db input in
-    let by_key = Tuple_tbl.create 32 in
-    Bag.iter
-      (fun tup n ->
-        let key = Tuple.project_pos key_pos tup in
-        let existing =
-          match Tuple_tbl.find_opt by_key key with
-          | Some bag -> bag
-          | None -> Bag.empty
-        in
-        Tuple_tbl.replace by_key key (Bag.add ~count:n tup existing))
-      contents;
-    Tuple_tbl.fold
+  | Group_by { input; key_pos; aggs; slot = _ } ->
+    Tuple_map.fold
       (fun key members acc ->
         Bag.add (aggregate_group_pos ~aggs ~key members) acc)
-      by_key Bag.empty
+      (group_members ~key_pos ~keep:(fun _ -> true) (eval_bag ~exec db input))
+      Bag.empty
 
 (* Columnar evaluation: selection/projection as int-array scans, joins
    through the columnar hash kernel. Base relations hand out their
@@ -510,7 +555,10 @@ let eval ?exec db t =
    sub-plan over the pre-state (supplied by Delta to keep the dependency
    direction Compiled <- Delta). Join deltas are hash joins on the plan's
    precomputed key positions; the pre-state side of a rule is only
-   evaluated when the matching delta side is non-empty.
+   evaluated when the matching delta side is non-empty. A [Group_by]
+   recomputes exactly its affected groups, taking their members from
+   [state] when the caller keeps one ([step]) and from a scan of the
+   pre-state input otherwise.
 
    [pre_index], when it returns an index for a [Base] join operand
    (keyed on that operand's join-key positions over its pre-state),
@@ -560,19 +608,15 @@ let probe_left_index ?filter ~index ~key_right ~right_extra db_l =
         acc)
     [] db_l
 
-let rec delta ?(exec = Parallel.Exec.sequential) ?(pre_index = no_pre_index)
-    ?(pre_relation = no_pre_relation) ~changes ~eval_pre t =
+let rec delta_with ~state ~exec ~pre_index ~pre_relation ~changes ~eval_pre t
+    =
+  let go = delta_with ~state ~exec ~pre_index ~pre_relation ~changes ~eval_pre in
   match t.node with
   | Base name -> changes name
-  | Select (pred, e) ->
-    Signed_bag.filter (eval_pred pred)
-      (delta ~exec ~pre_index ~pre_relation ~changes ~eval_pre e)
-  | Project (positions, e) ->
-    Signed_bag.map (Tuple.project_pos positions)
-      (delta ~exec ~pre_index ~pre_relation ~changes ~eval_pre e)
+  | Select (pred, e) -> Signed_bag.filter (eval_pred pred) (go e)
+  | Project (positions, e) -> Signed_bag.map (Tuple.project_pos positions) (go e)
   | Join { left; right; key_left; key_right; right_extra } ->
-    let da = delta ~exec ~pre_index ~pre_relation ~changes ~eval_pre left
-    and db_ = delta ~exec ~pre_index ~pre_relation ~changes ~eval_pre right in
+    let da = go left and db_ = go right in
     if Signed_bag.is_zero da && Signed_bag.is_zero db_ then Signed_bag.zero
     else begin
       let join = join_counted_pos ~exec ~key_left ~key_right ~right_extra in
@@ -619,62 +663,98 @@ let rec delta ?(exec = Parallel.Exec.sequential) ?(pre_index = no_pre_index)
       let part3 = if da_l = [] || db_l = [] then [] else join da_l db_l in
       Signed_bag.of_list (List.concat [ part1; part2; part3 ])
     end
-  | Union (a, b) ->
-    Signed_bag.sum
-      (delta ~exec ~pre_index ~pre_relation ~changes ~eval_pre a)
-      (delta ~exec ~pre_index ~pre_relation ~changes ~eval_pre b)
-  | Group_by { input; key_pos; aggs; group_by = _ } ->
-    let d_in = delta ~exec ~pre_index ~pre_relation ~changes ~eval_pre input in
+  | Union (a, b) -> Signed_bag.sum (go a) (go b)
+  | Group_by { input; key_pos; aggs; slot } ->
+    let d_in = go input in
     if Signed_bag.is_zero d_in then Signed_bag.zero
     else begin
-      let key_of tup = Tuple.project_pos key_pos tup in
-      (* Recompute exactly the affected groups: retract the old output row
-         of each touched key, emit the new one. Exact for every aggregate
-         kind, including Min/Max under deletions. *)
-      let affected = Tuple_tbl.create 16 in
-      Signed_bag.fold
-        (fun tup _ () -> Tuple_tbl.replace affected (key_of tup) ())
-        d_in ();
-      let pre_in = eval_pre input in
-      let groups_of bag =
-        let table = Tuple_tbl.create 16 in
-        Bag.iter
-          (fun tup n ->
-            let key = key_of tup in
-            if Tuple_tbl.mem affected key then begin
-              let existing =
-                match Tuple_tbl.find_opt table key with
-                | Some b -> b
-                | None -> Bag.empty
-              in
-              Tuple_tbl.replace table key (Bag.add ~count:n tup existing)
-            end)
-          bag;
-        table
+      (* The input delta sliced by group key: one slice per affected
+         group. *)
+      let slices =
+        Signed_bag.fold
+          (fun tup n acc ->
+            let key = Tuple.project_pos key_pos tup in
+            let slice =
+              match Tuple_map.find_opt key acc with
+              | Some s -> s
+              | None -> Signed_bag.zero
+            in
+            Tuple_map.add key (Signed_bag.add tup n slice) acc)
+          d_in Tuple_map.empty
       in
-      let old_groups = groups_of pre_in in
-      let post_in = Signed_bag.apply d_in pre_in in
-      let new_groups = groups_of post_in in
-      Tuple_tbl.fold
-        (fun key () acc ->
-          let members_in table =
-            match Tuple_tbl.find_opt table key with
-            | Some b -> b
-            | None -> Bag.empty
-          in
-          let old_members = members_in old_groups
-          and new_members = members_in new_groups in
-          let acc =
-            if Bag.is_empty old_members then acc
+      (* The affected groups' pre-state members: from the node's state
+         (partitioning the whole pre-state input the first time), or,
+         without state, from one scan of the pre-state input restricted
+         to the affected keys. *)
+      let pre_groups =
+        match state with
+        | None ->
+          group_members ~key_pos
+            ~keep:(fun key -> Tuple_map.mem key slices)
+            (eval_pre input)
+        | Some groups -> (
+          match Slot_map.find_opt slot !groups with
+          | Some partition -> partition
+          | None ->
+            Atomic.incr builds_counter;
+            group_members ~key_pos ~keep:(fun _ -> true) (eval_pre input))
+      in
+      (* Retract each affected group's old output row and emit its new
+         one, both recomputed from the members: exact for every
+         aggregate kind (Min/Max under deletions, float Sum/Avg folded
+         in the same order as full evaluation). *)
+      let out, post_groups =
+        Tuple_map.fold
+          (fun key slice (out, groups) ->
+            let before = members key pre_groups in
+            let after = Signed_bag.apply slice before in
+            let out =
+              if Bag.is_empty before then out
+              else Signed_bag.add (recompute ~aggs ~key before) (-1) out
+            in
+            if Bag.is_empty after then (out, Tuple_map.remove key groups)
             else
-              Signed_bag.add
-                (aggregate_group_pos ~aggs ~key old_members)
-                (-1) acc
-          in
-          if Bag.is_empty new_members then acc
-          else Signed_bag.add (aggregate_group_pos ~aggs ~key new_members) 1 acc)
-        affected Signed_bag.zero
+              ( Signed_bag.add (recompute ~aggs ~key after) 1 out,
+                Tuple_map.add key after groups ))
+          slices
+          (Signed_bag.zero, pre_groups)
+      in
+      Option.iter
+        (fun groups -> groups := Slot_map.add slot post_groups !groups)
+        state;
+      out
     end
+
+let delta ?(exec = Parallel.Exec.sequential) ?(pre_index = no_pre_index)
+    ?(pre_relation = no_pre_relation) ~changes ~eval_pre t =
+  delta_with ~state:None ~exec ~pre_index ~pre_relation ~changes ~eval_pre t
+
+let step ?(exec = Parallel.Exec.sequential) ?(pre_index = no_pre_index)
+    ?(pre_relation = no_pre_relation) ~changes ~eval_pre ~groups t =
+  let state = ref groups in
+  let delta =
+    delta_with ~state:(Some state) ~exec ~pre_index ~pre_relation ~changes
+      ~eval_pre t
+  in
+  (delta, !state)
+
+let build_groups ~eval_pre t =
+  let rec go acc t =
+    match t.node with
+    | Base _ -> acc
+    | Select (_, e) | Project (_, e) -> go acc e
+    | Join { left; right; _ } | Union (left, right) -> go (go acc left) right
+    | Group_by { input; key_pos; slot; _ } ->
+      Slot_map.add slot
+        (group_members ~key_pos ~keep:(fun _ -> true) (eval_pre input))
+        (go acc input)
+  in
+  go no_groups t
+
+let group_state groups =
+  List.map
+    (fun (slot, partition) -> (slot, Tuple_map.bindings partition))
+    (Slot_map.bindings groups)
 
 (* ------------------------------------------------------------------ *)
 (* Compile-once memoization.                                          *)

@@ -67,6 +67,13 @@ val delta :
     pre-state side is only evaluated when the matching delta side is
     non-empty.
 
+    A [Group_by] recomputes exactly the groups its input delta touches:
+    one scan of the pre-state input gathers those groups' members, each
+    group's slice of the delta is applied to them, and the old and new
+    output rows come from {!aggregate_group} over the old and new
+    members. {!step} is the same rule with the members kept across
+    calls.
+
     [pre_index name ~key_pos], when it returns a hash index over [name]'s
     pre-state keyed at [key_pos], turns the join rules whose pre-state
     side is that base relation into pure probes of the existing index —
@@ -84,6 +91,65 @@ val delta :
     pre-state costs one index build per version rather than one scan per
     transaction. Only consulted when columnar kernels are enabled
     ({!Columnar.enabled}). *)
+
+(** {2 Per-group state} *)
+
+type groups
+(** Persistent maintenance state of a plan's [Group_by] nodes: each
+    built node's input, partitioned by group key into member bags. A
+    node's partition is built on the first {!step} whose delta reaches
+    it. Values are immutable; a step returns a new state. *)
+
+val no_groups : groups
+(** No node built. *)
+
+val has_group_by : t -> bool
+
+val step :
+  ?exec:Parallel.Exec.t ->
+  ?pre_index:(string -> key_pos:int array -> Bag_index.t option) ->
+  ?pre_relation:(string -> Relation.t option) ->
+  changes:(string -> Signed_bag.t) ->
+  eval_pre:(t -> Bag.t) ->
+  groups:groups ->
+  t ->
+  Signed_bag.t * groups
+(** {!delta} with [groups] as the [Group_by] members: an affected group's
+    members come from the state instead of a scan of the pre-state
+    input, so a built node costs O(|delta| log G + the affected groups'
+    sizes) rather than O(|input|). Returns the same delta as {!delta}
+    and the state of the post-state.
+
+    The state must partition what [eval_pre] returns for each built
+    node's input, and [changes] must apply to the pre-state without
+    clamping a deletion at zero ({!Signed_bag.applies_exactly}); the
+    returned state then partitions the post-state. {!Delta.step} checks
+    the second condition and calls {!delta} and {!drop_groups} when it
+    fails. *)
+
+val drop_groups : groups -> groups
+(** [no_groups], counting each built node of the argument in
+    {!group_state_drops}. *)
+
+val build_groups : eval_pre:(t -> Bag.t) -> t -> groups
+(** Every [Group_by] node of the plan built from [eval_pre] — the state
+    a sequence of clean {!step}s must reach. *)
+
+val group_state : groups -> (int * (Tuple.t * Bag.t) list) list
+(** Built nodes by slot (numbered in compile order), each with its
+    groups in key order. *)
+
+val group_state_builds : unit -> int
+(** Process-wide count of node partitions built by {!step}. *)
+
+val group_state_drops : unit -> int
+(** Process-wide count of built node partitions discarded by
+    {!drop_groups}. *)
+
+val group_rows : unit -> int
+(** Process-wide count of member rows (with multiplicity) that
+    [Group_by] maintenance folded to recompute affected groups, by
+    {!delta} and {!step}. *)
 
 val join_counted_pos :
   ?exec:Parallel.Exec.t ->
@@ -120,6 +186,7 @@ val aggregate_group :
     output row of one group: the key values followed by each aggregate
     evaluated over [contents] (multiplicities respected). [Null]s are
     skipped by Sum/Avg/Min/Max and counted by Count; an all-null group
-    yields [Null] for that aggregate. Shared by full evaluation and
-    incremental maintenance, which recomputes exactly the affected
-    groups. *)
+    yields [Null] for that aggregate. The interpreted kernels
+    ({!Eval}, the naive {!Delta} rules) use it; the compiled plan runs a
+    positional copy whose results are identical, for full evaluation and
+    for the affected groups that {!delta} and {!step} recompute. *)

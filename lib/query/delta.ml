@@ -2,15 +2,22 @@ open Relational
 
 module String_map = Map.Make (String)
 
-type changes = Signed_bag.t String_map.t
+(* Per relation: the summed delta, and the sequence of elementary deltas
+   it sums (newest first) — what the clamp guard replays. *)
+type change = { total : Signed_bag.t; rev_steps : Signed_bag.t list }
+
+type changes = change String_map.t
 
 let no_changes = String_map.empty
 
 let add_change name delta acc =
   String_map.update name
     (function
-      | None -> Some delta
-      | Some existing -> Some (Signed_bag.sum existing delta))
+      | None -> Some { total = delta; rev_steps = [ delta ] }
+      | Some c ->
+        Some
+          { total = Signed_bag.sum c.total delta;
+            rev_steps = delta :: c.rev_steps })
     acc
 
 let changes_of_list entries =
@@ -18,29 +25,45 @@ let changes_of_list entries =
     (fun acc (name, delta) -> add_change name delta acc)
     no_changes entries
 
-let of_update (u : Update.t) =
-  changes_of_list [ (u.relation, Update.to_delta u) ]
+(* A modify is a delete then an insert: two steps, as the sources and
+   every cache apply it. *)
+let add_update acc (u : Update.t) =
+  let add tup n acc = add_change u.relation (Signed_bag.singleton tup n) acc in
+  match u.op with
+  | Update.Insert tup -> add tup 1 acc
+  | Update.Delete tup -> add tup (-1) acc
+  | Update.Modify { before; after } -> add after 1 (add before (-1) acc)
+
+let of_update u = add_update no_changes u
 
 let of_transaction (txn : Update.Transaction.t) =
-  List.fold_left
-    (fun acc (u : Update.t) -> add_change u.relation (Update.to_delta u) acc)
-    no_changes txn.updates
+  List.fold_left add_update no_changes txn.updates
 
 let of_transactions txns =
   List.fold_left
-    (fun acc txn ->
-      String_map.fold add_change (of_transaction txn) acc)
+    (fun acc (txn : Update.Transaction.t) ->
+      List.fold_left add_update acc txn.updates)
     no_changes txns
+
+let first_clamp ~pre changes =
+  String_map.to_seq changes
+  |> Seq.find_map (fun (name, c) ->
+         match Database.find_opt pre name with
+         | None -> None
+         | Some rel ->
+           Option.map
+             (fun tup -> (name, tup))
+             (Signed_bag.first_clamp (List.rev c.rev_steps)
+                ~bag:(Relation.contents rel)))
 
 let change_for t name =
   match String_map.find_opt name t with
-  | Some delta -> delta
+  | Some c -> c.total
   | None -> Signed_bag.zero
 
 let changed_relations t =
   List.filter_map
-    (fun (name, delta) ->
-      if Signed_bag.is_zero delta then None else Some name)
+    (fun (name, c) -> if Signed_bag.is_zero c.total then None else Some name)
     (String_map.bindings t)
 
 let signed_of_counted entries =
@@ -140,14 +163,31 @@ let rec eval_naive ~pre changes expr =
         affected Signed_bag.zero
     end
 
+(* A base relation's change, forcing the relation to exist in [pre]. *)
+let changes_over ~pre changes name =
+  let _ = Database.find pre name in
+  change_for changes name
+
 let eval_plan ?(exec = Parallel.Exec.sequential) ?pre_index ~pre changes plan =
-  Compiled.delta ~exec ?pre_index
-    ~pre_relation:(fun name -> Database.find_opt pre name)
-    ~changes:(fun name ->
-      let _ = Database.find pre name in
-      change_for changes name)
+  Compiled.delta ~exec ?pre_index ~pre_relation:(Database.find_opt pre)
+    ~changes:(changes_over ~pre changes)
     ~eval_pre:(Compiled.eval_bag ~exec pre)
     plan
+
+(* The stateful rule needs [pre] + [changes] to be the post-state; when a
+   deletion would clamp, the state is dropped and rebuilt by a later
+   step from its own (post-state) pre-state. *)
+let step ?(exec = Parallel.Exec.sequential) ?pre_index ~pre ~groups changes
+    plan =
+  if not (Compiled.has_group_by plan) then
+    (eval_plan ~exec ?pre_index ~pre changes plan, groups)
+  else if Option.is_some (first_clamp ~pre changes) then
+    (eval_plan ~exec ?pre_index ~pre changes plan, Compiled.drop_groups groups)
+  else
+    Compiled.step ~exec ?pre_index ~pre_relation:(Database.find_opt pre)
+      ~changes:(changes_over ~pre changes)
+      ~eval_pre:(Compiled.eval_bag ~exec pre)
+      ~groups plan
 
 let eval ?(naive = false) ?exec ~pre changes expr =
   if naive then eval_naive ~pre changes expr

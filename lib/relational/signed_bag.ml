@@ -70,38 +70,32 @@ let applies_exactly t bag =
 
 (* [apply] floors at zero, so applying a sum of deltas need not equal
    applying them one by one: a removal that overshoots loses the deficit,
-   and a later insertion cannot restore it. The sum is faithful exactly
-   when no per-tuple prefix of the sequence dips below the tuple's
-   multiplicity in the pre-state — checked here tuple by tuple with
-   running prefix sums. A single delta is trivially its own sum. *)
+   and a later insertion cannot restore it. The first tuple whose running
+   prefix sum dips below its multiplicity in the pre-state is where the
+   sequence clamps. *)
+let first_clamp deltas ~bag =
+  let exception Clamped of Tuple.t in
+  let running = ref Tuple_map.empty in
+  let step tup n =
+    let r =
+      n + (match Tuple_map.find_opt tup !running with Some r -> r | None -> 0)
+    in
+    running := Tuple_map.add tup r !running;
+    if n < 0 && r < 0 && Bag.count bag tup + r < 0 then raise (Clamped tup)
+  in
+  try
+    List.iter (Tuple_map.iter step) deltas;
+    None
+  with Clamped tup -> Some tup
+
+(* A single delta is trivially its own sum. *)
 let coalesce deltas ~bag =
-  let exception Clamped in
   match deltas with
   | [] -> Some zero
   | [ d ] -> Some d
-  | _ -> (
-    try
-      let running = ref Tuple_map.empty in
-      let total =
-        List.fold_left
-          (fun acc d ->
-            Tuple_map.iter
-              (fun tup n ->
-                let r =
-                  n
-                  + (match Tuple_map.find_opt tup !running with
-                    | Some r -> r
-                    | None -> 0)
-                in
-                running := Tuple_map.add tup r !running;
-                if n < 0 && r < 0 && Bag.count bag tup + r < 0 then
-                  raise Clamped)
-              d;
-            sum acc d)
-          zero deltas
-      in
-      Some total
-    with Clamped -> None)
+  | _ ->
+    if Option.is_some (first_clamp deltas ~bag) then None
+    else Some (List.fold_left sum zero deltas)
 
 let map f t =
   Tuple_map.fold (fun tup n acc -> add (f tup) n acc) t zero

@@ -51,6 +51,13 @@ val applies_exactly : t -> Bag.t -> bool
 (** True when applying [delta] to [bag] would not floor any multiplicity,
     i.e. the delta's deletions are all present. *)
 
+val first_clamp : t list -> bag:Bag.t -> Tuple.t option
+(** [first_clamp deltas ~bag] is the first tuple (in sequence order) at
+    which applying [deltas] to [bag] one by one would floor a
+    multiplicity at zero ({!apply}'s clamp), or [None] when the sequence
+    applies exactly — and then its sum does too. For a single delta,
+    [first_clamp [d] ~bag = None] iff [applies_exactly d bag]. *)
+
 val coalesce : t list -> bag:Bag.t -> t option
 (** [coalesce deltas ~bag] is [Some] of the pointwise sum of [deltas]
     when applying the sum to [bag] is guaranteed to equal applying the

@@ -86,6 +86,18 @@ let execute t ?source updates =
   let txn =
     Update.Transaction.make ~id:t.next_id ~source:attributed_source updates
   in
+  (* Every cache and warehouse view downstream applies the transaction as
+     the sum of its updates; a deletion of an absent tuple would make the
+     source's one-by-one application (clamped at zero) differ from it. *)
+  (match
+     Query.Delta.first_clamp ~pre:t.db (Query.Delta.of_transaction txn)
+   with
+  | Some (relation, tup) ->
+    invalid_arg
+      (Printf.sprintf
+         "Sources.execute: deletes %s from %s, which does not hold it"
+         (Tuple.to_string tup) relation)
+  | None -> ());
   t.db <- Database.apply_transaction t.db txn;
   t.next_id <- t.next_id + 1;
   t.rev_transactions <- txn :: t.rev_transactions;

@@ -58,7 +58,10 @@ val execute : t -> ?source:string -> Update.t list -> Update.Transaction.t
     source ({!Ownership_violation} otherwise); when omitted, the
     transaction may span sources and is attributed to the owner of its
     first update.
-    @raise Invalid_argument on an empty update list. *)
+    @raise Invalid_argument on an empty update list, and, naming the
+    relation and tuple, when applying the updates in order would delete
+    a tuple the relation does not hold at that point
+    ({!Query.Delta.first_clamp}). *)
 
 val last_id : t -> int
 (** Id of the latest transaction; 0 before any commit. *)

@@ -10,6 +10,7 @@ type state = {
   emit : Query.Action_list.t -> unit;
   queue : Update.Transaction.t Queue.t;
   mutable cache : Database.t;
+  mutable groups : Query.Compiled.groups; (* the plan's state at [cache] *)
   mutable busy : bool;
 }
 
@@ -22,7 +23,7 @@ let rec pump st =
     in
     let batch = drain [] 0 in
     let changes = Query.Delta.of_transactions batch in
-    let pre = st.cache in
+    let pre = st.cache and groups = st.groups in
     let last =
       match List.rev batch with
       | txn :: _ -> txn.Update.Transaction.id
@@ -30,18 +31,21 @@ let rec pump st =
     in
     let fut =
       Parallel.Exec.spawn st.exec (fun () ->
-          let delta =
-            Query.Delta.eval_plan ~exec:st.exec ~pre changes st.plan
+          let delta, groups =
+            Query.Delta.step ~exec:st.exec ~pre ~groups changes st.plan
           in
-          Query.Action_list.delta ~view:(Query.View.name st.view) ~state:last
-            delta)
+          ( Query.Action_list.delta ~view:(Query.View.name st.view)
+              ~state:last delta,
+            groups ))
     in
     st.cache <-
       List.fold_left Database.apply_relevant st.cache batch;
     Sim.Engine.schedule_after st.engine
       (st.compute_latency ~batch:(List.length batch))
       (fun () ->
-        st.emit (Parallel.Exec.await fut);
+        let al, groups = Parallel.Exec.await fut in
+        st.groups <- groups;
+        st.emit al;
         st.busy <- false;
         pump st)
   end
@@ -55,7 +59,8 @@ let create ~engine ~compute_latency ?(exec = Parallel.Exec.sequential)
   in
   let st =
     { engine; compute_latency; exec; max_batch; view; plan; emit;
-      queue = Queue.create (); cache; busy = false }
+      queue = Queue.create (); cache; groups = Query.Compiled.no_groups;
+      busy = false }
   in
   { Vm.view; level = Vm.Strongly_consistent;
     receive =

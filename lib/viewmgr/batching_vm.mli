@@ -11,7 +11,12 @@
     lists become intertwined — exactly the input class the Painting
     Algorithm exists for; when the system is idle, batches have size one
     and the manager behaves like a complete one. [max_batch] caps the
-    batch size. *)
+    batch size.
+
+    Aggregate views: the manager keeps the plan's [Group_by] state next
+    to its base cache and advances both per delta ({!Query.Delta.step}),
+    so a group recompute reads the affected groups' members instead of
+    the whole input. *)
 
 val create :
   engine:Sim.Engine.t ->

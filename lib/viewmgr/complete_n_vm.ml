@@ -10,13 +10,14 @@ type state = {
   emit : Query.Action_list.t -> unit;
   queue : Update.Transaction.t Queue.t;
   mutable cache : Database.t;
+  mutable groups : Query.Compiled.groups; (* the plan's state at [cache] *)
   mutable busy : bool;
 }
 
 let process st batch k =
   st.busy <- true;
   let changes = Query.Delta.of_transactions batch in
-  let pre = st.cache in
+  let pre = st.cache and groups = st.groups in
   let last =
     match List.rev batch with
     | txn :: _ -> txn.Update.Transaction.id
@@ -24,14 +25,19 @@ let process st batch k =
   in
   let fut =
     Parallel.Exec.spawn st.exec (fun () ->
-        let delta = Query.Delta.eval_plan ~exec:st.exec ~pre changes st.plan in
-        Query.Action_list.delta ~view:(Query.View.name st.view) ~state:last
-          delta)
+        let delta, groups =
+          Query.Delta.step ~exec:st.exec ~pre ~groups changes st.plan
+        in
+        ( Query.Action_list.delta ~view:(Query.View.name st.view) ~state:last
+            delta,
+          groups ))
   in
   st.cache <- List.fold_left Database.apply_relevant st.cache batch;
   Sim.Engine.schedule_after st.engine (st.compute_latency ~batch:(List.length batch))
     (fun () ->
-      st.emit (Parallel.Exec.await fut);
+      let al, groups = Parallel.Exec.await fut in
+      st.groups <- groups;
+      st.emit al;
       st.busy <- false;
       k ())
 
@@ -59,7 +65,8 @@ let create ~engine ~compute_latency ?(exec = Parallel.Exec.sequential) ~n
   in
   let st =
     { engine; compute_latency; exec; n; view; plan; emit;
-      queue = Queue.create (); cache; busy = false }
+      queue = Queue.create (); cache; groups = Query.Compiled.no_groups;
+      busy = false }
   in
   { Vm.view; level = Vm.Complete_n n;
     receive =

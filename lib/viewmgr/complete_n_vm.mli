@@ -8,7 +8,12 @@
 
     Because one action list covers N VUT rows, SPA cannot merge this
     manager's output; the system must run PA (the weakest-level rule of
-    Section 6.3). *)
+    Section 6.3).
+
+    Aggregate views: the manager keeps the plan's [Group_by] state next
+    to its base cache and advances both per delta ({!Query.Delta.step}),
+    so a group recompute reads the affected groups' members instead of
+    the whole input. *)
 
 val create :
   engine:Sim.Engine.t ->

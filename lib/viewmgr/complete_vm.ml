@@ -11,6 +11,7 @@ type state = {
   emit : Query.Action_list.t -> unit;
   queue : Update.Transaction.t Queue.t;
   mutable cache : Database.t;
+  mutable groups : Query.Compiled.groups; (* the plan's state at [cache] *)
   mutable busy : bool;
 }
 
@@ -19,26 +20,30 @@ let rec pump st =
     st.busy <- true;
     let txn = Queue.pop st.queue in
     (* The delta runs as a future over a snapshot of the pre-state
-       (Database.t is persistent, so [pre] is immutable); it is joined in
-       the emit event, so the simulated timeline is unchanged — a pooled
-       exec only moves real work off this domain. *)
-    let pre = st.cache in
+       (Database.t and the group state are persistent, so [pre] and
+       [groups] are immutable); it is joined in the emit event, which
+       installs the post-state group state, so the simulated timeline is
+       unchanged — a pooled exec only moves real work off this domain. *)
+    let pre = st.cache and groups = st.groups in
     let fut =
       Parallel.Exec.spawn st.exec (fun () ->
-          let delta =
+          let delta, groups =
             match st.delta_fn with
-            | Some f -> f ~pre txn
+            | Some f -> (f ~pre txn, groups)
             | None ->
               let changes = Query.Delta.of_transaction txn in
-              Query.Delta.eval_plan ~exec:st.exec ~pre changes st.plan
+              Query.Delta.step ~exec:st.exec ~pre ~groups changes st.plan
           in
-          Query.Action_list.delta ~view:(Query.View.name st.view)
-            ~state:txn.Update.Transaction.id delta)
+          ( Query.Action_list.delta ~view:(Query.View.name st.view)
+              ~state:txn.Update.Transaction.id delta,
+            groups ))
     in
     st.cache <- Database.apply_relevant st.cache txn;
     Sim.Engine.schedule_after st.engine (st.compute_latency ~batch:1)
       (fun () ->
-        st.emit (Parallel.Exec.await fut);
+        let al, groups = Parallel.Exec.await fut in
+        st.groups <- groups;
+        st.emit al;
         st.busy <- false;
         pump st)
   end
@@ -52,7 +57,8 @@ let create ~engine ~compute_latency ?(exec = Parallel.Exec.sequential)
   in
   let st =
     { engine; compute_latency; exec; view; plan; delta_fn; emit;
-      queue = Queue.create (); cache; busy = false }
+      queue = Queue.create (); cache; groups = Query.Compiled.no_groups;
+      busy = false }
   in
   { Vm.view; level = Vm.Complete;
     receive =

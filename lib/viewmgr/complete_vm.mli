@@ -10,7 +10,12 @@
 
     The manager is a single-server queue: transactions arriving while one
     is being processed wait, preserving order. Under high update rates the
-    queue grows — the effect benchmark P2 measures. *)
+    queue grows — the effect benchmark P2 measures.
+
+    Aggregate views: the manager keeps the plan's [Group_by] state next
+    to its base cache and advances both per delta ({!Query.Delta.step}),
+    so a group recompute reads the affected groups' members instead of
+    the whole input. *)
 
 val create :
   engine:Sim.Engine.t ->

@@ -37,6 +37,9 @@ type t = {
   shared_misses : int Atomic.t;
   shared_rows : int Atomic.t;
   memo_contention : int Atomic.t;
+  group_state_builds : int Atomic.t;
+  group_state_drops : int Atomic.t;
+  group_rows : int Atomic.t;
   cache_refreshes : int Atomic.t;
   cache_refresh_fallbacks : int Atomic.t;
   routed_shards : Sim.Stats.Summary.t;
@@ -78,6 +81,8 @@ let create () =
     cache_misses = Atomic.make 0; reads_clamped = Atomic.make 0;
     shared_hits = Atomic.make 0; shared_misses = Atomic.make 0;
     shared_rows = Atomic.make 0; memo_contention = Atomic.make 0;
+    group_state_builds = Atomic.make 0; group_state_drops = Atomic.make 0;
+    group_rows = Atomic.make 0;
     cache_refreshes = Atomic.make 0; cache_refresh_fallbacks = Atomic.make 0;
     routed_shards = Sim.Stats.Summary.create ();
     union_reads = Atomic.make 0;
@@ -88,6 +93,26 @@ let create () =
     aux_saved_cells = Atomic.make 0 }
 
 let add counter n = Atomic.fetch_and_add counter n |> ignore
+
+type kernel_counters = {
+  k_memo_contention : int;
+  k_group_state_builds : int;
+  k_group_state_drops : int;
+  k_group_rows : int;
+}
+
+let kernel_counters () =
+  { k_memo_contention = Query.Compiled.memo_contention ();
+    k_group_state_builds = Query.Compiled.group_state_builds ();
+    k_group_state_drops = Query.Compiled.group_state_drops ();
+    k_group_rows = Query.Compiled.group_rows () }
+
+let add_kernel_counters_since t k0 =
+  let k = kernel_counters () in
+  add t.memo_contention (k.k_memo_contention - k0.k_memo_contention);
+  add t.group_state_builds (k.k_group_state_builds - k0.k_group_state_builds);
+  add t.group_state_drops (k.k_group_state_drops - k0.k_group_state_drops);
+  add t.group_rows (k.k_group_rows - k0.k_group_rows)
 
 let throughput t =
   if t.completed_at <= 0.0 then 0.0
@@ -125,6 +150,7 @@ let pp ppf t =
      serving: reads=%d rtput=%.2f/s cache=%d/%d clamped=%d \
      refreshed=%d refresh-fallbacks=%d@ \
      shared-plans: hits=%d/%d rows-maintained=%d memo-contention=%d@ \
+     group-state: builds=%d drops=%d rows-folded=%d@ \
      distributed: union-reads=%d shard-fanout: %a@ \
      sources: queries=%d latency: %a@ \
      selfmaint: aux-rows=%d aux-cells=%d saved-cells=%d@ \
@@ -158,6 +184,8 @@ let pp ppf t =
     (Atomic.get t.shared_hits + Atomic.get t.shared_misses)
     (Atomic.get t.shared_rows)
     (Atomic.get t.memo_contention)
+    (Atomic.get t.group_state_builds) (Atomic.get t.group_state_drops)
+    (Atomic.get t.group_rows)
     (Atomic.get t.union_reads)
     Sim.Stats.Summary.pp t.routed_shards
     (Atomic.get t.source_queries)

@@ -91,6 +91,17 @@ type t = {
   memo_contention : int Atomic.t;
       (** Contended plan-memo shard-lock acquisitions during the run
           ({!Query.Compiled.memo_contention} delta). *)
+  group_state_builds : int Atomic.t;
+      (** [Group_by] node states built by view managers during the run
+          ({!Query.Compiled.group_state_builds} delta): one per manager
+          and node unless a state was dropped. *)
+  group_state_drops : int Atomic.t;
+      (** Built node states dropped because a transaction's deletions
+          clamped ({!Query.Compiled.group_state_drops} delta). *)
+  group_rows : int Atomic.t;
+      (** Member rows folded to recompute affected groups
+          ({!Query.Compiled.group_rows} delta) — the aggregate
+          maintenance work. *)
   cache_refreshes : int Atomic.t;
       (** Result-cache entries advanced in place by incremental refresh
           at commit. *)
@@ -133,6 +144,17 @@ val create : unit -> t
 
 val add : int Atomic.t -> int -> unit
 (** [add counter n] atomically bumps a counter by [n]. *)
+
+type kernel_counters
+(** A snapshot of the process-wide query-kernel counters. *)
+
+val kernel_counters : unit -> kernel_counters
+
+val add_kernel_counters_since : t -> kernel_counters -> unit
+(** Add what the kernel counters accrued since the snapshot to
+    [memo_contention], [group_state_builds], [group_state_drops] and
+    [group_rows]. The counters are process-wide, so runs must not
+    overlap for the attribution to be exact. *)
 
 val throughput : t -> float
 (** Source transactions per simulated second (0 for an instantaneous

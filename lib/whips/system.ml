@@ -524,12 +524,11 @@ let serving_result ctx =
 let ctx_cache_of = function Some c -> c.ctx_cache | None -> None
 
 (* Fold the run-scoped perf counters into the metrics at drain time: the
-   plan-memo contention accrued since the run started, the shared-plan
+   query-kernel counters accrued since the run started, the shared-plan
    engine's hit/miss/maintenance tallies, and the result cache's
    refresh-vs-invalidate decision counts. *)
-let finalize_perf_metrics metrics ~contention0 ~shared ~serving =
-  Metrics.add metrics.Metrics.memo_contention
-    (Query.Compiled.memo_contention () - contention0);
+let finalize_perf_metrics metrics ~kernel0 ~shared ~serving =
+  Metrics.add_kernel_counters_since metrics kernel0;
   (match shared with
   | Some eng ->
     let s = Shared.Engine.stats eng in
@@ -575,7 +574,7 @@ let run_sequential cfg =
          views)
   in
   let metrics = Metrics.create () in
-  let contention0 = Query.Compiled.memo_contention () in
+  let kernel0 = Metrics.kernel_counters () in
   let sample mean = Sim.Rng.exponential lat_rng ~mean in
   let exec = Parallel.Config.exec cfg.parallel in
   let shared =
@@ -696,7 +695,7 @@ let run_sequential cfg =
   if not ok then
     raise (Stuck "sequential baseline failed to drain");
   metrics.Metrics.completed_at <- Sim.Engine.now engine;
-  finalize_perf_metrics metrics ~contention0 ~shared ~serving;
+  finalize_perf_metrics metrics ~kernel0 ~shared ~serving;
   { config = cfg; store; sources;
     transactions = Source.Sources.transactions sources; metrics;
     merge_algorithm = "sequential"; timeline = []; stuck = false;
@@ -871,7 +870,7 @@ let run_pipelined cfg =
          (fun v -> (Query.View.name v, Query.View.materialize initial_db v))
          views)
   in
-  let contention0 = Query.Compiled.memo_contention () in
+  let kernel0 = Metrics.kernel_counters () in
   (* Shared-plan engine for the pipelined runtime: complete managers
      route their per-update deltas through one sub-plan DAG instead of
      each evaluating its own compiled plan, so a subplan common to
@@ -2266,7 +2265,7 @@ let run_pipelined cfg =
   if (not ok) && faultless cfg then
     raise (Stuck "system failed to drain after flushing view managers");
   metrics.Metrics.completed_at <- Sim.Engine.now engine;
-  finalize_perf_metrics metrics ~contention0 ~shared ~serving;
+  finalize_perf_metrics metrics ~kernel0 ~shared ~serving;
   Metrics.add metrics.Metrics.msgs_dropped
     (List.fold_left (fun acc d -> acc + d ()) 0 !drop_counts);
   List.iter

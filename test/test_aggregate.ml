@@ -14,6 +14,281 @@ let by_store aggregates =
 
 let eval rows e = Relation.contents (Eval.eval (db rows) e)
 
+(* The stateful Group_by rule against its oracles. Facts F(g, k, i, f)
+   carry a small group key [g], a join key [k], and Int and Float
+   measures that are often Null; dimension D(k, c) maps join keys to
+   categories. Keys range over three values, so chains of updates empty
+   groups and refill them, and modifies move rows between groups. *)
+module Stateful = struct
+  open QCheck2.Gen
+
+  let f_schema =
+    Schema.make
+      [ ("g", Value.Int_ty); ("k", Value.Int_ty); ("i", Value.Int_ty);
+        ("f", Value.Float_ty) ]
+
+  let d_schema = Helpers.int_schema [ "k"; "c" ]
+
+  let maybe_null gen = frequency [ (1, return Value.Null); (3, gen) ]
+
+  (* Thirds make float sums depend on the order they are folded in. *)
+  let third n = Value.Float (float_of_int n /. 3.0)
+
+  let fact =
+    map
+      (fun (g, k, i, f) -> Tuple.of_list [ Value.Int g; Value.Int k; i; f ])
+      (quad (int_range 0 2) (int_range 0 2)
+         (maybe_null (map (fun n -> Value.Int n) (int_range (-4) 4)))
+         (maybe_null (map third (int_range (-9) 9))))
+
+  let dim =
+    map2 (fun k c -> Tuple.ints [ k; c ]) (int_range 0 2) (int_range 0 1)
+
+  let db_gen =
+    map2
+      (fun facts dims ->
+        Database.of_list
+          [ ("F", Relation.of_tuples f_schema facts);
+            ("D", Relation.of_tuples d_schema dims) ])
+      (list_size (int_range 0 6) fact)
+      (list_size (int_range 0 3) dim)
+
+  let aggregate =
+    oneofl
+      Algebra.
+        [ Count; Sum "i"; Sum "f"; Avg "i"; Avg "f"; Min "i"; Min "f";
+          Max "i"; Max "f" ]
+
+  let aggregates =
+    map
+      (List.mapi (fun n agg -> (Printf.sprintf "x%d" n, agg)))
+      (list_size (int_range 1 4) aggregate)
+
+  let view_gen =
+    let open Algebra in
+    aggregates >>= fun aggs ->
+    oneofl
+      [ group_by ~keys:[ "g" ] ~aggregates:aggs (base "F");
+        group_by ~keys:[ "c" ] ~aggregates:aggs (join (base "F") (base "D"));
+        group_by ~keys:[ "g"; "c" ] ~aggregates:aggs
+          (join (base "F") (base "D"));
+        join (group_by ~keys:[ "k" ] ~aggregates:aggs (base "F")) (base "D");
+        group_by ~keys:[ "n" ]
+          ~aggregates:[ ("m", Count); ("s", Sum "a"); ("hi", Max "a") ]
+          (group_by ~keys:[ "g" ]
+             ~aggregates:[ ("n", Count); ("a", Avg "f") ]
+             (base "F"));
+        group_by ~keys:[]
+          ~aggregates:[ ("lo", Min "s"); ("t", Sum "s"); ("c", Count) ]
+          (group_by ~keys:[ "k" ] ~aggregates:[ ("s", Sum "f") ] (base "F")) ]
+
+  (* One transaction against [db]: 1-3 updates, deletes and modifies on
+     live rows (threaded through the transaction); or, one time in six,
+     an over-delete of a tuple [db] does not hold. *)
+  let txn_gen db =
+    let live db r = Bag.to_list (Relation.contents (Database.find db r)) in
+    let update db =
+      oneofl [ "F"; "F"; "D" ] >>= fun r ->
+      let fresh = if r = "F" then fact else dim in
+      match live db r with
+      | [] -> map (Update.insert r) fresh
+      | rows ->
+        oneof
+          [ map (Update.insert r) fresh;
+            map (Update.delete r) (oneofl rows);
+            map2
+              (fun before after -> Update.modify r ~before ~after)
+              (oneofl rows) fresh ]
+    in
+    let rec clean db n acc =
+      if n = 0 then return (List.rev acc)
+      else
+        update db >>= fun u ->
+        clean (Database.apply_update db u) (n - 1) (u :: acc)
+    in
+    frequency
+      [ (5, int_range 1 3 >>= fun n -> clean db n []);
+        ( 1,
+          map
+            (fun t ->
+              let absent = Value.Int 9 :: List.tl (Tuple.to_list t) in
+              [ Update.delete "F" (Tuple.of_list absent) ])
+            fact ) ]
+
+  let chain_gen =
+    db_gen >>= fun db ->
+    view_gen >>= fun view ->
+    let rec go db n acc =
+      if n = 0 then return (List.rev acc)
+      else
+        txn_gen db >>= fun updates ->
+        let txn = Update.Transaction.make ~id:(n + 1) ~source:"s" updates in
+        go (Database.apply_transaction db txn) (n - 1) (txn :: acc)
+    in
+    int_range 1 8 >>= fun n ->
+    map (fun txns -> (db, view, txns)) (go db n [])
+
+  let print (db, view, txns) =
+    Fmt.str "%a@.%s@.%a" Database.pp db (Algebra.to_string view)
+      (Fmt.list ~sep:Fmt.cut Update.Transaction.pp) txns
+
+  (* Every step equals the stateless rule and the interpreted one; a
+     clean step applies exactly and leaves a state equal to a fresh
+     partition of its post-state, and a clamped one drops the state. *)
+  let check (db, view, txns) =
+    let plan = Compiled.compile ~lookup:(Database.schema db) view in
+    let fail = QCheck2.Test.fail_report in
+    let same_groups (k, b) (k', b') = Tuple.equal k k' && Bag.equal b b' in
+    let step (pre, groups) txn =
+      let changes = Delta.of_transaction txn in
+      let post = Database.apply_transaction pre txn in
+      let delta, groups = Delta.step ~pre ~groups changes plan in
+      if not (Signed_bag.equal delta (Delta.eval_plan ~pre changes plan)) then
+        fail "step <> eval_plan";
+      if not (Signed_bag.equal delta (Delta.eval ~naive:true ~pre changes view))
+      then fail "step <> eval_naive";
+      let state = Compiled.group_state groups in
+      (match Delta.first_clamp ~pre changes with
+      | Some _ -> if state <> [] then fail "clamped step kept its state"
+      | None ->
+        let before = Eval.eval_bag pre view in
+        if
+          not
+            (Signed_bag.applies_exactly delta before
+            && Bag.equal (Signed_bag.apply delta before)
+                 (Eval.eval_bag post view))
+        then fail "delta does not reach the post-state";
+        let fresh =
+          Compiled.group_state
+            (Compiled.build_groups ~eval_pre:(Compiled.eval_bag post) plan)
+        in
+        List.iter
+          (fun (slot, partition) ->
+            if not (List.equal same_groups partition (List.assoc slot fresh))
+            then fail "state is not a partition of the post-state")
+          state);
+      (post, groups)
+    in
+    ignore (List.fold_left step (db, Compiled.no_groups) txns);
+    true
+end
+
+(* The sales_rollup views over 2000 sales and [n] mixed transactions:
+   inserts, deletes and modifies of live sales (moving rows between
+   stores and categories) and the odd new product. *)
+let big_rollup ~n =
+  let rng = Sim.Rng.create 11 in
+  let sale sku_limit =
+    Tuple.ints
+      [ Sim.Rng.int rng sku_limit; Sim.Rng.int rng 12; 1 + Sim.Rng.int rng 30 ]
+  in
+  let products = ref 60 in
+  let live = ref (Array.init 2000 (fun _ -> sale 60)) in
+  let sales0 = Array.to_list !live in
+  let take () =
+    let rows = !live in
+    let i = Sim.Rng.int rng (Array.length rows) in
+    let row = rows.(i) in
+    rows.(i) <- rows.(Array.length rows - 1);
+    live := Array.sub rows 0 (Array.length rows - 1);
+    row
+  in
+  let put row = live := Array.append !live [| row |] in
+  let update () =
+    match Sim.Rng.int rng 10 with
+    | 0 ->
+      incr products;
+      Update.insert "product" (Tuple.ints [ !products - 1; !products mod 7 ])
+    | 1 | 2 | 3 ->
+      let row = sale !products in
+      put row;
+      Update.insert "sales" row
+    | 4 | 5 | 6 -> Update.delete "sales" (take ())
+    | _ ->
+      let before = take () in
+      let after = sale !products in
+      put after;
+      Update.modify "sales" ~before ~after
+  in
+  let script =
+    List.init n (fun _ ->
+        List.init (1 + Sim.Rng.int rng 3) (fun _ -> update ()))
+  in
+  let scen = Workload.Scenarios.sales_rollup in
+  { scen with
+    Workload.Scenarios.name = "sales-rollup-2000";
+    specs =
+      [ { Source.Sources.source = "pos"; relation = "sales";
+          init = Relation.of_tuples sales sales0 };
+        { Source.Sources.source = "catalog"; relation = "product";
+          init =
+            Helpers.rel (Helpers.int_schema [ "sku"; "cat" ])
+              (List.init 60 (fun sku -> [ sku; sku mod 7 ])) } ];
+    script }
+
+let run_rollup scen ~vm_kind ~domains =
+  Whips.System.run
+    { (Whips.System.default scen) with
+      vm_kind;
+      arrival = Whips.System.Poisson 80.0;
+      store_retention = Warehouse.Store.Keep_all;
+      parallel =
+        { Parallel.Config.domains; shards = domains; model_overlap = false };
+      seed = 5 }
+
+let system_tests =
+  let full = big_rollup ~n:300 in
+  let prefix =
+    { full with
+      Workload.Scenarios.script =
+        List.filteri (fun i _ -> i < 150) full.script }
+  in
+  List.map
+    (fun (label, vm_kind, level) ->
+      case (Printf.sprintf "group state under %s: 2000 sales, 300 txns" label)
+        (fun () ->
+          let runs =
+            List.map (fun domains -> run_rollup full ~vm_kind ~domains) [ 1; 4 ]
+          in
+          List.iter
+            (fun (r : Whips.System.result) ->
+              let m = r.metrics in
+              let current = Source.Sources.current r.sources in
+              List.iter
+                (fun v ->
+                  Alcotest.check Helpers.bag (Query.View.name v)
+                    (Eval.eval_bag ~naive:true current v.Query.View.def)
+                    (Whips.System.view_contents r (Query.View.name v)))
+                full.views;
+              (* Two Group_by views, one manager each: one build per node. *)
+              Alcotest.(check int) "each node built once" 2
+                (Atomic.get m.Whips.Metrics.group_state_builds);
+              Alcotest.(check int) "no state dropped" 0
+                (Atomic.get m.Whips.Metrics.group_state_drops))
+            runs;
+          (match runs with
+          | [ one; four ] ->
+            Alcotest.(check int) "same commits at 1 and 4 domains"
+              (Atomic.get one.metrics.Whips.Metrics.commits)
+              (Atomic.get four.metrics.Whips.Metrics.commits);
+            Alcotest.(check (float 0.0)) "same completion instant"
+              one.metrics.Whips.Metrics.completed_at
+              four.metrics.Whips.Metrics.completed_at;
+            Alcotest.(check bool) "same warehouse state sequence" true
+              (List.equal Database.equal
+                 (Warehouse.Store.states one.store)
+                 (Warehouse.Store.states four.store))
+          | _ -> assert false);
+          let v =
+            Whips.System.verdict (run_rollup prefix ~vm_kind ~domains:1)
+          in
+          (* The level each manager guarantees: batching skips states. *)
+          Alcotest.(check string) "150-txn prefix verdict"
+            (Consistency.Checker.level_name level)
+            (Consistency.Checker.level_name (Consistency.Checker.level v))))
+    [ ("Complete_vm", Whips.System.Complete_vm, Consistency.Checker.Complete);
+      ("Batching_vm", Whips.System.Batching_vm, Consistency.Checker.Strong) ]
+
 let tests =
   [ case "schema of group_by" (fun () ->
         let e =
@@ -182,6 +457,10 @@ let tests =
         let after = Eval.eval_bag post expr in
         Bag.equal (Signed_bag.apply delta before) after
         && Signed_bag.applies_exactly delta before);
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~print:Stateful.print
+         ~name:"stateful group_by step == eval_plan == naive over chains"
+         Stateful.chain_gen Stateful.check);
     case "sales-rollup scenario is complete end to end" (fun () ->
         let scen = Workload.Scenarios.sales_rollup in
         let result =
@@ -212,3 +491,4 @@ let tests =
         in
         let v = Whips.System.verdict result in
         Alcotest.(check bool) "strong" true v.strongly_consistent) ]
+  @ system_tests

@@ -77,7 +77,24 @@ let coalesce_tests =
         | Some sum ->
           Bag.equal
             (List.fold_left (fun b d -> Signed_bag.apply d b) bag deltas)
-            (Signed_bag.apply sum bag)) ]
+            (Signed_bag.apply sum bag));
+    Helpers.qcheck ~count:300 "first_clamp: None iff every step applies exactly"
+      QCheck2.Gen.(
+        pair
+          (Helpers.Gen.small_bag ~arity:1 ~range:3)
+          (list_size (int_range 0 5) (Helpers.Gen.small_signed ~arity:1 ~range:3)))
+      (fun (bag, deltas) ->
+        let exact, _ =
+          List.fold_left
+            (fun (ok, b) d ->
+              (ok && Signed_bag.applies_exactly d b, Signed_bag.apply d b))
+            (true, bag) deltas
+        in
+        match Signed_bag.first_clamp deltas ~bag with
+        | None -> exact
+        | Some tup ->
+          (not exact)
+          && List.exists (fun d -> Signed_bag.count d tup < 0) deltas) ]
 
 (* ---- Vut incremental row counters ---- *)
 

@@ -9,6 +9,28 @@ let make () =
       { source = "s2"; relation = "S";
         init = Helpers.rel (Helpers.int_schema [ "B"; "C" ]) [] } ]
 
+(* Regression probes: a transaction deleting a tuple the source does not
+   hold used to be executed with the deletion clamped at zero, while every
+   downstream cache applied the transaction's summed delta — the warehouse
+   then diverged from the sources for good. Both must now be rejected up
+   front, naming the relation and tuple. *)
+let clamp_probe view script rows =
+  let scen =
+    { Workload.Scenarios.name = "clamp-probe";
+      specs =
+        [ { Source.Sources.source = "s"; relation = "R";
+            init = Helpers.rel (Helpers.int_schema [ "A"; "B" ]) rows } ];
+      views = [ Query.View.make "V" view ];
+      script }
+  in
+  match Whips.System.run (Whips.System.default scen) with
+  | exception Invalid_argument msg -> msg
+  | _ -> Alcotest.fail "transaction was accepted"
+
+let clamp_message tuple =
+  Printf.sprintf "Sources.execute: deletes %s from R, which does not hold it"
+    tuple
+
 let tests =
   [ case "create exposes names and ownership" (fun () ->
         let s = make () in
@@ -98,4 +120,40 @@ let tests =
         let s = make () in
         let _ = Source.Sources.execute s [ Update.insert "R" (Helpers.ints [ 5; 5 ]) ] in
         Alcotest.(check int) "initial untouched" 1
-          (Relation.cardinal (Database.find (Source.Sources.initial s) "R"))) ]
+          (Relation.cardinal (Database.find (Source.Sources.initial s) "R")));
+    case "delete of an absent tuple is rejected" (fun () ->
+        (* Used to leave the warehouse at {(5)} and the source at
+           {(2),(5)} for the view pi[B](R). *)
+        Alcotest.(check string) "names R and (3,2)" (clamp_message "[3; 2]")
+          (clamp_probe
+             Query.Algebra.(project [ "B" ] (base "R"))
+             [ [ Update.delete "R" (Helpers.ints [ 3; 2 ]) ] ]
+             [ [ 5; 5 ]; [ 1; 2 ] ]));
+    case "delete-then-insert of an absent tuple is rejected" (fun () ->
+        (* The summed delta is zero, but the source clamps the delete and
+           keeps the insert: the view R used to lose (1,2). *)
+        Alcotest.(check string) "names R and (1,2)" (clamp_message "[1; 2]")
+          (clamp_probe (Query.Algebra.base "R")
+             [ [ Update.delete "R" (Helpers.ints [ 1; 2 ]);
+                 Update.insert "R" (Helpers.ints [ 1; 2 ]) ] ]
+             [ [ 5; 5 ] ]));
+    case "rejected transaction leaves the sources untouched" (fun () ->
+        let s = make () in
+        Alcotest.(check bool) "over-delete raises" true
+          (match
+             Source.Sources.execute s
+               [ Update.delete "R" (Helpers.ints [ 1; 2 ]);
+                 Update.delete "R" (Helpers.ints [ 1; 2 ]) ]
+           with
+          | exception Invalid_argument _ -> true
+          | _ -> false);
+        Alcotest.(check int) "no id consumed" 0 (Source.Sources.last_id s);
+        Alcotest.(check int) "R unchanged" 1
+          (Relation.cardinal (Database.find (Source.Sources.current s) "R"));
+        let txn =
+          Source.Sources.execute s
+            [ Update.delete "R" (Helpers.ints [ 1; 2 ]);
+              Update.insert "R" (Helpers.ints [ 1; 2 ]) ]
+        in
+        Alcotest.(check int) "a clean delete-then-insert commits" 1
+          txn.Update.Transaction.id) ]
