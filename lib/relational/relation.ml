@@ -9,18 +9,28 @@
    retain an unchanged relation share its chunks and indexes by
    pointer. Concurrent memo fills from pool domains are benign races:
    both domains compute the same deterministic snapshot and one
-   single-word write wins. *)
+   single-word write wins.
+
+   A version built by [apply_delta] also remembers where it came from:
+   its parent's contents and the delta that produced it, recorded only
+   when the delta applied without clamping, so [parent + delta] is
+   exactly this version's contents. Keeping the parent's bag rather
+   than the parent record holds one level, never a chain: the bag is
+   persistent and shares all but O(|delta| log n) nodes with this
+   version's contents. *)
 
 type t = {
   schema : Schema.t;
   contents : Bag.t;
+  origin : (Bag.t * Signed_bag.t) option;
   mutable col : Columnar.t option;
   mutable idxs : (int array * Bag_index.t) list;
 }
 
 exception Type_error of string
 
-let make schema contents = { schema; contents; col = None; idxs = [] }
+let make ?origin schema contents =
+  { schema; contents; origin; col = None; idxs = [] }
 
 let create schema = make schema Bag.empty
 
@@ -51,7 +61,20 @@ let delete ?count tup t = make t.schema (Bag.remove ?count tup t.contents)
 let apply_delta delta t =
   (* Empty-delta fast path: same record, memos (chunks, indexes) kept. *)
   if Signed_bag.is_zero delta then t
-  else make t.schema (Signed_bag.apply delta t.contents)
+  else
+    let origin =
+      if Signed_bag.applies_exactly delta t.contents then
+        Some (t.contents, delta)
+      else None
+    in
+    make ?origin t.schema (Signed_bag.apply delta t.contents)
+
+let delta_since ~pre post =
+  if post.contents == pre.contents then Some Signed_bag.zero
+  else
+    match post.origin with
+    | Some (parent, delta) when parent == pre.contents -> Some delta
+    | Some _ | None -> None
 
 let columnar t =
   match t.col with

@@ -26,13 +26,28 @@ val delete : ?count:int -> Tuple.t -> t -> t
 val apply_delta : Signed_bag.t -> t -> t
 (** Apply a signed delta to the contents. An empty delta returns the
     relation itself (physically — memoized chunks and indexes ride
-    along), so versions untouched by a transaction share storage. *)
+    along), so versions untouched by a transaction share storage. When
+    the delta applies exactly ({!Signed_bag.applies_exactly}: no
+    deletion clamps at zero), the new version carries it, for
+    {!delta_since}. It keeps the parent's contents, not the parent
+    record, so versions never chain. *)
+
+val delta_since : pre:t -> t -> Signed_bag.t option
+(** [delta_since ~pre post] is the exact delta from [pre]'s contents to
+    [post]'s when [post] knows it without a diff: [Some zero] when both
+    hold the same bag (physically), [Some d] when [post] was built by
+    {!apply_delta} from [pre]'s contents with a delta [d] that applied
+    exactly — then [Signed_bag.apply d (contents pre) = contents post].
+    [None] otherwise (a clamping delta, {!with_contents}, a version two
+    or more steps away, an unrelated relation): the caller must diff. *)
 
 val columnar : t -> Columnar.t
 (** The relation's contents as a columnar chunk, memoized: encoded at
-    most once per relation version and shared by pointer with every
-    consumer (and, through {!apply_delta}'s empty-delta fast path, with
-    later versions that leave the relation unchanged). *)
+    most once per relation version, on first use, and shared by pointer
+    with every consumer (and, through {!apply_delta}'s empty-delta fast
+    path, with later versions that leave the relation unchanged).
+    Nothing encodes eagerly: only join-bearing compiled plans read
+    chunks, so a version no such plan reads never pays for one. *)
 
 val index : t -> key_pos:int array -> Bag_index.t
 (** Memoized hash index over the contents keyed at [key_pos]. The

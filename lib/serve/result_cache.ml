@@ -10,10 +10,17 @@ module Expr_tbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
+(* [groups] is the maintenance state of the query's [Group_by] nodes
+   (empty for queries without one), partitioning their inputs as of
+   version [groups_at]. It has its own tag because it tracks every
+   commit that touches the support, whether or not [result] is
+   refreshed, so a result re-stored after a stale miss keeps it. *)
 type entry = {
   mutable result : Bag.t;
   mutable computed_at : int;
   support : string list;
+  mutable groups : Query.Compiled.groups;
+  mutable groups_at : int;
 }
 
 type stats = {
@@ -24,6 +31,8 @@ type stats = {
   entries : int;
   refreshed : int;
   refresh_fallbacks : int;
+  deltas_carried : int;
+  deltas_diffed : int;
 }
 
 type t = {
@@ -38,13 +47,16 @@ type t = {
   mutable evictions : int;
   mutable refreshed : int;
   mutable refresh_fallbacks : int;
+  mutable deltas_carried : int;
+  mutable deltas_diffed : int;
 }
 
 let create ?(capacity = 512) () =
   if capacity < 1 then invalid_arg "Result_cache.create: capacity < 1";
   { capacity; entries = Expr_tbl.create 64; insertion_order = Queue.create ();
     changes = Hashtbl.create 16; hits = 0; misses = 0; stale = 0;
-    evictions = 0; refreshed = 0; refresh_fallbacks = 0 }
+    evictions = 0; refreshed = 0; refresh_fallbacks = 0; deltas_carried = 0;
+    deltas_diffed = 0 }
 
 let note_change t ~view ~version =
   match Hashtbl.find_opt t.changes view with
@@ -105,15 +117,18 @@ let store t ~version ~support expr result =
       (* Evict the oldest-inserted surviving entry. *)
       let rec evict () =
         let key = Queue.pop t.insertion_order in
-        if Expr_tbl.mem t.entries key then begin
+        match Expr_tbl.find_opt t.entries key with
+        | Some entry ->
+          entry.groups <- Query.Compiled.drop_groups entry.groups;
           Expr_tbl.remove t.entries key;
           t.evictions <- t.evictions + 1
-        end
-        else evict ()
+        | None -> evict ()
       in
       evict ()
     end;
-    Expr_tbl.replace t.entries expr { result; computed_at = version; support };
+    Expr_tbl.replace t.entries expr
+      { result; computed_at = version; support;
+        groups = Query.Compiled.no_groups; groups_at = version };
     Queue.push expr t.insertion_order
 
 (* Incremental refresh on commit. An entry valid at the pre-commit
@@ -126,43 +141,83 @@ let store t ~version ~support expr result =
    so a refreshed entry stays indistinguishable from a recompute.
    Entries wider deltas would churn more than recomputation saves fall
    back to plain invalidation (they simply keep their old computed_at
-   and fail validity checks spanning this commit). *)
+   and fail validity checks spanning this commit).
+
+   Each view's delta is the one its post-state version carries
+   ([Relation.delta_since]): the store builds versions from the
+   commit's own deltas, so this is O(|delta|). Only a version that
+   carries none (a refresh list, a clamp fallback, a state built some
+   other way) is diffed against its pre-state.
+
+   A query with a [Group_by] advances its group state on every commit
+   that touches its support, refreshed or not, so the state is built
+   once and then costs O(|delta|) per commit. It is dropped only when
+   its support changed at a version this cache never saw as a commit
+   (the state no longer describes [pre]). *)
 let commit t ~version ~changed ~pre ~post =
   let delta_cache = Hashtbl.create 8 in
   let view_delta view =
     match Hashtbl.find_opt delta_cache view with
     | Some d -> d
     | None ->
+      let before = Database.find pre view and after = Database.find post view in
       let d =
-        Signed_bag.diff_of_bags
-          ~before:(Relation.contents (Database.find pre view))
-          ~after:(Relation.contents (Database.find post view))
+        match Relation.delta_since ~pre:before after with
+        | Some d ->
+          t.deltas_carried <- t.deltas_carried + 1;
+          d
+        | None ->
+          t.deltas_diffed <- t.deltas_diffed + 1;
+          Signed_bag.diff_of_bags ~before:(Relation.contents before)
+            ~after:(Relation.contents after)
       in
       Hashtbl.add delta_cache view d;
       d
   in
   let prev = version - 1 in
+  let width views =
+    List.fold_left (fun acc v -> acc + Signed_bag.size (view_delta v)) 0 views
+  in
   Expr_tbl.iter
     (fun expr entry ->
       let touched = List.filter (fun v -> List.mem v entry.support) changed in
-      if touched <> [] && entry.computed_at <= prev && valid_at t entry prev
-      then begin
-        let width =
-          List.fold_left
-            (fun acc v -> acc + Signed_bag.size (view_delta v))
-            0 touched
+      if touched <> [] then begin
+        let valid = entry.computed_at <= prev && valid_at t entry prev in
+        let refresh = valid && width touched <= Bag.cardinal entry.result in
+        if valid && not refresh then
+          t.refresh_fallbacks <- t.refresh_fallbacks + 1;
+        let plan =
+          Query.Compiled.compile_memo ~lookup:(Database.schema pre) expr
         in
-        if width <= Bag.cardinal entry.result then begin
+        let stateful = Query.Compiled.has_group_by plan in
+        if refresh || stateful then begin
           let changes =
             Query.Delta.changes_of_list
               (List.map (fun v -> (v, view_delta v)) touched)
           in
-          let d = Query.Delta.eval ~pre changes expr in
-          entry.result <- Signed_bag.apply d entry.result;
-          entry.computed_at <- version;
-          t.refreshed <- t.refreshed + 1
+          let d =
+            if stateful then begin
+              if
+                List.exists
+                  (fun view ->
+                    changed_between t ~view ~lo:entry.groups_at ~hi:prev)
+                  entry.support
+              then entry.groups <- Query.Compiled.drop_groups entry.groups;
+              let d, groups =
+                Query.Delta.step ~pre ~groups:entry.groups changes plan
+              in
+              entry.groups <- groups;
+              entry.groups_at <- version;
+              d
+            end
+            else Query.Delta.eval_plan ~pre changes plan
+          in
+          if refresh then begin
+            entry.result <- Signed_bag.apply d entry.result;
+            entry.computed_at <- version;
+            t.refreshed <- t.refreshed + 1
+          end
         end
-        else t.refresh_fallbacks <- t.refresh_fallbacks + 1
       end)
     t.entries;
   List.iter (fun view -> note_change t ~view ~version) changed
@@ -172,6 +227,9 @@ let commit t ~version ~changed ~pre ~post =
    go. Keeping either would let a stale entry validate against a
    half-rebuilt history. Statistics survive (they describe the run). *)
 let clear t =
+  Expr_tbl.iter
+    (fun _ entry -> entry.groups <- Query.Compiled.drop_groups entry.groups)
+    t.entries;
   Expr_tbl.reset t.entries;
   Queue.clear t.insertion_order;
   Hashtbl.reset t.changes
@@ -179,4 +237,5 @@ let clear t =
 let stats t =
   { hits = t.hits; misses = t.misses; stale = t.stale;
     evictions = t.evictions; entries = Expr_tbl.length t.entries;
-    refreshed = t.refreshed; refresh_fallbacks = t.refresh_fallbacks }
+    refreshed = t.refreshed; refresh_fallbacks = t.refresh_fallbacks;
+    deltas_carried = t.deltas_carried; deltas_diffed = t.deltas_diffed }

@@ -32,6 +32,13 @@ type stats = {
   refresh_fallbacks : int;
       (** Touched entries {!commit} left to invalidation because the
           commit's deltas were wider than the cached result. *)
+  deltas_carried : int;
+      (** Per-view commit deltas {!commit} read off the post-state
+          version ({!Relation.delta_since}) — O(|delta|) each. *)
+  deltas_diffed : int;
+      (** Per-view commit deltas {!commit} had to recover by diffing
+          the whole pre- and post-state views, because the version
+          carried none. *)
 }
 
 val create : ?capacity:int -> unit -> t
@@ -59,7 +66,21 @@ val commit :
     compiled delta plan — exact, so a refreshed hit is bit-for-bit a
     recompute — unless the summed delta width exceeds the cached
     result's cardinality, in which case the entry is simply left to
-    invalidation (counted in [refresh_fallbacks]). *)
+    invalidation (counted in [refresh_fallbacks]).
+
+    Each touched view's delta is the one [post]'s version carries
+    ({!Relation.delta_since}, counted in [deltas_carried]); only a
+    version that carries none is diffed against [pre] in full
+    ([deltas_diffed]).
+
+    An entry whose query has a [Group_by] keeps that node's group
+    state ({!Query.Compiled.groups}) and advances it with
+    {!Query.Delta.step} on every commit touching its support, whether
+    or not the result itself is refreshed; {!store} over an existing
+    entry keeps it. The state is built once, on the first such commit,
+    and dropped only when its support changed at a version that did
+    not pass through [commit] (a {!note_change}), since it then no
+    longer describes [pre]. *)
 
 val find : t -> version:int -> Query.Algebra.t -> Bag.t option
 (** A valid cached result for the query at the version, if any. *)
@@ -75,7 +96,8 @@ val store : t -> version:int -> support:string list -> Query.Algebra.t -> Bag.t 
     ({!Query.Algebra.base_relations} of the expression). *)
 
 val clear : t -> unit
-(** Drop every entry {e and} the per-view change history — warehouse
+(** Drop every entry, its group state ({!Query.Compiled.drop_groups})
+    {e and} the per-view change history — warehouse
     crash recovery, where the version sequence is republished from
     scratch and change notes will be re-reported as it rebuilds.
     Cumulative statistics are kept. *)

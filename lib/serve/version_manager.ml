@@ -76,27 +76,10 @@ let ensure_room t =
     t.start <- 0
   end
 
-(* Pre-warm the columnar chunks of the named relations. The chunk memo
-   lives on the [Relation.t] record itself and [Database.t] is
-   persistent, so every retained version holding the same (unchanged)
-   record shares the chunk by pointer — warming at publish time moves
-   the one-time encode off the reader's first snapshot scan, and later
-   versions that leave the relation untouched inherit the warm chunk
-   for free. *)
-let warm_chunks state names =
-  if !Columnar.enabled then
-    List.iter
-      (fun name ->
-        match Database.find_opt state name with
-        | Some rel -> ignore (Relation.columnar rel)
-        | None -> ())
-      names
-
 let publish t ~time ~changed state =
   if time < (latest t).time then
     invalid_arg "Version_manager.publish: time ran backwards";
   let v = { index = version_count t; time; state; changed } in
-  warm_chunks state changed;
   ensure_room t;
   t.buf.(t.start + t.len) <- Some v;
   t.len <- t.len + 1;

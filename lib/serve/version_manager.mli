@@ -44,12 +44,12 @@ val publish : t -> time:float -> changed:string list -> Database.t -> version
 (** Append the next version and run the pruning pass. Publish times must
     be nondecreasing (they come from the simulation clock).
 
-    When columnar kernels are enabled, publishing also pre-warms the
-    columnar chunks of the [changed] relations ({!Relation.columnar}),
-    so a version is effectively a vector of column-chunk pointers:
-    readers never pay the encode on their first snapshot scan, and
-    every other retained version sharing an unchanged relation record
-    shares its chunk by pointer.
+    Publishing is O(1) in the size of the state: it encodes no chunk.
+    A relation's columnar chunk is built on the first kernel use that
+    needs it ({!Relation.columnar}) and memoized on the relation
+    record, so every retained version sharing an unchanged record
+    shares that chunk by pointer, and a version no join-bearing read
+    touches never pays for one.
     @raise Invalid_argument if [time] decreases. *)
 
 val restart : t -> initial:Database.t -> unit

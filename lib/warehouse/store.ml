@@ -57,13 +57,6 @@ let watermark t = t.pruned
 
 let retained t = t.len
 
-let apply_action db (al : Query.Action_list.t) =
-  match Database.find_opt db al.view with
-  | None -> raise (Unknown_view al.view)
-  | Some rel ->
-    let contents = Query.Action_list.apply al (Relation.contents rel) in
-    Database.add al.view (Relation.with_contents rel contents) db
-
 (* Make room for one more commit at the tail: grow (and compact away the
    pruned prefix) when the physical buffer is exhausted. *)
 let ensure_room t =
@@ -86,14 +79,6 @@ let prune t =
       t.pruned <- t.pruned + 1
     done
 
-let apply t ?(time = 0.0) (wt : Wt.t) =
-  let db = List.fold_left apply_action t.current wt.actions in
-  t.current <- db;
-  ensure_room t;
-  t.buf.(t.start + t.len) <- Some { time; transaction = wt; state = db };
-  t.len <- t.len + 1;
-  prune t
-
 (* ---- merge fast path: batched run application ----
 
    A ready run of warehouse transactions is planned as a whole: the
@@ -105,7 +90,11 @@ let apply t ?(time = 0.0) (wt : Wt.t) =
    produced: views untouched by a transaction share their relation (and
    its memoized chunks/indexes) by pointer, and summing is guarded by
    {!Signed_bag.coalesce} so a sum that clamping could make unfaithful
-   falls back to sequential application of that group. *)
+   falls back to sequential application of that group. Planning costs
+   O(|delta| log n) per touched view: a summed version is built by
+   [Relation.apply_delta], which records the delta on it for serving
+   to read back, and no chunk is encoded (chunks are built on first
+   kernel use and shared by pointer from then on). *)
 
 type run_plan = {
   planned : (Wt.t * Database.t) list;
@@ -170,13 +159,14 @@ let plan_run ?(run_tasks = List.iter (fun task -> task ())) t wts =
                 | Query.Action_list.Refresh _ -> None)
               als
           in
-          let contents' =
+          rel :=
             if List.length deltas <> List.length als then
               (* A refresh overwrites rather than composes: apply the
                  group one list at a time. *)
-              List.fold_left
-                (fun acc al -> Query.Action_list.apply al acc)
-                contents als
+              Relation.with_contents !rel
+                (List.fold_left
+                   (fun acc al -> Query.Action_list.apply al acc)
+                   contents als)
             else begin
               List.iter
                 (fun d -> c_in.(v) <- c_in.(v) + Signed_bag.size d)
@@ -184,7 +174,8 @@ let plan_run ?(run_tasks = List.iter (fun task -> task ())) t wts =
               match Signed_bag.coalesce deltas ~bag:contents with
               | Some net ->
                 c_out.(v) <- c_out.(v) + Signed_bag.size net;
-                Signed_bag.apply net contents
+                (* The version carries [net] when it applies exactly. *)
+                Relation.apply_delta net !rel
               | None ->
                 (* The sum could clamp differently from the sequence —
                    stay faithful. *)
@@ -194,19 +185,15 @@ let plan_run ?(run_tasks = List.iter (fun task -> task ())) t wts =
                    + List.fold_left
                        (fun acc d -> acc + Signed_bag.size d)
                        0 deltas;
-                List.fold_left
-                  (fun acc d -> Signed_bag.apply d acc)
-                  contents deltas
-            end
-          in
-          rel := Relation.with_contents !rel contents';
+                Relation.with_contents !rel
+                  (List.fold_left
+                     (fun acc d -> Signed_bag.apply d acc)
+                     contents deltas)
+            end;
           (i, !rel))
         vgroups
     in
-    timelines.(v) <- timeline;
-    (* Warm the run's final chunk off the hot path: serving reads after
-       the run hit a prebuilt snapshot instead of encoding on demand. *)
-    if !Columnar.enabled then ignore (Relation.columnar !rel)
+    timelines.(v) <- timeline
   in
   run_tasks (List.init n_views (fun v () -> plan_view v));
   (* Scatter the per-view timelines back into per-transaction updates and
@@ -240,6 +227,13 @@ let apply_planned t ?(time = 0.0) (wt : Wt.t) state =
   t.buf.(t.start + t.len) <- Some { time; transaction = wt; state };
   t.len <- t.len + 1;
   prune t
+
+(* One transaction is a run of one: its action lists on a view are
+   summed like a run's, so the new version carries the net delta. *)
+let apply t ?time wt =
+  match (plan_run t [ wt ]).planned with
+  | [ (wt, state) ] -> apply_planned t ?time wt state
+  | _ -> assert false
 
 let commit_run t ?time wts =
   let plan = plan_run t wts in

@@ -61,7 +61,9 @@ val apply : t -> ?time:float -> Wt.t -> unit
 (** Apply a warehouse transaction atomically: every action list in order,
     then record the new state (and prune past the retention window).
     Commit times must be nondecreasing across calls — they are stamped
-    from the simulation clock.
+    from the simulation clock. The transaction is planned as a run of
+    one ({!plan_run}), so each changed view's new version carries the
+    transaction's net delta on it ({!Relation.delta_since}).
     @raise Unknown_view if an action list targets an unknown view. *)
 
 type run_plan = {
@@ -86,7 +88,12 @@ val plan_run :
     transaction by transaction ({!Signed_bag.coalesce} guards against
     clamping divergence) and the view's relation timeline is built in
     one walk; views untouched by a transaction share their relation by
-    pointer. [run_tasks] executes the independent per-view walks — pass
+    pointer. A version built from a summed delta that applies exactly
+    is built by {!Relation.apply_delta} and so carries that delta
+    (O(|delta| log n) work, no scan of the view); refresh lists and
+    clamp fallbacks build plain versions that carry none. No columnar
+    chunk is encoded here: chunks are built on first kernel use.
+    [run_tasks] executes the independent per-view walks — pass
     a domain-pool iterator to fan them out (default: run in place). The
     plan is only valid while no other commit intervenes.
     @raise Unknown_view if an action list targets an unknown view. *)

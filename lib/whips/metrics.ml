@@ -42,6 +42,8 @@ type t = {
   group_rows : int Atomic.t;
   cache_refreshes : int Atomic.t;
   cache_refresh_fallbacks : int Atomic.t;
+  cache_deltas_carried : int Atomic.t;
+  cache_deltas_diffed : int Atomic.t;
   routed_shards : Sim.Stats.Summary.t;
   union_reads : int Atomic.t;
   union_read_latency : Sim.Stats.Summary.t;
@@ -84,6 +86,7 @@ let create () =
     group_state_builds = Atomic.make 0; group_state_drops = Atomic.make 0;
     group_rows = Atomic.make 0;
     cache_refreshes = Atomic.make 0; cache_refresh_fallbacks = Atomic.make 0;
+    cache_deltas_carried = Atomic.make 0; cache_deltas_diffed = Atomic.make 0;
     routed_shards = Sim.Stats.Summary.create ();
     union_reads = Atomic.make 0;
     union_read_latency = Sim.Stats.Summary.create ();
@@ -148,7 +151,7 @@ let pp ppf t =
      resilience: dropped=%d retx=%d acks=%d nacks=%d dups=%d gave-up=%d \
      crashes=%d recoveries=%d@ \
      serving: reads=%d rtput=%.2f/s cache=%d/%d clamped=%d \
-     refreshed=%d refresh-fallbacks=%d@ \
+     refreshed=%d refresh-fallbacks=%d deltas-carried=%d deltas-diffed=%d@ \
      shared-plans: hits=%d/%d rows-maintained=%d memo-contention=%d@ \
      group-state: builds=%d drops=%d rows-folded=%d@ \
      distributed: union-reads=%d shard-fanout: %a@ \
@@ -180,6 +183,8 @@ let pp ppf t =
     (Atomic.get t.reads_clamped)
     (Atomic.get t.cache_refreshes)
     (Atomic.get t.cache_refresh_fallbacks)
+    (Atomic.get t.cache_deltas_carried)
+    (Atomic.get t.cache_deltas_diffed)
     (Atomic.get t.shared_hits)
     (Atomic.get t.shared_hits + Atomic.get t.shared_misses)
     (Atomic.get t.shared_rows)

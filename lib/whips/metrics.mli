@@ -92,9 +92,10 @@ type t = {
       (** Contended plan-memo shard-lock acquisitions during the run
           ({!Query.Compiled.memo_contention} delta). *)
   group_state_builds : int Atomic.t;
-      (** [Group_by] node states built by view managers during the run
+      (** [Group_by] node states built during the run by view managers
+          and by aggregate result-cache entries
           ({!Query.Compiled.group_state_builds} delta): one per manager
-          and node unless a state was dropped. *)
+          or entry and node unless a state was dropped. *)
   group_state_drops : int Atomic.t;
       (** Built node states dropped because a transaction's deletions
           clamped ({!Query.Compiled.group_state_drops} delta). *)
@@ -108,6 +109,12 @@ type t = {
   cache_refresh_fallbacks : int Atomic.t;
       (** Touched cache entries left to invalidation because the
           commit's deltas were wider than the cached result. *)
+  cache_deltas_carried : int Atomic.t;
+      (** Per-view commit deltas the result cache read off the
+          published version ({!Serve.Result_cache.stats}). *)
+  cache_deltas_diffed : int Atomic.t;
+      (** Per-view commit deltas the result cache recovered by diffing
+          whole views, because the version carried none. *)
   routed_shards : Sim.Stats.Summary.t;
       (** Per routed update in a distributed run: how many warehouse
           shards its relevant-view set fanned out to (1 for a

@@ -541,7 +541,11 @@ let finalize_perf_metrics metrics ~kernel0 ~shared ~serving =
     let s = Serve.Result_cache.stats c in
     Metrics.add metrics.Metrics.cache_refreshes s.Serve.Result_cache.refreshed;
     Metrics.add metrics.Metrics.cache_refresh_fallbacks
-      s.Serve.Result_cache.refresh_fallbacks
+      s.Serve.Result_cache.refresh_fallbacks;
+    Metrics.add metrics.Metrics.cache_deltas_carried
+      s.Serve.Result_cache.deltas_carried;
+    Metrics.add metrics.Metrics.cache_deltas_diffed
+      s.Serve.Result_cache.deltas_diffed
   | None -> ()
 
 (* The Section 1.1 baseline: one process, sequential handling of updates,

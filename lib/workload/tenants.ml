@@ -17,9 +17,10 @@ type t = {
   scenario : Scenarios.t;
   tenant_of_view : (string * int) list;
   unions : (string * string list) list;
+  tenant_index : (string, int) Hashtbl.t;
 }
 
-let tenant_of t view = List.assoc view t.tenant_of_view
+let tenant_of t view = Hashtbl.find t.tenant_index view
 
 (* Inverse-CDF sampling over the truncated Zipf weights 1/(i+1)^skew.
    skew = 0 degenerates to uniform. *)
@@ -123,10 +124,13 @@ let generate cfg =
       (fun t -> [ (sales_view t, t); (hot_view t, t) ])
       (List.init cfg.tenants Fun.id)
   in
+  let tenant_index = Hashtbl.create (List.length tenant_of_view) in
+  List.iter (fun (view, t) -> Hashtbl.replace tenant_index view t) tenant_of_view;
   let legs f = List.init cfg.tenants f in
   { scenario =
       { Scenarios.name = Printf.sprintf "tenants-%d-%d" cfg.tenants cfg.seed;
         specs; views; script };
     tenant_of_view;
     unions =
-      [ ("sales_all", legs sales_view); ("hot_all", legs hot_view) ] }
+      [ ("sales_all", legs sales_view); ("hot_all", legs hot_view) ];
+    tenant_index }

@@ -36,6 +36,10 @@ type t = {
       (** Owning tenant of each leg view in [scenario.views]. *)
   unions : (string * string list) list;
       (** Cross-tenant union views as (name, leg view names). *)
+  tenant_index : (string, int) Hashtbl.t;
+      (** [tenant_of_view] as a hash table, built once by {!generate}
+          so that {!tenant_of} (called on every routed update) is O(1).
+          Read-only. *)
 }
 
 val generate : config -> t
@@ -43,7 +47,7 @@ val generate : config -> t
     value range, negative skew...). *)
 
 val tenant_of : t -> string -> int
-(** Owning tenant of a leg view name.
+(** Owning tenant of a leg view name, in O(1).
     @raise Not_found for names outside the workload. *)
 
 val zipf : Sim.Rng.t -> skew:float -> int -> int

@@ -101,6 +101,22 @@ let tests =
             Alcotest.(check int) "one tenant per transaction" 1
               (List.length tenants))
           w1.Workload.Tenants.scenario.Workload.Scenarios.script);
+    case "tenant_of agrees with tenant_of_view and rejects unknown names"
+      (fun () ->
+        let w = workload ~tenants:7 () in
+        Alcotest.(check int) "every leg listed" 14
+          (List.length w.Workload.Tenants.tenant_of_view);
+        List.iter
+          (fun (view, t) ->
+            Alcotest.(check int) view t (Workload.Tenants.tenant_of w view))
+          w.Workload.Tenants.tenant_of_view;
+        List.iter
+          (fun name ->
+            Alcotest.(check bool) (name ^ " raises Not_found") true
+              (match Workload.Tenants.tenant_of w name with
+              | exception Not_found -> true
+              | _ -> false))
+          [ "sales_t7"; "orders_t0"; "sales_all"; "" ]);
     case "zipf skew concentrates on low ranks" (fun () ->
         let rng = Sim.Rng.create 5 in
         let counts = Array.make 4 0 in

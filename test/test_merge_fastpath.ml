@@ -162,9 +162,28 @@ let commit_rows s =
     (fun c -> c.Warehouse.Store.transaction.Warehouse.Wt.rows)
     (Warehouse.Store.commits s)
 
+(* The elementary reference: each action list applied to its view in
+   order, one commit per transaction, without the store. *)
+let reference_states run =
+  let step db (wt : Warehouse.Wt.t) =
+    List.fold_left
+      (fun db (al : Action_list.t) ->
+        let rel = Database.find db al.view in
+        Database.add al.view
+          (Relation.with_contents rel
+             (Action_list.apply al (Relation.contents rel)))
+          db)
+      db wt.actions
+  in
+  let s0 = Warehouse.Store.snapshot (store ()) in
+  List.rev
+    (List.fold_left (fun acc wt -> step (List.hd acc) wt :: acc) [ s0 ] run)
+
 let sequential_baseline run =
   let s = store () in
   List.iteri (fun i wt -> Warehouse.Store.apply s ~time:(float_of_int i) wt) run;
+  Alcotest.(check bool) "apply matches the elementary reference" true
+    (states_equal (reference_states run) (Warehouse.Store.states s));
   s
 
 let store_tests =
@@ -218,6 +237,132 @@ let store_tests =
         Alcotest.(check bool) "walk per touched view" true (!fanned >= 2);
         Alcotest.(check bool) "states" true
           (states_equal (Warehouse.Store.states seq) (Warehouse.Store.states s))) ]
+
+(* ---- Delta provenance: versions carry the delta that built them ---- *)
+
+let base_rel = Helpers.rel (Helpers.int_schema [ "x" ]) []
+
+(* [delta_since] is sound: whatever it returns is the exact delta. *)
+let carried_ok ~pre post =
+  match Relation.delta_since ~pre post with
+  | None -> true
+  | Some d ->
+    Signed_bag.applies_exactly d (Relation.contents pre)
+    && Bag.equal
+         (Signed_bag.apply d (Relation.contents pre))
+         (Relation.contents post)
+
+type run_mode = Per_message | Coalesced | Fused
+
+(* A random warehouse history over views A and B: transactions of one to
+   three action lists (deltas that may clamp, now and then a refresh),
+   cut into runs committed one transaction at a time, as a planned run,
+   or fused into one batched transaction. *)
+let history_gen =
+  let open QCheck2.Gen in
+  let al_gen =
+    let* view = oneofl [ "A"; "B" ] in
+    frequency
+      [ (6, map (fun d -> Action_list.delta ~view ~state:0 d)
+              (Helpers.Gen.small_signed ~arity:1 ~range:4));
+        (1, map (fun b -> Action_list.refresh ~view ~state:0 b)
+              (Helpers.Gen.small_bag ~arity:1 ~range:4)) ]
+  in
+  let wt_gen = map (Warehouse.Wt.make ~rows:[ 0 ]) (list_size (int_range 1 3) al_gen) in
+  list_size (int_range 1 6)
+    (pair (oneofl [ Per_message; Coalesced; Fused ]) (list_size (int_range 1 4) wt_gen))
+
+let commit_history runs =
+  let s = store () in
+  List.iter
+    (fun (mode, wts) ->
+      match mode with
+      | Per_message -> List.iter (fun wt -> Warehouse.Store.apply s wt) wts
+      | Coalesced -> ignore (Warehouse.Store.commit_run s wts)
+      | Fused -> ignore (Warehouse.Store.commit_run s [ Warehouse.Wt.batch wts ]))
+    runs;
+  s
+
+let provenance_tests =
+  [ Helpers.qcheck ~count:300 "apply_delta carries exactly the deltas that apply"
+      QCheck2.Gen.(
+        pair (Helpers.Gen.small_bag ~arity:1 ~range:4)
+          (pair (Helpers.Gen.small_signed ~arity:1 ~range:4)
+             (Helpers.Gen.small_signed ~arity:1 ~range:4)))
+      (fun (bag, (d1, d2)) ->
+        let pre = Relation.with_contents base_rel bag in
+        let post = Relation.apply_delta d1 pre in
+        (* An unchanged bag (a zero delta, or deletions that all clamp
+           on an empty relation) is the zero delta whatever built it. *)
+        let unchanged r = Relation.contents r == bag in
+        let expected =
+          if unchanged post then Some Signed_bag.zero
+          else if Signed_bag.applies_exactly d1 bag then Some d1
+          else None
+        in
+        let two_steps = Relation.apply_delta d2 post in
+        Option.equal Signed_bag.equal (Relation.delta_since ~pre post) expected
+        && carried_ok ~pre post
+        && Option.equal Signed_bag.equal (Relation.delta_since ~pre pre)
+             (Some Signed_bag.zero)
+        (* A copy built by [with_contents] carries nothing, and neither
+           does a version two steps away or one over an unrelated record
+           with equal contents. *)
+        && (unchanged post
+           || Relation.delta_since ~pre
+                (Relation.with_contents base_rel (Relation.contents post))
+              = None)
+        && (unchanged post || unchanged two_steps || two_steps == post
+           || Relation.delta_since ~pre two_steps = None)
+        && (unchanged post || Bag.is_empty bag
+           || Relation.delta_since
+                ~pre:(Relation.with_contents base_rel (Bag.of_list (Bag.to_list bag)))
+                post
+              = None));
+    case "a clamping delta carries nothing" (fun () ->
+        let pre = Helpers.rel (Helpers.int_schema [ "x" ]) [ [ 1 ] ] in
+        let post = Relation.apply_delta (Signed_bag.singleton (ints [ 2 ]) (-1)) pre in
+        Alcotest.(check bool) "None" true (Relation.delta_since ~pre post = None));
+    Helpers.qcheck ~count:300 "every exact store version carries its net delta"
+      history_gen
+      (fun runs ->
+        let s = commit_history runs in
+        let wts = List.map (fun c -> c.Warehouse.Store.transaction) (Warehouse.Store.commits s) in
+        let states = Warehouse.Store.states s in
+        states_equal (reference_states wts) states
+        && List.for_all2
+             (fun (pre_db, post_db) (wt : Warehouse.Wt.t) ->
+               List.for_all
+                 (fun view ->
+                   let pre = Database.find pre_db view
+                   and post = Database.find post_db view in
+                   let als =
+                     List.filter (fun (al : Action_list.t) -> al.view = view) wt.actions
+                   in
+                   let deltas =
+                     List.filter_map
+                       (fun (al : Action_list.t) ->
+                         match al.payload with
+                         | Action_list.Delta d -> Some d
+                         | Action_list.Refresh _ -> None)
+                       als
+                   in
+                   let exact =
+                     List.length deltas = List.length als
+                     && Signed_bag.first_clamp deltas ~bag:(Relation.contents pre) = None
+                   in
+                   carried_ok ~pre post
+                   && ((not exact)
+                      || Option.equal Signed_bag.equal
+                           (Relation.delta_since ~pre post)
+                           (Some
+                              (Signed_bag.diff_of_bags ~before:(Relation.contents pre)
+                                 ~after:(Relation.contents post)))))
+                 [ "A"; "B" ])
+             (List.combine
+                (List.filteri (fun i _ -> i < List.length wts) states)
+                (List.tl states))
+             wts) ]
 
 (* ---- Submitter.submit_run: same schedule as item-by-item submit ---- *)
 
@@ -466,5 +611,6 @@ let fused_tests =
           | _ -> false)) ]
 
 let tests =
-  coalesce_tests @ vut_tests @ store_tests @ submitter_tests @ wal_tests
+  coalesce_tests @ vut_tests @ store_tests @ provenance_tests @ submitter_tests
+  @ wal_tests
   @ index_tests @ metrics_tests @ system_tests @ fused_tests

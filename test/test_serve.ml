@@ -262,6 +262,265 @@ let result_cache_tests =
         Alcotest.(check bool) "still valid at its own version" true
           (Cache.find c ~version:1 q <> None)) ]
 
+(* ---- Result-cache chains: refresh, carried deltas, group state ---- *)
+
+(* A two-view warehouse: V(x, y) changes, W(y, z) is a fixed dimension
+   holding every y, so every change to V reaches the join below. *)
+let chain_schema_v = Helpers.int_schema [ "x"; "y" ]
+
+let chain_initial =
+  Database.of_list
+    [ ("V", Helpers.rel chain_schema_v [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 2 ]; [ 1; 0 ] ]);
+      ("W",
+       Helpers.rel (Helpers.int_schema [ "y"; "z" ])
+         (List.init 4 (fun y -> [ y; y mod 2 ]))) ]
+
+let q_sel = Algebra.select (Pred.lt "x" (Value.Int 2)) (Algebra.base "V")
+
+let q_agg =
+  Algebra.group_by ~keys:[ "x" ]
+    ~aggregates:
+      [ ("n", Algebra.Count); ("s", Algebra.Sum "y"); ("m", Algebra.Max "y") ]
+    (Algebra.base "V")
+
+let q_jagg =
+  Algebra.group_by ~keys:[ "z" ]
+    ~aggregates:[ ("s", Algebra.Sum "x"); ("lo", Algebra.Min "x") ]
+    (Algebra.join (Algebra.base "V") (Algebra.base "W"))
+
+let chain_queries = [| Algebra.base "V"; q_sel; q_agg; q_jagg |]
+
+let naive state expr = Eval.eval_bag ~naive:true state expr
+
+(* The next state of V: a few deletions of present tuples and a few
+   insertions (many on a [wide] commit, so narrow cached results fall
+   back to invalidation). [carried] builds the version through
+   [Relation.apply_delta], as the store does; otherwise through
+   [with_contents], which carries nothing and forces the diff. *)
+let next_state rng ~wide ~carried state =
+  let v = Database.find state "V" in
+  let present = Bag.to_list (Relation.contents v) in
+  let delta = ref Signed_bag.zero in
+  let bag = ref (Relation.contents v) in
+  for _ = 1 to Random.State.int rng 3 do
+    if not (Bag.is_empty !bag) then begin
+      let tup = List.nth present (Random.State.int rng (List.length present)) in
+      if Bag.count !bag tup > 0 then begin
+        delta := Signed_bag.add tup (-1) !delta;
+        bag := Bag.remove tup !bag
+      end
+    end
+  done;
+  for _ = 1 to (if wide then 12 else 1 + Random.State.int rng 2) do
+    delta :=
+      Signed_bag.add
+        (Helpers.ints [ Random.State.int rng 4; Random.State.int rng 4 ])
+        1 !delta
+  done;
+  let v' =
+    if carried then Relation.apply_delta !delta v
+    else Relation.with_contents v (Signed_bag.apply !delta (Relation.contents v))
+  in
+  Database.add "V" v' state
+
+(* Drive one cache through a random chain: every commit changes V; reads
+   hit the latest version or an older one, and a miss re-stores the
+   result at the version read, as a session does. Every hit must equal
+   naive evaluation at its version. Returns the cache and how many
+   commits carried their deltas. *)
+let run_chain ~seed ~steps ~carried_only =
+  let rng = Random.State.make [| seed |] in
+  let c = Cache.create () in
+  let states = ref [| chain_initial |] in
+  let latest () = Array.length !states - 1 in
+  let read version expr =
+    let state = !states.(version) in
+    match Cache.find c ~version expr with
+    | Some b ->
+      if not (Bag.equal b (naive state expr)) then
+        Alcotest.failf "hit at version %d differs from naive evaluation of %a"
+          version Algebra.pp expr
+    | None ->
+      Cache.store c ~version ~support:(Algebra.base_relations expr) expr
+        (naive state expr)
+  in
+  Array.iter (read 0) chain_queries;
+  for _ = 1 to steps do
+    if Random.State.int rng 3 = 0 then begin
+      let pre = !states.(latest ()) in
+      let post =
+        next_state rng
+          ~wide:(Random.State.int rng 6 = 0)
+          ~carried:(carried_only || Random.State.int rng 4 <> 0)
+          pre
+      in
+      states := Array.append !states [| post |];
+      Cache.commit c ~version:(latest ()) ~changed:[ "V" ] ~pre ~post
+    end
+    else begin
+      let version =
+        match Random.State.int rng 3 with
+        | 0 -> Random.State.int rng (latest () + 1)
+        | _ -> latest ()
+      in
+      read version chain_queries.(Random.State.int rng (Array.length chain_queries))
+    end
+  done;
+  c
+
+let chain_tests =
+  [ Helpers.qcheck ~count:150 "every hit along a commit chain equals naive evaluation"
+      QCheck2.Gen.(pair (int_range 0 1_000_000) bool)
+      (fun (seed, carried_only) ->
+        let builds0 = Compiled.group_state_builds ()
+        and drops0 = Compiled.group_state_drops () in
+        let c = run_chain ~seed ~steps:60 ~carried_only in
+        let s = Cache.stats c in
+        let builds = Compiled.group_state_builds () - builds0 in
+        (* Every commit changes V and reaches both aggregate nodes, so
+           each aggregate entry builds its state once — at its first
+           commit — and a clean chain never drops it. *)
+        let commits = s.Cache.deltas_carried + s.Cache.deltas_diffed in
+        (commits = 0 || builds = 2)
+        && Compiled.group_state_drops () = drops0
+        && ((not carried_only) || s.Cache.deltas_diffed = 0));
+    case "a chain of carried commits diffs nothing and refreshes" (fun () ->
+        let c = run_chain ~seed:7 ~steps:120 ~carried_only:true in
+        let s = Cache.stats c in
+        Alcotest.(check int) "nothing diffed" 0 s.Cache.deltas_diffed;
+        Alcotest.(check bool) "deltas carried" true (s.Cache.deltas_carried > 0);
+        Alcotest.(check bool) "entries refreshed" true (s.Cache.refreshed > 0);
+        Alcotest.(check bool) "some fallbacks" true (s.Cache.refresh_fallbacks > 0));
+    case "clear drops every group state" (fun () ->
+        let c = run_chain ~seed:3 ~steps:60 ~carried_only:true in
+        let drops0 = Compiled.group_state_drops ()
+        and builds0 = Compiled.group_state_builds () in
+        Cache.clear c;
+        Alcotest.(check int) "both aggregate states dropped" 2
+          (Compiled.group_state_drops () - drops0);
+        Alcotest.(check int) "no entries" 0 (Cache.stats c).Cache.entries;
+        (* Re-cached after the wipe, the aggregates build afresh. *)
+        let pre = chain_initial in
+        let post = next_state (Random.State.make [| 1 |]) ~wide:false ~carried:true pre in
+        Array.iter
+          (fun q ->
+            Cache.store c ~version:0 ~support:(Algebra.base_relations q) q (naive pre q))
+          chain_queries;
+        Cache.commit c ~version:1 ~changed:[ "V" ] ~pre ~post;
+        Alcotest.(check int) "rebuilt" 2 (Compiled.group_state_builds () - builds0);
+        match Cache.find c ~version:1 q_agg with
+        | Some b -> Alcotest.check Helpers.bag "refreshed" (naive post q_agg) b
+        | None -> Alcotest.fail "expected a refreshed hit");
+    case "a change that bypasses commit drops the group state" (fun () ->
+        let c = Cache.create () in
+        let insert tup state =
+          Database.add "V"
+            (Relation.apply_delta
+               (Signed_bag.singleton (Helpers.ints tup) 1)
+               (Database.find state "V"))
+            state
+        in
+        let s0 = chain_initial in
+        let s1 = insert [ 3; 3 ] s0 in
+        let s2 = insert [ 0; 0 ] s1 in
+        let s3 = insert [ 1; 3 ] s2 in
+        Cache.store c ~version:0 ~support:[ "V" ] q_agg (naive s0 q_agg);
+        Cache.commit c ~version:1 ~changed:[ "V" ] ~pre:s0 ~post:s1;
+        (* Version 2 is only noted: the state still describes s1. *)
+        Cache.note_change c ~view:"V" ~version:2;
+        Cache.store c ~version:2 ~support:[ "V" ] q_agg (naive s2 q_agg);
+        let drops0 = Compiled.group_state_drops () in
+        Cache.commit c ~version:3 ~changed:[ "V" ] ~pre:s2 ~post:s3;
+        Alcotest.(check int) "dropped" 1 (Compiled.group_state_drops () - drops0);
+        match Cache.find c ~version:3 q_agg with
+        | Some b -> Alcotest.check Helpers.bag "still exact" (naive s3 q_agg) b
+        | None -> Alcotest.fail "expected a refreshed hit") ]
+
+(* ---- Allocation guard: a commit costs O(|delta|), not O(|view|) ---- *)
+
+(* Words allocated by [f ()]: [Gc.minor_words] (exact, unlike the
+   counters, which only catch up at a minor collection) plus the words
+   allocated directly on the major heap — the large blocks, such as a
+   chunk's columns. *)
+let words_allocated f =
+  let direct_major () =
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let minor0 = Gc.minor_words () and major0 = direct_major () in
+  let r = f () in
+  let minor1 = Gc.minor_words () and major1 = direct_major () in
+  (r, minor1 -. minor0 +. (major1 -. major0))
+
+let big_view_rows = 10_000
+
+let alloc_tests =
+  [ case "a 1-row commit into a 10k-row view allocates O(|delta|)" (fun () ->
+        let rel =
+          Helpers.rel chain_schema_v
+            (List.init big_view_rows (fun i -> [ i mod 1000; i ]))
+        in
+        let view_words =
+          float_of_int (Obj.reachable_words (Obj.repr (Relation.contents rel)))
+        in
+        let budget = view_words /. 10.0 in
+        let store = Warehouse.Store.create [ ("V", rel) ] in
+        let vm = Vm.create (Warehouse.Store.snapshot store) in
+        let cache = Cache.create () in
+        let q_small = Algebra.select (Pred.lt "y" (Value.Int 5000)) (Algebra.base "V") in
+        let queries = [ q_small; q_agg ] in
+        let commit_one i =
+          let pre = Warehouse.Store.snapshot store in
+          let wt =
+            Warehouse.Wt.make ~rows:[ i ]
+              [ Action_list.delta ~view:"V" ~state:i
+                  (Signed_bag.singleton (Helpers.ints [ 7; -i ]) 1) ]
+          in
+          let plan, plan_words =
+            words_allocated (fun () -> Warehouse.Store.plan_run store [ wt ])
+          in
+          List.iter
+            (fun (wt, state) -> Warehouse.Store.apply_planned store wt state)
+            plan.Warehouse.Store.planned;
+          let post = Warehouse.Store.snapshot store in
+          let v, publish_words =
+            words_allocated (fun () ->
+                Vm.publish vm ~time:(float_of_int i) ~changed:[ "V" ] post)
+          in
+          let (), commit_words =
+            words_allocated (fun () ->
+                Cache.commit cache ~version:v.Vm.index ~changed:[ "V" ] ~pre ~post)
+          in
+          (plan_words, publish_words, commit_words)
+        in
+        List.iter
+          (fun q ->
+            Cache.store cache ~version:0 ~support:[ "V" ] q
+              (naive (Warehouse.Store.snapshot store) q))
+          queries;
+        (* The first commit builds the aggregate's group state, once. *)
+        ignore (commit_one 1);
+        let plan_words, publish_words, commit_words = commit_one 2 in
+        let within name words =
+          if words >= budget then
+            Alcotest.failf "%s allocated %.0f words; budget %.0f (a tenth of the view's %.0f)"
+              name words budget view_words
+        in
+        within "Store.plan_run" plan_words;
+        within "Version_manager.publish" publish_words;
+        within "Result_cache.commit" commit_words;
+        let s = Cache.stats cache in
+        Alcotest.(check int) "both commits refreshed both entries" 4 s.Cache.refreshed;
+        Alcotest.(check int) "nothing diffed" 0 s.Cache.deltas_diffed;
+        List.iter
+          (fun q ->
+            match Cache.find cache ~version:2 q with
+            | Some b ->
+              Alcotest.check Helpers.bag "refreshed result"
+                (naive (Warehouse.Store.snapshot store) q) b
+            | None -> Alcotest.fail "expected a refreshed hit")
+          queries) ]
+
 (* Session tests run against a manager with versions 0..2 at times 0, 1, 2
    carrying 1, 2, 3 tuples. *)
 let session_tests =
@@ -640,6 +899,42 @@ let system_tests =
           a b;
         check_read_results on;
         check_served_snapshots on);
+    case "a faultless retail_star run carries every cache delta" (fun () ->
+        let scen = Workload.Scenarios.retail_star in
+        let extra =
+          List.init 40 (fun i ->
+              [ Update.insert "sales"
+                  (Tuple.ints [ 1 + (i mod 3); 1 + (i mod 2); 10 + i ]) ])
+        in
+        let scen =
+          { scen with
+            Workload.Scenarios.script = scen.Workload.Scenarios.script @ extra }
+        in
+        let queries =
+          List.map (fun v -> Algebra.base (View.name v)) scen.Workload.Scenarios.views
+          @ [ Algebra.group_by ~keys:[ "region" ]
+                ~aggregates:[ ("total_qty", Algebra.Sum "qty") ]
+                (Algebra.base "full_rollup") ]
+        in
+        let cfg =
+          { (Whips.System.default scen) with
+            arrival = Whips.System.Poisson 40.0;
+            reads =
+              Some { Whips.System.default_reads with n_reads = 300; queries };
+            seed = 29 }
+        in
+        let builds0 = Compiled.group_state_builds () in
+        let result = Whips.System.run cfg in
+        let m = result.Whips.System.metrics in
+        Alcotest.(check int) "nothing diffed" 0
+          (Atomic.get m.Whips.Metrics.cache_deltas_diffed);
+        Alcotest.(check bool) "deltas carried" true
+          (Atomic.get m.Whips.Metrics.cache_deltas_carried > 0);
+        Alcotest.(check bool) "entries refreshed" true
+          (Atomic.get m.Whips.Metrics.cache_refreshes > 0);
+        Alcotest.(check bool) "the aggregate's state built once at most" true
+          (Compiled.group_state_builds () - builds0 <= 1);
+        check_read_results result);
     case "serving metrics are populated" (fun () ->
         let cfg =
           { (Whips.System.default Workload.Scenarios.bank) with
@@ -660,4 +955,6 @@ let system_tests =
           (Whips.Metrics.read_throughput m > 0.0)) ]
 
 let tests =
-  version_manager_tests @ result_cache_tests @ session_tests @ system_tests
+  version_manager_tests @ result_cache_tests @ chain_tests @ alloc_tests
+  @ session_tests
+  @ system_tests
