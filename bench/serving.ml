@@ -7,7 +7,8 @@
    [servesmoke] is the fast deterministic variant wired to the
    `@serve-smoke` dune alias: a small read/write mix where every served
    read is replayed through the naive evaluator over the exact snapshot
-   it was served from, cache on and off must be observably identical,
+   it was served from, cache off, cache on and cache on without commit
+   refresh must be observably identical,
    every served snapshot must pass the consistency checker, and monotonic
    sessions must never travel backwards. Exits nonzero on any mismatch. *)
 
@@ -35,13 +36,14 @@ let serving (r : System.result) =
    (and thus versions) for its value-transparency check; the sweep keeps
    the realistic cheap-hit model. *)
 let run_point ?(merge = System.Auto) ?sessions ?(seed = 7)
-    ?(pin_hit_latency = false) ~ratio ~cache scen =
+    ?(pin_hit_latency = false) ?(refresh = true) ~ratio ~cache scen =
   let reads =
     { System.default_reads with
       read_arrival = System.Poisson (ratio *. update_rate);
       n_reads =
         max 10 (int_of_float (ratio *. float_of_int (List.length scen.Workload.Scenarios.script)));
       read_cache = cache;
+      cache_refresh = refresh;
       sessions =
         (match sessions with
         | Some s -> s
@@ -317,39 +319,69 @@ let servesmoke () =
         Printf.printf "FAIL: %s\n" msg)
       fmt
   in
-  let with_cache =
-    run_point ~seed:5 ~pin_hit_latency:true ~ratio:3.0 ~cache:true scen
+  let smoke_run ?refresh cache =
+    run_point ~seed:5 ~pin_hit_latency:true ?refresh ~ratio:3.0 ~cache scen
   in
-  let without =
-    run_point ~seed:5 ~pin_hit_latency:true ~ratio:3.0 ~cache:false scen
+  let with_cache = smoke_run true in
+  let without = smoke_run false in
+  (* Cache on, refresh off: every snapshot is one [store] left after a
+     miss, so these are gated as well as the ones commits refresh. *)
+  let store_only = smoke_run ~refresh:false true in
+  let runs =
+    [ ("on", with_cache); ("off", without); ("on, no refresh", store_only) ]
   in
-  if with_cache.System.stuck || without.System.stuck then fail "run stuck";
-  let a = (serving with_cache).System.reads_served in
-  let b = (serving without).System.reads_served in
+  let cached_runs = [ with_cache; store_only ] in
+  if List.exists (fun (_, r) -> r.System.stuck) runs then fail "run stuck";
+  let records r = (serving r).System.reads_served in
+  let b = records without in
+  (* Snapshots are exercised off the latest version only by historical
+     reads and by bounded-staleness sessions: the mix must have both. *)
+  if not (List.exists (fun r -> r.System.read_as_of <> None) b) then
+    fail "read mix has no as_of reads";
+  if
+    not
+      (List.exists
+         (fun r ->
+           match r.System.read_guarantee with
+           | Serve.Session.Bounded_staleness _ -> true
+           | _ -> false)
+         b)
+  then fail "read mix has no bounded-staleness session";
   (* Every served read replayed through the naive evaluator over the
      exact snapshot it was served from. *)
   List.iter
-    (fun r ->
-      let expect =
-        Query.Eval.eval_bag ~naive:true r.System.read_state r.System.read_query
-      in
-      if not (Relational.Bag.equal expect r.System.read_result) then
-        fail "read (session %d, version %d) differs from the naive oracle"
-          r.System.read_session r.System.read_version)
-    (a @ b);
-  (* The cache must be observably transparent. *)
-  if List.length a <> List.length b then
-    fail "cache changed the number of served reads"
-  else
-    List.iter2
-      (fun x y ->
-        if
-          x.System.read_version <> y.System.read_version
-          || not (Relational.Bag.equal x.System.read_result y.System.read_result)
-        then fail "cache changed an observable result")
-      a b;
-  if Metrics.cache_hit_ratio with_cache.System.metrics <= 0.0 then
-    fail "cache never hit";
+    (fun (_, run) ->
+      List.iter
+        (fun r ->
+          let expect =
+            Query.Eval.eval_bag ~naive:true r.System.read_state
+              r.System.read_query
+          in
+          if not (Relational.Bag.equal expect r.System.read_result) then
+            fail "read (session %d, version %d) differs from the naive oracle"
+              r.System.read_session r.System.read_version)
+        (records run))
+    runs;
+  (* The cache must be observably transparent, whichever way its
+     snapshots are built. *)
+  List.iter
+    (fun run ->
+      let a = records run in
+      if List.length a <> List.length b then
+        fail "cache changed the number of served reads"
+      else
+        List.iter2
+          (fun x y ->
+            if
+              x.System.read_version <> y.System.read_version
+              || not
+                   (Relational.Bag.equal x.System.read_result
+                      y.System.read_result)
+            then fail "cache changed an observable result")
+          a b;
+      if Metrics.cache_hit_ratio run.System.metrics <= 0.0 then
+        fail "cache never hit")
+    cached_runs;
   (* Monotonic sessions never travel backwards. *)
   let monotonic_ok records =
     let last = Hashtbl.create 8 in
@@ -366,23 +398,24 @@ let servesmoke () =
         | _ -> true)
       records
   in
-  if not (monotonic_ok a && monotonic_ok b) then
+  if not (List.for_all (fun (_, r) -> monotonic_ok (records r)) runs) then
     fail "a monotonic session observed an older version";
-  if not (served_consistent with_cache && served_consistent without) then
+  if not (List.for_all (fun (_, r) -> served_consistent r) runs) then
     fail "a served snapshot failed the consistency checker";
   Tables.print ~title:"smoke runs (r:w = 3, auto merge)"
     ~header:[ "cache"; "reads"; "hit ratio"; "clamped"; "served snapshots" ]
-    [ [ "on"; string_of_int (Atomic.get with_cache.System.metrics.Metrics.reads);
-        Tables.f3 (Metrics.cache_hit_ratio with_cache.System.metrics);
-        string_of_int (Atomic.get with_cache.System.metrics.Metrics.reads_clamped);
-        "consistent" ];
-      [ "off"; string_of_int (Atomic.get without.System.metrics.Metrics.reads);
-        "-";
-        string_of_int (Atomic.get without.System.metrics.Metrics.reads_clamped);
-        "consistent" ] ];
+    (List.map
+       (fun (name, r) ->
+         let m = r.System.metrics in
+         [ name; string_of_int (Atomic.get m.Metrics.reads);
+           (if List.memq r cached_runs then Tables.f3 (Metrics.cache_hit_ratio m)
+            else "-");
+           string_of_int (Atomic.get m.Metrics.reads_clamped);
+           "consistent" ])
+       runs);
   if !failures > 0 then (
     Printf.printf "SERVE SMOKE FAILED: %d check(s)\n" !failures;
     exit 1)
   else
     Printf.printf "serve smoke ok: %d reads cross-checked\n%!"
-      (List.length a + List.length b)
+      (List.fold_left (fun acc (_, r) -> acc + List.length (records r)) 0 runs)

@@ -29,7 +29,9 @@ type t = {
   mutable token : int;
 }
 
-let create ?cache ~guarantee vm = { vm; cache; guarantee; token = 0 }
+let create ?cache ~guarantee vm =
+  Option.iter (fun c -> Result_cache.bind c vm) cache;
+  { vm; cache; guarantee; token = 0 }
 
 let guarantee t = t.guarantee
 
@@ -70,8 +72,9 @@ let select t ~now ~as_of =
       let cutoff = now -. bound in
       match as_of with
       | None ->
-        (* Oldest version inside the staleness bound: maximal cache
-           reuse, staleness still <= bound. *)
+        (* Oldest version inside the staleness bound: every session
+           reading it shares one cached snapshot per query, staleness
+           still <= bound. *)
         Version_manager.oldest_at_least vm cutoff
       | Some _ ->
         if requested.Version_manager.time < cutoff then

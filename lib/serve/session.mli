@@ -60,7 +60,10 @@ type t
 
 val create : ?cache:Result_cache.t -> guarantee:guarantee -> Version_manager.t -> t
 (** Sessions sharing a {!Result_cache} share results — the cache is
-    version-exact, so sharing is always sound. *)
+    version-exact, so sharing is always sound. The cache is bound to
+    [vm] ({!Result_cache.bind}), so its snapshots follow [vm]'s
+    retention.
+    @raise Invalid_argument if [cache] already serves another manager. *)
 
 val guarantee : t -> guarantee
 

@@ -44,6 +44,7 @@ type t = {
   cache_refresh_fallbacks : int Atomic.t;
   cache_deltas_carried : int Atomic.t;
   cache_deltas_diffed : int Atomic.t;
+  cache_snapshots : int Atomic.t;
   routed_shards : Sim.Stats.Summary.t;
   union_reads : int Atomic.t;
   union_read_latency : Sim.Stats.Summary.t;
@@ -87,6 +88,7 @@ let create () =
     group_rows = Atomic.make 0;
     cache_refreshes = Atomic.make 0; cache_refresh_fallbacks = Atomic.make 0;
     cache_deltas_carried = Atomic.make 0; cache_deltas_diffed = Atomic.make 0;
+    cache_snapshots = Atomic.make 0;
     routed_shards = Sim.Stats.Summary.create ();
     union_reads = Atomic.make 0;
     union_read_latency = Sim.Stats.Summary.create ();
@@ -151,7 +153,7 @@ let pp ppf t =
      resilience: dropped=%d retx=%d acks=%d nacks=%d dups=%d gave-up=%d \
      crashes=%d recoveries=%d@ \
      serving: reads=%d rtput=%.2f/s cache=%d/%d clamped=%d \
-     refreshed=%d refresh-fallbacks=%d deltas-carried=%d deltas-diffed=%d@ \
+     refreshed=%d refresh-fallbacks=%d deltas-carried=%d deltas-diffed=%d snapshots=%d@ \
      shared-plans: hits=%d/%d rows-maintained=%d memo-contention=%d@ \
      group-state: builds=%d drops=%d rows-folded=%d@ \
      distributed: union-reads=%d shard-fanout: %a@ \
@@ -185,6 +187,7 @@ let pp ppf t =
     (Atomic.get t.cache_refresh_fallbacks)
     (Atomic.get t.cache_deltas_carried)
     (Atomic.get t.cache_deltas_diffed)
+    (Atomic.get t.cache_snapshots)
     (Atomic.get t.shared_hits)
     (Atomic.get t.shared_hits + Atomic.get t.shared_misses)
     (Atomic.get t.shared_rows)

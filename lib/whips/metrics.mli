@@ -115,6 +115,9 @@ type t = {
   cache_deltas_diffed : int Atomic.t;
       (** Per-view commit deltas the result cache recovered by diffing
           whole views, because the version carried none. *)
+  cache_snapshots : int Atomic.t;
+      (** Per-version results the result cache retained at the end of
+          the run, across all its entries. *)
   routed_shards : Sim.Stats.Summary.t;
       (** Per routed update in a distributed run: how many warehouse
           shards its relevant-view set fanned out to (1 for a

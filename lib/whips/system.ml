@@ -526,7 +526,7 @@ let ctx_cache_of = function Some c -> c.ctx_cache | None -> None
 (* Fold the run-scoped perf counters into the metrics at drain time: the
    query-kernel counters accrued since the run started, the shared-plan
    engine's hit/miss/maintenance tallies, and the result cache's
-   refresh-vs-invalidate decision counts. *)
+   refresh-vs-invalidate decision counts and retained snapshots. *)
 let finalize_perf_metrics metrics ~kernel0 ~shared ~serving =
   Metrics.add_kernel_counters_since metrics kernel0;
   (match shared with
@@ -545,7 +545,8 @@ let finalize_perf_metrics metrics ~kernel0 ~shared ~serving =
     Metrics.add metrics.Metrics.cache_deltas_carried
       s.Serve.Result_cache.deltas_carried;
     Metrics.add metrics.Metrics.cache_deltas_diffed
-      s.Serve.Result_cache.deltas_diffed
+      s.Serve.Result_cache.deltas_diffed;
+    Metrics.add metrics.Metrics.cache_snapshots s.Serve.Result_cache.snapshots
   | None -> ()
 
 (* The Section 1.1 baseline: one process, sequential handling of updates,

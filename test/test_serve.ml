@@ -243,10 +243,13 @@ let result_cache_tests =
             (Helpers.bag_of [ [ 0 ]; [ 1 ] ])
             b
         | None -> Alcotest.fail "expected a refreshed hit");
-        (* The trade-off the refresh makes: the single physical entry now
-           sits at version 2, so a read pinned before the commit misses. *)
-        Alcotest.(check bool) "pre-commit reads now miss" true
-          (Cache.find c ~version:1 q = None));
+        (* The refresh adds a snapshot at version 2 beside the one at
+           version 1, so a read pinned before the commit still hits. *)
+        match Cache.find c ~version:1 q with
+        | Some b ->
+          Alcotest.check Helpers.bag "pre-commit reads hit the version-1 bag"
+            (bag_v 3) b
+        | None -> Alcotest.fail "expected a pre-commit hit");
     case "refresh falls back when the delta outweighs the cached result"
       (fun () ->
         let c = Cache.create () in
@@ -292,13 +295,14 @@ let chain_queries = [| Algebra.base "V"; q_sel; q_agg; q_jagg |]
 
 let naive state expr = Eval.eval_bag ~naive:true state expr
 
-(* The next state of V: a few deletions of present tuples and a few
-   insertions (many on a [wide] commit, so narrow cached results fall
-   back to invalidation). [carried] builds the version through
-   [Relation.apply_delta], as the store does; otherwise through
-   [with_contents], which carries nothing and forces the diff. *)
-let next_state rng ~wide ~carried state =
-  let v = Database.find state "V" in
+(* The next state of [view] (V by default; W holds int pairs too): a
+   few deletions of present tuples and a few insertions (many on a
+   [wide] commit, so narrow cached results fall back to invalidation).
+   [carried] builds the version through [Relation.apply_delta], as the
+   store does; otherwise through [with_contents], which carries nothing
+   and forces the diff. *)
+let next_state ?(view = "V") rng ~wide ~carried state =
+  let v = Database.find state view in
   let present = Bag.to_list (Relation.contents v) in
   let delta = ref Signed_bag.zero in
   let bag = ref (Relation.contents v) in
@@ -321,7 +325,7 @@ let next_state rng ~wide ~carried state =
     if carried then Relation.apply_delta !delta v
     else Relation.with_contents v (Signed_bag.apply !delta (Relation.contents v))
   in
-  Database.add "V" v' state
+  Database.add view v' state
 
 (* Drive one cache through a random chain: every commit changes V; reads
    hit the latest version or an older one, and a miss re-stores the
@@ -436,6 +440,168 @@ let chain_tests =
         | Some b -> Alcotest.check Helpers.bag "still exact" (naive s3 q_agg) b
         | None -> Alcotest.fail "expected a refreshed hit") ]
 
+(* ---- Per-version snapshots under retention ---- *)
+
+(* Drive one cache, bound to a [Keep_last keep] version manager, through
+   a random chain of exact commits on V and W, with random pins and
+   unpins in between. Reads go to random retained versions (pinned ones
+   half the time); a miss stores the naive result at the version read,
+   as a session does. Without [refresh], commits only note their views,
+   so every snapshot comes from [store]. After every step: each hit
+   equals naive evaluation at its version, [peek] agrees with [find] at
+   every pinned version, and no entry keeps more snapshots than the
+   manager retains versions, plus one. *)
+let run_retained_chain ~seed ~keep ~refresh ~steps =
+  let rng = Random.State.make [| seed |] in
+  let vm = Vm.create ~retention:(Vm.Keep_last keep) chain_initial in
+  let c = Cache.create () in
+  Cache.bind c vm;
+  let states = ref [| chain_initial |] in
+  let latest () = Array.length !states - 1 in
+  let pins = ref [] in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let rec remove_one v = function
+    | [] -> []
+    | x :: rest -> if x = v then rest else x :: remove_one v rest
+  in
+  let read version expr =
+    match Cache.find c ~version expr with
+    | Some b ->
+      if not (Bag.equal b (naive !states.(version) expr)) then
+        Alcotest.failf "hit at version %d differs from naive evaluation of %a"
+          version Algebra.pp expr
+    | None ->
+      Cache.store c ~version ~support:(Algebra.base_relations expr) expr
+        (naive !states.(version) expr)
+  in
+  let check () =
+    Array.iter
+      (fun expr ->
+        List.iter
+          (fun p ->
+            if Cache.peek c ~version:p expr <> (Cache.find c ~version:p expr <> None)
+            then
+              Alcotest.failf "peek disagrees with find at pinned version %d for %a"
+                p Algebra.pp expr)
+          !pins;
+        let n = Cache.snapshot_count c expr in
+        if n > Vm.retained vm + 1 then
+          Alcotest.failf "%a keeps %d snapshots; %d versions retained"
+            Algebra.pp expr n (Vm.retained vm))
+      chain_queries
+  in
+  for _ = 1 to steps do
+    (match Random.State.int rng 8 with
+    | 0 | 1 | 2 ->
+      let changed = pick [ [ "V" ]; [ "W" ]; [ "V"; "W" ] ] in
+      let pre = !states.(latest ()) in
+      let post =
+        List.fold_left
+          (fun state view ->
+            next_state ~view rng ~wide:(Random.State.int rng 6 = 0)
+              ~carried:true state)
+          pre changed
+      in
+      states := Array.append !states [| post |];
+      let v = Vm.publish vm ~time:(float_of_int (latest ())) ~changed post in
+      if refresh then Cache.commit c ~version:v.Vm.index ~changed ~pre ~post
+      else
+        List.iter
+          (fun view -> Cache.note_change c ~view ~version:v.Vm.index)
+          changed
+    | 3 ->
+      let v = Vm.watermark vm + Random.State.int rng (Vm.retained vm) in
+      ignore (Vm.pin vm v);
+      pins := v :: !pins
+    | 4 when !pins <> [] ->
+      let v = pick !pins in
+      pins := remove_one v !pins;
+      Vm.unpin vm v
+    | _ ->
+      let version =
+        if !pins <> [] && Random.State.bool rng then pick !pins
+        else Vm.watermark vm + Random.State.int rng (Vm.retained vm)
+      in
+      read version chain_queries.(Random.State.int rng (Array.length chain_queries)));
+    check ()
+  done
+
+let snapshot_tests =
+  [ Helpers.qcheck ~count:100
+      "per-version snapshots under retention match naive evaluation"
+      QCheck2.Gen.(triple (int_range 0 1_000_000) (int_range 1 6) bool)
+      (fun (seed, keep, refresh) ->
+        run_retained_chain ~seed ~keep ~refresh ~steps:80;
+        true);
+    case "a historical read keeps the latest snapshot" (fun () ->
+        let vm = vm_with 2 in
+        let c = Cache.create () in
+        List.iter (fun version -> Cache.note_change c ~view:"V" ~version) [ 1; 2 ];
+        let s = Session.create ~cache:c ~guarantee:Session.Latest vm in
+        Alcotest.(check bool) "cold latest read misses" false
+          (Session.read s ~now:5.0 q).Session.cache_hit;
+        let old = Session.read s ~now:5.0 ~as_of:1.0 q in
+        Alcotest.(check int) "as_of serves version 1" 1 old.Session.version;
+        Alcotest.(check bool) "cold historical read misses" false
+          old.Session.cache_hit;
+        let o = Session.read s ~now:5.0 q in
+        Alcotest.(check bool) "latest still hits" true o.Session.cache_hit;
+        Alcotest.check Helpers.bag "latest bag" (bag_v 3) o.Session.result;
+        let o = Session.read s ~now:5.0 ~as_of:1.0 q in
+        Alcotest.(check bool) "historical hits" true o.Session.cache_hit;
+        Alcotest.check Helpers.bag "version-1 bag" (bag_v 2) o.Session.result;
+        Alcotest.(check int) "two snapshots" 2 (Cache.stats c).Cache.snapshots);
+    case "a cache serves one version history" (fun () ->
+        let c = Cache.create () in
+        let vm = vm_with 1 in
+        ignore (Session.create ~cache:c ~guarantee:Session.Latest vm);
+        ignore (Session.create ~cache:c ~guarantee:Session.Monotonic_reads vm);
+        Alcotest.(check bool) "a second manager is rejected" true
+          (match Session.create ~cache:c ~guarantee:Session.Latest (vm_with 1) with
+          | exception Invalid_argument _ -> true
+          | _ -> false));
+    case "retention drops snapshots below the watermark's floor" (fun () ->
+        let vm = Vm.create ~retention:(Vm.Keep_last 2) (db 1) in
+        let c = Cache.create () in
+        Cache.bind c vm;
+        Cache.store c ~version:0 ~support:[ "V" ] q (bag_v 1);
+        for i = 1 to 4 do
+          let pre = (Vm.latest vm).Vm.state in
+          let v = Vm.publish vm ~time:(float_of_int i) ~changed:[ "V" ] (db (i + 1)) in
+          Cache.commit c ~version:v.Vm.index ~changed:[ "V" ] ~pre ~post:v.Vm.state
+        done;
+        (* Versions 3 and 4 are retained: the floor at the watermark is
+           the snapshot at 3 itself, so nothing older survives. *)
+        Alcotest.(check int) "watermark" 3 (Vm.watermark vm);
+        Alcotest.(check int) "snapshots" 2 (Cache.snapshot_count c q);
+        (match Cache.find c ~version:3 q with
+        | Some b -> Alcotest.check Helpers.bag "version 3" (bag_v 4) b
+        | None -> Alcotest.fail "expected a hit at the watermark");
+        (* Once the watermark passes them, the floor snapshot strictly
+           below it stays and only the one under that goes. V holds
+           still while versions 5 and 6 change another view, and a pin
+           holds the watermark at 3 until all three snapshots exist. *)
+        let still = (Vm.latest vm).Vm.state in
+        let q_sel = Algebra.select (Pred.le "x" (Value.Int 1)) q in
+        Cache.store c ~version:3 ~support:[ "V" ] q_sel
+          (naive (Vm.find vm 3).Vm.state q_sel);
+        Cache.store c ~version:4 ~support:[ "V" ] q_sel (naive still q_sel);
+        ignore (Vm.pin vm 3);
+        List.iter
+          (fun version ->
+            ignore
+              (Vm.publish vm ~time:(float_of_int version) ~changed:[ "U" ] still);
+            Cache.note_change c ~view:"U" ~version)
+          [ 5; 6 ];
+        Cache.store c ~version:6 ~support:[ "V" ] q_sel (naive still q_sel);
+        Alcotest.(check int) "the pin keeps all three" 3
+          (Cache.snapshot_count c q_sel);
+        Vm.unpin vm 3;
+        Alcotest.(check int) "watermark past the floor" 5 (Vm.watermark vm);
+        Alcotest.(check int) "floor kept" 2 (Cache.snapshot_count c q_sel);
+        Alcotest.(check bool) "hit at the watermark" true
+          (Cache.find c ~version:5 q_sel <> None)) ]
+
 (* ---- Allocation guard: a commit costs O(|delta|), not O(|view|) ---- *)
 
 (* Words allocated by [f ()]: [Gc.minor_words] (exact, unlike the
@@ -519,7 +685,40 @@ let alloc_tests =
               Alcotest.check Helpers.bag "refreshed result"
                 (naive (Warehouse.Store.snapshot store) q) b
             | None -> Alcotest.fail "expected a refreshed hit")
-          queries) ]
+          queries;
+        (* A historical read at the pre-commit version hits its own
+           snapshot and leaves the latest one in place: the Latest read
+           right after it is a lookup — O(1) words, no kernel work. *)
+        let session = Session.create ~cache ~guarantee:Session.Latest vm in
+        let old = Session.read session ~now:3.0 ~as_of:1.0 q_agg in
+        Alcotest.(check int) "as_of serves the pre-commit version" 1
+          old.Session.version;
+        Alcotest.(check bool) "historical read hits" true old.Session.cache_hit;
+        Alcotest.check Helpers.bag "historical result"
+          (naive (Vm.find vm 1).Vm.state q_agg)
+          old.Session.result;
+        let kernel0 = Compiled.kernel_rows () in
+        let latest, read_words =
+          words_allocated (fun () -> Session.read session ~now:3.0 q_agg)
+        in
+        Alcotest.(check bool) "latest read hits" true latest.Session.cache_hit;
+        Alcotest.(check int) "no kernel evaluation" 0
+          (Compiled.kernel_rows () - kernel0);
+        if read_words > 256.0 then
+          Alcotest.failf "a latest hit allocated %.0f words; budget 256"
+            read_words;
+        (* A Base entry's refreshed snapshot is the store's own bag. *)
+        let base_v = Algebra.base "V" in
+        Cache.store cache ~version:2 ~support:[ "V" ] base_v
+          (naive (Warehouse.Store.snapshot store) base_v);
+        ignore (commit_one 3);
+        match Cache.find cache ~version:3 base_v with
+        | Some b ->
+          Alcotest.(check bool) "refreshed by pointer to the store's bag" true
+            (b
+            == Relation.contents
+                 (Database.find (Warehouse.Store.snapshot store) "V"))
+        | None -> Alcotest.fail "expected a refreshed hit") ]
 
 (* Session tests run against a manager with versions 0..2 at times 0, 1, 2
    carrying 1, 2, 3 tuples. *)
@@ -934,6 +1133,15 @@ let system_tests =
           (Atomic.get m.Whips.Metrics.cache_refreshes > 0);
         Alcotest.(check bool) "the aggregate's state built once at most" true
           (Compiled.group_state_builds () - builds0 <= 1);
+        let serving = Option.get result.Whips.System.serving in
+        let s = Cache.stats (Option.get serving.Whips.System.result_cache) in
+        Alcotest.(check int) "snapshots surfaced in the metrics" s.Cache.snapshots
+          (Atomic.get m.Whips.Metrics.cache_snapshots);
+        Alcotest.(check bool) "snapshots follow retention" true
+          (s.Cache.snapshots > 0
+          && s.Cache.snapshots
+             <= s.Cache.entries
+                * (Vm.retained serving.Whips.System.version_manager + 1));
         check_read_results result);
     case "serving metrics are populated" (fun () ->
         let cfg =
@@ -955,6 +1163,6 @@ let system_tests =
           (Whips.Metrics.read_throughput m > 0.0)) ]
 
 let tests =
-  version_manager_tests @ result_cache_tests @ chain_tests @ alloc_tests
+  version_manager_tests @ result_cache_tests @ chain_tests @ snapshot_tests @ alloc_tests
   @ session_tests
   @ system_tests
