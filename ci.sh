@@ -37,3 +37,6 @@ dune exec bench/main.exe -- -quick --check-regression summary
 # The whole suite once more through the multicore runtime: MVC_DOMAINS
 # flips the default parallel config, and every trace must be identical.
 MVC_DOMAINS=4 dune runtest --force
+# Code size, the figure ROADMAP's "same behaviour from less code" aim
+# tracks: lines of lib/ .ml and .mli.
+echo "lib/ lines: $(find lib \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l)"

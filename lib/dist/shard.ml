@@ -40,7 +40,7 @@ let make_server engine ~latency =
   (enqueue, pending)
 
 let create ~engine ~id ~views ~initial ~compute_latency ~merge_latency
-    ~commit_latency ~durable ?(selfmaint = false) ~al_link
+    ~commit_latency ~durable ~vm_kind ~al_link
     ?(on_merge_event = fun ~held:_ ~live:_ -> ())
     ?(on_commit = fun _ -> ()) () =
   let names = List.map Query.View.name views in
@@ -102,19 +102,11 @@ let create ~engine ~id ~views ~initial ~compute_latency ~merge_latency
         let send =
           al_link ~view:name ~deliver:receive_al
         in
+        let make_plan, drain = Whips.System.plan_shape vm_kind in
         let vm =
-          (* Self-maintaining shards keep keyed projections instead of
-             full replicas; both managers emit identical action lists,
-             so the shard merge, store, serving and certificate are
-             untouched. *)
-          if selfmaint then
-            Selfmaint.Vm.create ~engine
-              ~compute_latency:(fun ~batch:_ -> compute_latency ())
-              ~initial ~view ~emit:send ()
-          else
-            Viewmgr.Complete_vm.create ~engine
-              ~compute_latency:(fun ~batch:_ -> compute_latency ())
-              ~initial ~view ~emit:send ()
+          Viewmgr.Plan_vm.create ~engine
+            ~compute_latency:(fun ~batch:_ -> compute_latency ())
+            ~drain ~plan:(make_plan ~initial view) ~emit:send ()
         in
         (name, vm))
       views

@@ -25,7 +25,7 @@ val create :
   merge_latency:(unit -> float) ->
   commit_latency:(unit -> float) ->
   durable:bool ->
-  ?selfmaint:bool ->
+  vm_kind:Whips.System.vm_kind ->
   al_link:
     (view:string ->
     deliver:(Query.Action_list.t -> unit) ->
@@ -35,10 +35,13 @@ val create :
   unit ->
   t
 (** [initial] is the full source state [ss_0] (managers cache the base
-    relations they need from it). [selfmaint] (default false) builds
-    {!Selfmaint.Vm} managers over derived auxiliary projections instead
-    of {!Viewmgr.Complete_vm} full replicas — action lists, and hence
-    the whole downstream shard pipeline, are identical.
+    relations they need from it). [vm_kind] must be a complete
+    plan-driven kind ([Complete_vm] or [Selfmaint_vm]; the shard merge
+    runs SPA): managers are built from its {!Whips.System.plan_shape},
+    exactly as the whips pipeline builds them. Both kinds emit identical
+    action lists, so the downstream shard pipeline is the same; a
+    self-maintaining shard stores keyed projections instead of full
+    replicas.
     [al_link ~view ~deliver] must return a
     send function for the view manager's action-list channel whose far
     end invokes [deliver] — the system assembly supplies it so every

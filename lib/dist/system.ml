@@ -110,7 +110,10 @@ let run (cfg : config) =
           ~compute_latency:(fun () -> sample cfg.latencies.Whips.System.compute)
           ~merge_latency:(fun () -> sample cfg.latencies.Whips.System.merge)
           ~commit_latency:(fun () -> sample cfg.latencies.Whips.System.commit)
-          ~durable:cfg.durable ~selfmaint:cfg.selfmaint
+          ~durable:cfg.durable
+          ~vm_kind:
+            (if cfg.selfmaint then Whips.System.Selfmaint_vm
+             else Whips.System.Complete_vm)
           ~al_link:(fun ~view ~deliver ->
             (make_link ~name:(Printf.sprintf "%s->merge%d" view s) deliver)
               .send)

@@ -31,9 +31,9 @@ type config = {
       (** Give each shard a write-ahead log recording every WT before
           its store applies it. *)
   selfmaint : bool;
-      (** Build each shard's managers as {!Selfmaint.Vm} over derived
-          auxiliary projections instead of {!Viewmgr.Complete_vm} full
-          replicas. Trace-identical (same action lists); the shard pays
+      (** Build each shard's managers as [Selfmaint_vm] (derived
+          auxiliary projections) instead of [Complete_vm] (full
+          replicas). Trace-identical (same action lists); the shard pays
           projected storage instead of replica storage. *)
   union_reads : int;
       (** Cross-shard union reads issued while the update stream runs

@@ -56,6 +56,36 @@ let first_clamp ~pre changes =
              (Signed_bag.first_clamp (List.rev c.rev_steps)
                 ~bag:(Relation.contents rel)))
 
+(* Linear maps (projections) commute with summing, so the total can be
+   mapped directly; a one-step change keeps sharing its total. *)
+let restrict_map f t =
+  String_map.filter_map
+    (fun name c ->
+      Option.map
+        (fun g ->
+          match c.rev_steps with
+          | [ d ] when d == c.total ->
+            let d = g d in
+            { total = d; rev_steps = [ d ] }
+          | steps -> { total = g c.total; rev_steps = List.map g steps })
+        (f name))
+    t
+
+(* Steps one by one are exact by construction, and cheaper than a clamp
+   check followed by the summed delta. *)
+let apply db t =
+  String_map.fold
+    (fun name c db ->
+      match Database.find_opt db name with
+      | None -> db
+      | Some rel ->
+        Database.add name
+          (Relation.with_contents rel
+             (List.fold_right Signed_bag.apply c.rev_steps
+                (Relation.contents rel)))
+          db)
+    t db
+
 let change_for t name =
   match String_map.find_opt name t with
   | Some c -> c.total

@@ -34,6 +34,19 @@ val of_transactions : Update.Transaction.t list -> changes
 
 val change_for : changes -> string -> Signed_bag.t
 
+val restrict_map :
+  (string -> (Signed_bag.t -> Signed_bag.t) option) -> changes -> changes
+(** Keep the relations [f] maps to [Some g] and push each of their steps
+    through [g], which must be linear (a projection: the image of the sum
+    is the sum of the images). Relations [f] maps to [None] are
+    dropped. *)
+
+val apply : Database.t -> changes -> Database.t
+(** Advance every changed relation [db] holds to its post-state by
+    applying its steps one by one, as the sources did, so a clamping
+    deletion floors at zero where theirs did. Relations absent from
+    [db] are ignored. *)
+
 val first_clamp : pre:Database.t -> changes -> (string * Tuple.t) option
 (** The first relation of [pre] and tuple at which applying the changes'
     steps one by one would delete a tuple the relation does not hold

@@ -10,20 +10,18 @@ type storage = {
 type t = {
   view : Query.View.t;
   auxes : Derive.aux list;
-  (* Per-relation tuple projector for the non-full auxiliaries, resolved
-     once against the full base schema (incoming deltas carry full-width
-     tuples). *)
+  (* Per auxiliary relation, the tuple projector resolved once against
+     the full base schema (incoming deltas carry full-width tuples); the
+     identity for a full replica. *)
   projectors : (string * (Signed_bag.t -> Signed_bag.t)) list;
   compiled : Query.Compiled.t;
   initial : Database.t;
   storage : storage;
 }
 
-let create ~initial view =
+let build ~initial view auxes_of =
   let base = Database.restrict initial (Query.View.base_relations view) in
-  let auxes =
-    Derive.analyze ~schemas:(Database.schema base) view.Query.View.def
-  in
+  let auxes = auxes_of (Database.schema base) in
   let cache =
     List.fold_left
       (fun db (a : Derive.aux) ->
@@ -36,12 +34,12 @@ let create ~initial view =
       base auxes
   in
   let projectors =
-    List.filter_map
+    List.map
       (fun (a : Derive.aux) ->
-        if a.full then None
+        if a.full then (a.relation, Fun.id)
         else
           let pos = Schema.positions (Database.schema base a.relation) a.live in
-          Some (a.relation, Signed_bag.map (Tuple.project_pos pos)))
+          (a.relation, Signed_bag.map (Tuple.project_pos pos)))
       auxes
   in
   let compiled =
@@ -64,6 +62,17 @@ let create ~initial view =
   in
   { view; auxes; projectors; compiled; initial = cache; storage }
 
+let create ~initial view =
+  build ~initial view (fun schemas ->
+      Derive.analyze ~schemas view.Query.View.def)
+
+let replica ~initial view =
+  build ~initial view (fun schemas ->
+      List.map
+        (fun r ->
+          { Derive.relation = r; live = Schema.names (schemas r); full = true })
+        (Query.View.base_relations view))
+
 let view t = t.view
 
 let auxes t = t.auxes
@@ -73,31 +82,15 @@ let initial_cache t = t.initial
 let storage t = t.storage
 
 let project t changes =
-  Query.Delta.changes_of_list
-    (List.filter_map
-       (fun (a : Derive.aux) ->
-         let raw = Query.Delta.change_for changes a.relation in
-         if Signed_bag.is_zero raw then None
-         else
-           match List.assoc_opt a.relation t.projectors with
-           | Some f -> Some (a.relation, f raw)
-           | None -> Some (a.relation, raw))
-       t.auxes)
+  Query.Delta.restrict_map (fun r -> List.assoc_opt r t.projectors) changes
 
 let delta ?exec t ~pre changes =
   Query.Delta.eval_plan ?exec ~pre changes t.compiled
 
-let advance _t cache changes =
-  List.fold_left
-    (fun db r ->
-      match Database.find_opt db r with
-      | None -> db
-      | Some rel ->
-        Database.add r
-          (Relation.apply_delta (Query.Delta.change_for changes r) rel)
-          db)
-    cache
-    (Query.Delta.changed_relations changes)
+let step ?exec t ~pre ~groups changes =
+  Query.Delta.step ?exec ~pre ~groups changes t.compiled
+
+let advance _t cache changes = Query.Delta.apply cache changes
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>selfmaint %s:@ %a@ aux %d rows / %d cells (replica %d/%d)@]"

@@ -12,8 +12,9 @@
     [Complete]; [Strongly_consistent] and [Complete_n] managers need PA;
     [Convergent] managers force the pass-through merge.
 
-    Concrete managers are built by {!Complete_vm}, {!Batching_vm},
-    {!Strobe_vm}, {!Periodic_vm}, {!Convergent_vm} and {!Complete_n_vm};
+    Concrete managers are built by {!Plan_vm} (complete, batching and
+    complete-N maintenance over a replica or self-maintaining plan),
+    {!Derived_vm}, {!Strobe_vm}, {!Periodic_vm} and {!Convergent_vm};
     they all produce this record-of-closures, so the system assembly is
     manager-agnostic. *)
 

@@ -206,11 +206,22 @@ let kind_of cfg view =
   | Some kind -> kind
   | None -> cfg.vm_kind
 
+(* The kinds the plan-driven manager runs: the plan its cache follows
+   and how many queued transactions one step takes. *)
+let plan_shape = function
+  | Complete_vm -> (Selfmaint.Plan.replica, Viewmgr.Plan_vm.One)
+  | Selfmaint_vm -> (Selfmaint.Plan.create, Viewmgr.Plan_vm.One)
+  | Batching_vm -> (Selfmaint.Plan.replica, Viewmgr.Plan_vm.Greedy)
+  | Complete_n_vm n -> (Selfmaint.Plan.replica, Viewmgr.Plan_vm.Exactly n)
+  | Strobe_vm | Periodic_vm _ | Convergent_vm | Derived_vm _ ->
+    invalid_arg "System.plan_shape: not a plan-driven manager"
+
 let level_of = function
-  | Complete_vm | Selfmaint_vm | Derived_vm _ -> Viewmgr.Vm.Complete
-  | Batching_vm | Strobe_vm | Periodic_vm _ -> Viewmgr.Vm.Strongly_consistent
+  | (Complete_vm | Selfmaint_vm | Batching_vm | Complete_n_vm _) as kind ->
+    Viewmgr.Plan_vm.level (snd (plan_shape kind))
+  | Derived_vm _ -> Viewmgr.Vm.Complete
+  | Strobe_vm | Periodic_vm _ -> Viewmgr.Vm.Strongly_consistent
   | Convergent_vm -> Viewmgr.Vm.Convergent
-  | Complete_n_vm n -> Viewmgr.Vm.Complete_n n
 
 (* Section 6.3: "it is always possible to use the merge algorithm
    corresponding to the view manager guaranteeing the weakest level of
@@ -1586,11 +1597,13 @@ let run_pipelined cfg =
     let emit_count = ref 0 in
     let crash_armed = ref (crash_spec <> None) in
     let resync_epoch = ref 0 in
-    (* Self-maintenance state. [selfmaint_resume] carries a rebuilt
-       (plan, auxiliary cache) pair from the resync replay into the next
-       [build_inner]; the aux WAL checkpoints the auxiliary state so that
-       replay starts from the checkpoint, not from ss_0. *)
-    let selfmaint_resume : (Selfmaint.Plan.t * Database.t) option ref =
+    (* [resume] carries the plan, cache and group state the resync replay
+       rebuilt into the next [build_inner]; the aux WAL checkpoints a
+       self-maintaining manager's auxiliary state so that replay starts
+       from the checkpoint, not from ss_0. *)
+    let resume :
+        (Selfmaint.Plan.t * (Database.t * Query.Compiled.groups)) option ref
+        =
       ref None
     in
     let aux_wal =
@@ -1674,55 +1687,52 @@ let run_pipelined cfg =
     let compute_latency ~batch =
       sample (cfg.latencies.compute *. float_of_int (max 1 batch))
     in
-    let build_inner ~initial ~inc =
+    let build_inner ~inc =
       let emit = guarded_emit inc in
       match kind with
-      | Complete_vm ->
-        let delta_fn =
-          Option.map
-            (fun eng ~pre txn -> Shared.Engine.txn_delta eng ~view:name ~pre txn)
-            shared
-        in
-        Viewmgr.Complete_vm.create ~engine ~compute_latency ~exec ?delta_fn
-          ~initial ~view ~emit ()
-      | Selfmaint_vm ->
-        let state = !selfmaint_resume in
-        selfmaint_resume := None;
-        (match state with
-        | None ->
-          let plan = Selfmaint.Plan.create ~initial view in
-          let s = Selfmaint.Plan.storage plan in
-          Metrics.add metrics.Metrics.aux_rows s.Selfmaint.Plan.aux_rows;
-          Metrics.add metrics.Metrics.aux_cells s.Selfmaint.Plan.aux_cells;
-          Metrics.add metrics.Metrics.aux_saved_cells
-            (s.Selfmaint.Plan.replica_cells - s.Selfmaint.Plan.aux_cells);
-          Selfmaint.Vm.create ~engine ~compute_latency ~exec
-            ~state:(plan, Selfmaint.Plan.initial_cache plan)
-            ~on_apply:aux_on_apply ~initial ~view ~emit ()
-        | Some st ->
-          Selfmaint.Vm.create ~engine ~compute_latency ~exec ~state:st
-            ~on_apply:aux_on_apply ~initial ~view ~emit ())
-      | Batching_vm ->
-        Viewmgr.Batching_vm.create ~engine ~compute_latency ~exec ~initial
-          ~view ~emit ()
       | Strobe_vm ->
         Viewmgr.Strobe_vm.create ~engine ~query:remote_query ~view ~emit ()
       | Periodic_vm period ->
-        Viewmgr.Periodic_vm.create ~engine ~period ~compute_latency ~initial
-          ~view ~emit ()
+        Viewmgr.Periodic_vm.create ~engine ~period ~compute_latency
+          ~initial:initial_db ~view ~emit ()
       | Convergent_vm ->
         Viewmgr.Convergent_vm.create ~engine
           ~emit_delay:(fun () ->
             sample (cfg.latencies.compute +. cfg.latencies.message))
-          ~initial ~view ~emit ()
-      | Complete_n_vm n ->
-        Viewmgr.Complete_n_vm.create ~engine ~compute_latency ~exec ~n
-          ~initial ~view ~emit ()
+          ~initial:initial_db ~view ~emit ()
       | Derived_vm { aux; over_aux } ->
-        Viewmgr.Derived_vm.create ~engine ~compute_latency ~initial ~aux
-          ~view ~over_aux ~emit ()
+        Viewmgr.Derived_vm.create ~engine ~compute_latency ~initial:initial_db
+          ~aux ~view ~over_aux ~emit ()
+      | Complete_vm | Selfmaint_vm | Batching_vm | Complete_n_vm _ ->
+        let make_plan, drain = plan_shape kind in
+        let plan, state =
+          match !resume with
+          | Some (plan, state) ->
+            resume := None;
+            (plan, Some state)
+          | None ->
+            let plan = make_plan ~initial:initial_db view in
+            if kind = Selfmaint_vm then begin
+              let s = Selfmaint.Plan.storage plan in
+              Metrics.add metrics.Metrics.aux_rows s.Selfmaint.Plan.aux_rows;
+              Metrics.add metrics.Metrics.aux_cells s.Selfmaint.Plan.aux_cells;
+              Metrics.add metrics.Metrics.aux_saved_cells
+                (s.Selfmaint.Plan.replica_cells - s.Selfmaint.Plan.aux_cells)
+            end;
+            (plan, None)
+        in
+        let delta_fn =
+          if kind <> Complete_vm then None
+          else
+            Option.map
+              (fun eng ~pre txn ->
+                Shared.Engine.txn_delta eng ~view:name ~pre txn)
+              shared
+        in
+        Viewmgr.Plan_vm.create ~engine ~compute_latency ~exec ?delta_fn
+          ?state ~on_apply:aux_on_apply ~drain ~plan ~emit ()
     in
-    let inner = ref (build_inner ~initial:initial_db ~inc:0) in
+    let inner = ref (build_inner ~inc:0) in
     (* Application-level id dedup is only needed around crash recovery
        (replay overlaps live retransmissions); without a crash fault the
        raw channel behaviour — including duplicate delivery under
@@ -1764,7 +1774,7 @@ let run_pipelined cfg =
        | Resync_reply (epoch, w) ->
          if !recovering && epoch = !resync_epoch then begin
            (* Read the integrator's retained log (one query round trip),
-              re-derive the base-relation cache, and recompute the action
+              re-derive the plan's cache, and recompute the action
               lists the merge has not seen (states > watermark w). Both
               scheduled halves re-check the epoch: a newer handshake
               (another crash, a fresh merge demand) voids this one. *)
@@ -1774,82 +1784,46 @@ let run_pipelined cfg =
                if epoch <> !resync_epoch then ()
                else
                let head = Integrator.log_head integ in
-               let lists, rebuild_initial =
-                 match kind with
-                 | Selfmaint_vm ->
-                   (* Self-maintaining recovery never queries the
-                      sources: the auxiliary state is rebuilt from its
-                      WAL checkpoint (when one exists at or below the
-                      merge watermark — later checkpoints cannot
-                      re-derive the action lists the merge still needs)
-                      plus the integrator log suffix, with every replayed
-                      delta projected exactly like the live path. *)
-                   let plan =
-                     Selfmaint.Plan.create ~initial:initial_db view
-                   in
-                   let start_cache, from_id =
-                     match aux_wal with
-                     | Some wal ->
-                       (match Durable.Wal.recover wal with
-                       | Some (ck, id), _ when id <= w -> (ck, id)
-                       | _ -> (Selfmaint.Plan.initial_cache plan, 0))
-                     | None -> (Selfmaint.Plan.initial_cache plan, 0)
-                   in
-                   let cache = ref start_cache in
-                   let replayed = ref [] in
-                   List.iter
-                     (fun ((txn : Update.Transaction.t), _rel) ->
-                       if txn.Update.Transaction.id > from_id then begin
-                         let changes =
-                           Selfmaint.Plan.project plan
-                             (Query.Delta.of_transaction txn)
-                         in
-                         if txn.Update.Transaction.id > w then begin
-                           let delta =
-                             Selfmaint.Plan.delta ~exec plan ~pre:!cache
-                               changes
-                           in
-                           replayed :=
-                             Query.Action_list.delta ~view:name
-                               ~state:txn.Update.Transaction.id delta
-                             :: !replayed
-                         end;
-                         cache := Selfmaint.Plan.advance plan !cache changes
-                       end)
-                     (Integrator.replay_for integ ~view:name ~after:0);
-                   ( List.rev !replayed,
-                     fun () ->
-                       selfmaint_resume := Some (plan, !cache);
-                       initial_db )
-                 | _ ->
-                   let base =
-                     Database.restrict initial_db
-                       (Query.View.base_relations view)
-                   in
-                   let vplan =
-                     Query.Compiled.compile ~lookup:(Database.schema base)
-                       view.Query.View.def
-                   in
-                   let cache = ref base in
-                   let replayed = ref [] in
-                   List.iter
-                     (fun (txn, _rel) ->
-                       let changes = Query.Delta.of_transaction txn in
-                       if txn.Update.Transaction.id > w then begin
-                         let delta =
-                           Query.Delta.eval_plan ~exec ~pre:!cache changes
-                             vplan
-                         in
-                         let al =
-                           Query.Action_list.delta ~view:name
-                             ~state:txn.Update.Transaction.id delta
-                         in
-                         replayed := al :: !replayed
-                       end;
-                       cache := Database.apply_relevant !cache txn)
-                     (Integrator.replay_for integ ~view:name ~after:0);
-                   (List.rev !replayed, fun () -> !cache)
+               (* Recovery never queries the sources: the plan's cache is
+                  rebuilt from the aux WAL checkpoint (when one exists at
+                  or below the merge watermark — later checkpoints cannot
+                  re-derive the action lists the merge still needs) or
+                  from ss_0, plus the integrator log suffix, with every
+                  replayed delta projected exactly like the live path.
+                  The group state is built by the first re-derived list
+                  and handed on, with plan and cache, to the resumed
+                  manager. *)
+               let make_plan, _ = plan_shape kind in
+               let plan = make_plan ~initial:initial_db view in
+               let start_cache, from_id =
+                 match Option.map Durable.Wal.recover aux_wal with
+                 | Some (Some (ck, id), _) when id <= w -> (ck, id)
+                 | _ -> (Selfmaint.Plan.initial_cache plan, 0)
                in
+               let cache = ref start_cache in
+               let groups = ref Query.Compiled.no_groups in
+               let replayed = ref [] in
+               List.iter
+                 (fun ((txn : Update.Transaction.t), _rel) ->
+                   let id = txn.Update.Transaction.id in
+                   let changes =
+                     Selfmaint.Plan.project plan
+                       (Query.Delta.of_transaction txn)
+                   in
+                   if id > w then begin
+                     let delta, g =
+                       Selfmaint.Plan.step ~exec plan ~pre:!cache
+                         ~groups:!groups changes
+                     in
+                     groups := g;
+                     replayed :=
+                       Query.Action_list.delta ~view:name ~state:id delta
+                       :: !replayed
+                   end;
+                   cache := Selfmaint.Plan.advance plan !cache changes)
+                 (Integrator.replay_for integ ~view:name ~after:from_id);
+               let lists = List.rev !replayed in
+               let state = (plan, (!cache, !groups)) in
                let n = List.length lists in
                Sim.Engine.schedule_after engine
                  (compute_latency ~batch:(max 1 n))
@@ -1857,9 +1831,8 @@ let run_pipelined cfg =
                    if epoch <> !resync_epoch then ()
                    else begin
                    List.iter emit_to_merge lists;
-                   inner :=
-                     build_inner ~initial:(rebuild_initial ())
-                       ~inc:!incarnation;
+                   resume := Some state;
+                   inner := build_inner ~inc:!incarnation;
                    last_id := head;
                    recovering := false;
                    Atomic.incr metrics.Metrics.recoveries;

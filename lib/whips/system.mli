@@ -38,6 +38,17 @@ type vm_kind =
       (** Maintain the view through materialized auxiliary views
           (references [12]/[8]; see {!Viewmgr.Derived_vm}). Complete. *)
 
+val plan_shape :
+  vm_kind ->
+  (initial:Relational.Database.t -> Query.View.t -> Selfmaint.Plan.t)
+  * Viewmgr.Plan_vm.drain
+(** The plan and drain policy a plan-driven kind runs on
+    ({!Viewmgr.Plan_vm}): [Complete_vm] a {!Selfmaint.Plan.replica}
+    drained [One]; [Selfmaint_vm] a projected {!Selfmaint.Plan.create}
+    drained [One]; [Batching_vm] a replica drained [Greedy];
+    [Complete_n_vm n] a replica drained [Exactly n].
+    @raise Invalid_argument for the other kinds. *)
+
 type merge_kind =
   | Auto
       (** Choose per Section 6.3 from the weakest view-manager level:
@@ -138,9 +149,11 @@ val default_reads : read_profile
     restarts after [restart_after] simulated seconds, re-handshakes with
     the merge via an epoch number, learns the merge's watermark for its
     view, replays the integrator's retained update log to re-derive its
-    cache and the missing action lists, and resumes; only [Complete_vm]
-    and [Batching_vm] managers support this (log-replay recovery). With
-    reliability off the manager stays dead (stuck-but-safe).
+    cache (and its [Group_by] state) and the missing action lists, and
+    resumes; only the [Complete_vm], [Selfmaint_vm] and [Batching_vm]
+    managers support this (log-replay recovery over their
+    {!Selfmaint.Plan}). With reliability off the manager stays dead
+    (stuck-but-safe).
 
     The process crash faults kill one of the three stateful singleton
     processes on the [at_event]-th message it handles (the message is

@@ -287,7 +287,30 @@ let system_tests =
             (Consistency.Checker.level_name level)
             (Consistency.Checker.level_name (Consistency.Checker.level v))))
     [ ("Complete_vm", Whips.System.Complete_vm, Consistency.Checker.Complete);
-      ("Batching_vm", Whips.System.Batching_vm, Consistency.Checker.Strong) ]
+      ("Batching_vm", Whips.System.Batching_vm, Consistency.Checker.Strong);
+      ("Selfmaint_vm", Whips.System.Selfmaint_vm, Consistency.Checker.Complete);
+      ("Complete_n_vm 3", Whips.System.Complete_n_vm 3,
+       Consistency.Checker.Strong) ]
+  @ [ case "selfmaint group recomputes cost what complete ones do" (fun () ->
+          (* The projected plan keeps the same Group_by state as the
+             replica one, so its per-update join work must not exceed
+             the replica's by more than 10%, let alone grow with the
+             input as a stateless rescan would. It may be lower: the
+             keyed projections merge duplicate rows. *)
+          let scen = big_rollup ~n:300 in
+          let rows_per_update vm_kind =
+            let k0 = Query.Compiled.kernel_rows () in
+            ignore (run_rollup scen ~vm_kind ~domains:1);
+            float_of_int (Query.Compiled.kernel_rows () - k0)
+            /. float_of_int (List.length scen.Workload.Scenarios.script)
+          in
+          let complete = rows_per_update Whips.System.Complete_vm in
+          let self = rows_per_update Whips.System.Selfmaint_vm in
+          Alcotest.(check bool)
+            (Printf.sprintf "selfmaint %.1f vs complete %.1f rows/update" self
+               complete)
+            true
+            (self <= 1.1 *. complete)) ]
 
 let tests =
   [ case "schema of group_by" (fun () ->

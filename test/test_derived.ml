@@ -32,8 +32,9 @@ let tests =
         let direct_out = ref [] and derived_out = ref [] in
         let latency ~batch:_ = 0.001 in
         let direct =
-          Viewmgr.Complete_vm.create ~engine ~compute_latency:latency
-            ~initial ~view:v_view
+          Viewmgr.Plan_vm.create ~engine ~compute_latency:latency
+            ~drain:Viewmgr.Plan_vm.One
+            ~plan:(Selfmaint.Plan.replica ~initial v_view)
             ~emit:(fun al -> direct_out := !direct_out @ [ al ])
             ()
         in

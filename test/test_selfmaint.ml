@@ -117,18 +117,14 @@ let al_tests =
         List.iter
           (fun view ->
             let complete_out = ref [] and self_out = ref [] in
-            let complete =
-              Viewmgr.Complete_vm.create ~engine ~compute_latency:latency
-                ~initial ~view
-                ~emit:(fun al -> complete_out := al :: !complete_out)
+            let manager make_plan out =
+              Viewmgr.Plan_vm.create ~engine ~compute_latency:latency
+                ~drain:Viewmgr.Plan_vm.One ~plan:(make_plan ~initial view)
+                ~emit:(fun al -> out := al :: !out)
                 ()
             in
-            let self =
-              Selfmaint.Vm.create ~engine ~compute_latency:latency ~initial
-                ~view
-                ~emit:(fun al -> self_out := al :: !self_out)
-                ()
-            in
+            let complete = manager Selfmaint.Plan.replica complete_out in
+            let self = manager Selfmaint.Plan.create self_out in
             drive complete txns engine;
             drive self txns engine;
             Alcotest.(check int) "same count"
@@ -269,10 +265,10 @@ let tamper_drive tamper =
   let engine = Sim.Engine.create () in
   let out = ref [] in
   let vm =
-    Selfmaint.Vm.create ~engine
+    Viewmgr.Plan_vm.create ~engine
       ~compute_latency:(fun ~batch:_ -> 0.001)
-      ~state:(plan, cache) ~initial ~view
-      ~emit:(fun al -> out := !out @ [ al ])
+      ~state:(cache, Query.Compiled.no_groups) ~drain:Viewmgr.Plan_vm.One
+      ~plan ~emit:(fun al -> out := !out @ [ al ])
       ()
   in
   let t1 =

@@ -27,16 +27,21 @@ let replay als =
 
 let expected db = Relation.contents (View.materialize db view)
 
+(* A plan-driven manager over base replicas of [initial]. *)
+let plan_vm ~engine ~compute_latency ~drain ~emit =
+  Viewmgr.Plan_vm.create ~engine ~compute_latency ~drain
+    ~plan:(Selfmaint.Plan.replica ~initial view)
+    ~emit ()
+
 let tests =
   [ case "complete VM: one list per update, correct deltas" (fun () ->
         let engine = Sim.Engine.create () in
         let out = ref [] in
         let vm =
-          Viewmgr.Complete_vm.create ~engine
+          plan_vm ~engine
             ~compute_latency:(fun ~batch:_ -> 0.01)
-            ~initial ~view
+            ~drain:Viewmgr.Plan_vm.One
             ~emit:(fun al -> out := !out @ [ al ])
-            ()
         in
         vm.Viewmgr.Vm.receive (insert_s 1 [ 2; 9 ]);
         vm.Viewmgr.Vm.receive (insert_s 2 [ 2; 7 ]);
@@ -55,9 +60,9 @@ let tests =
     case "complete VM level" (fun () ->
         let engine = Sim.Engine.create () in
         let vm =
-          Viewmgr.Complete_vm.create ~engine
+          plan_vm ~engine
             ~compute_latency:(fun ~batch:_ -> 0.0)
-            ~initial ~view ~emit:(fun _ -> ()) ()
+            ~drain:Viewmgr.Plan_vm.One ~emit:(fun _ -> ())
         in
         Alcotest.(check bool) "complete" true
           (vm.Viewmgr.Vm.level = Viewmgr.Vm.Complete));
@@ -65,11 +70,10 @@ let tests =
         let engine = Sim.Engine.create () in
         let out = ref [] in
         let vm =
-          Viewmgr.Batching_vm.create ~engine
+          plan_vm ~engine
             ~compute_latency:(fun ~batch:_ -> 1.0)
-            ~initial ~view
+            ~drain:Viewmgr.Plan_vm.Greedy
             ~emit:(fun al -> out := !out @ [ al ])
-            ()
         in
         (* First update starts service; the next two queue and batch. *)
         vm.Viewmgr.Vm.receive (insert_s 1 [ 2; 9 ]);
@@ -83,30 +87,14 @@ let tests =
             [ insert_s 1 [ 2; 9 ]; insert_s 2 [ 2; 7 ]; insert_s 3 [ 2; 5 ] ]
         in
         Alcotest.check Helpers.bag "replay matches" (expected final) (replay !out));
-    case "batching VM honours max_batch" (fun () ->
-        let engine = Sim.Engine.create () in
-        let out = ref [] in
-        let vm =
-          Viewmgr.Batching_vm.create ~engine
-            ~compute_latency:(fun ~batch:_ -> 1.0)
-            ~max_batch:1 ~initial ~view
-            ~emit:(fun al -> out := !out @ [ al ])
-            ()
-        in
-        vm.Viewmgr.Vm.receive (insert_s 1 [ 2; 9 ]);
-        vm.Viewmgr.Vm.receive (insert_s 2 [ 2; 7 ]);
-        Sim.Engine.run engine;
-        Alcotest.(check (list int)) "one per update" [ 1; 2 ]
-          (List.map (fun (al : Action_list.t) -> al.state) !out));
     case "complete-N VM waits for N then emits one list" (fun () ->
         let engine = Sim.Engine.create () in
         let out = ref [] in
         let vm =
-          Viewmgr.Complete_n_vm.create ~engine
+          plan_vm ~engine
             ~compute_latency:(fun ~batch:_ -> 0.01)
-            ~n:2 ~initial ~view
+            ~drain:(Viewmgr.Plan_vm.Exactly 2)
             ~emit:(fun al -> out := !out @ [ al ])
-            ()
         in
         vm.Viewmgr.Vm.receive (insert_s 1 [ 2; 9 ]);
         Sim.Engine.run engine;
@@ -119,11 +107,10 @@ let tests =
         let engine = Sim.Engine.create () in
         let out = ref [] in
         let vm =
-          Viewmgr.Complete_n_vm.create ~engine
+          plan_vm ~engine
             ~compute_latency:(fun ~batch:_ -> 0.01)
-            ~n:3 ~initial ~view
+            ~drain:(Viewmgr.Plan_vm.Exactly 3)
             ~emit:(fun al -> out := !out @ [ al ])
-            ()
         in
         vm.Viewmgr.Vm.receive (insert_s 1 [ 2; 9 ]);
         Sim.Engine.run engine;
