@@ -227,56 +227,108 @@ let aggregate_group ~input_schema ~group ~key contents =
   Tuple.concat key
     (Tuple.of_list (List.map (fun (_, agg) -> compute agg) aggregates))
 
-(* Positional variant used by the compiled plan: no name lookups. *)
-let aggregate_group_pos ~aggs ~key contents =
-  let non_null pos f init =
-    Bag.fold
-      (fun tup n acc ->
-        match Tuple.get tup pos with Value.Null -> acc | v -> f v n acc)
-      contents init
-  in
-  let compute = function
+let min_value best v =
+  match best with
+  | Value.Null -> v
+  | _ -> if Value.compare v best < 0 then v else best
+
+let max_value best v =
+  match best with
+  | Value.Null -> v
+  | _ -> if Value.compare v best > 0 then v else best
+
+(* The positional kernel the compiled plan runs. One pass over the
+   members computes every aggregate: each aggregate still sees the
+   members in [Bag] order, with the same operations as its own fold in
+   {!aggregate_group}, so every result — float Sum/Avg included — is
+   identical. A Sum adds Int values unboxed in [isum] and switches to
+   boxed [add_values] in [acc] at its first other value, from the same
+   running total the boxed fold would hold there. Also returns each
+   aggregate's non-null multiplicity, the running state a maintained
+   group keeps beside its row. *)
+let fold_aggregates ~aggs ~key contents =
+  let k = Array.length aggs in
+  let acc = Array.make k Value.Null in
+  let isum = Array.make k 0 in
+  let nonnull = Array.make k 0 in
+  let total = Array.make k 0.0 in
+  Bag.iter
+    (fun tup n ->
+      for i = 0 to k - 1 do
+        match aggs.(i) with
+        | A_count -> ()
+        | A_sum pos -> (
+          match Tuple.get tup pos with
+          | Value.Null -> ()
+          | Value.Int x when acc.(i) == Value.Null ->
+            isum.(i) <- isum.(i) + (n * x);
+            nonnull.(i) <- nonnull.(i) + n
+          | v ->
+            let sum =
+              if acc.(i) != Value.Null then acc.(i)
+              else if nonnull.(i) > 0 then Value.Int isum.(i)
+              else Value.Null
+            in
+            acc.(i) <- add_values sum (scale_value n v);
+            nonnull.(i) <- nonnull.(i) + n)
+        | A_avg pos -> (
+          match Tuple.get tup pos with
+          | Value.Null -> ()
+          | v ->
+            total.(i) <- total.(i) +. (float_of_int n *. to_float v);
+            nonnull.(i) <- nonnull.(i) + n)
+        | A_min pos -> (
+          match Tuple.get tup pos with
+          | Value.Null -> ()
+          | v ->
+            let best = acc.(i) in
+            let m = min_value best v in
+            if m != best then acc.(i) <- m;
+            nonnull.(i) <- nonnull.(i) + n)
+        | A_max pos -> (
+          match Tuple.get tup pos with
+          | Value.Null -> ()
+          | v ->
+            let best = acc.(i) in
+            let m = max_value best v in
+            if m != best then acc.(i) <- m;
+            nonnull.(i) <- nonnull.(i) + n)
+      done)
+    contents;
+  let value i = function
     | A_count -> Value.Int (Bag.cardinal contents)
-    | A_sum pos ->
-      non_null pos (fun v n acc -> add_values acc (scale_value n v)) Value.Null
-    | A_avg pos ->
-      let total, count =
-        non_null pos
-          (fun v n (total, count) ->
-            (total +. (float_of_int n *. to_float v), count + n))
-          (0.0, 0)
-      in
-      if count = 0 then Value.Null else Value.Float (total /. float_of_int count)
-    | A_min pos ->
-      non_null pos
-        (fun v _ acc ->
-          match acc with
-          | Value.Null -> v
-          | best -> if Value.compare v best < 0 then v else best)
-        Value.Null
-    | A_max pos ->
-      non_null pos
-        (fun v _ acc ->
-          match acc with
-          | Value.Null -> v
-          | best -> if Value.compare v best > 0 then v else best)
-        Value.Null
+    | A_sum _ when acc.(i) == Value.Null ->
+      if nonnull.(i) = 0 then Value.Null else Value.Int isum.(i)
+    | A_avg _ ->
+      if nonnull.(i) = 0 then Value.Null
+      else Value.Float (total.(i) /. float_of_int nonnull.(i))
+    | A_sum _ | A_min _ | A_max _ -> acc.(i)
   in
-  Tuple.concat key
-    (Tuple.of_list (Array.to_list (Array.map compute aggs)))
+  (Tuple.concat key (Tuple.of_array (Array.mapi value aggs)), nonnull)
+
+let aggregate_group_pos ~aggs ~key contents =
+  fst (fold_aggregates ~aggs ~key contents)
 
 (* ------------------------------------------------------------------ *)
 (* Per-group state.                                                   *)
 
-(* A [Group_by] node's input partitioned by group key: one member bag
-   per live group. A plan's [groups] maps its Group_by slots to these
-   partitions; a slot is absent until the first delta reaching the node
-   builds it. Both layers are persistent maps, so a step over an
+(* A live group of a [Group_by] node: its members, the output row last
+   emitted for them, and each aggregate's non-null multiplicity. The row
+   itself carries the other running accumulators — a Sum's total, a
+   Min/Max's current extreme — so a change to the group derives the new
+   row from the old one and the change alone. Entries are immutable: a
+   step builds new ones and never writes to an entry an older state
+   holds. *)
+type entry = { members : Bag.t; row : Tuple.t; nonnull : int array }
+
+(* A node's groups by key. A plan's [groups] maps its Group_by slots to
+   these partitions; a slot is absent until the first delta reaching the
+   node builds it. Both layers are persistent maps, so a step over an
    immutable pre-state returns the new state without touching the old. *)
 module Tuple_map = Map.Make (Tuple)
 module Slot_map = Map.Make (Int)
 
-type groups = Bag.t Tuple_map.t Slot_map.t
+type groups = entry Tuple_map.t Slot_map.t
 
 let no_groups = Slot_map.empty
 
@@ -310,10 +362,81 @@ let group_members ~key_pos ~keep bag =
       else acc)
     bag Tuple_map.empty
 
+let entry ~aggs ~key members =
+  let row, nonnull = fold_aggregates ~aggs ~key members in
+  { members; row; nonnull }
+
+(* A node's state built from its whole input. *)
+let partition ~key_pos ~aggs bag =
+  Tuple_map.mapi
+    (fun key members -> entry ~aggs ~key members)
+    (group_members ~key_pos ~keep:(fun _ -> true) bag)
+
+let count_folded contents =
+  ignore (Atomic.fetch_and_add group_rows_counter (Bag.cardinal contents))
+
 (* One group's output row, recomputed by maintenance from its members. *)
 let recompute ~aggs ~key contents =
-  ignore (Atomic.fetch_and_add group_rows_counter (Bag.cardinal contents));
+  count_folded contents;
   aggregate_group_pos ~aggs ~key contents
+
+exception Refold
+
+(* The entry of a group whose members became [after] by [slice], derived
+   from its previous entry ([None] for a new group) and the slice alone:
+   Count is the members' cardinality, an Int Sum adds the slice's signed
+   contribution (integer arithmetic wraps modulo 2^63 in any order, so
+   this equals the fold), and Min/Max take the better of the extreme and
+   the inserted values. Two cases fold [after] instead: a deleted value equal
+   to the current extreme, whose successor only the members know; and a
+   non-null change to a float Sum or an Avg, whose value depends on the
+   order the members are added in. *)
+let advance ~aggs ~key ~after ~slice previous =
+  let k = Array.length aggs in
+  let nkeys = Tuple.arity key in
+  let acc, nonnull =
+    match previous with
+    | Some e ->
+      ( Array.init k (fun i -> Tuple.get e.row (nkeys + i)),
+        Array.copy e.nonnull )
+    | None -> (Array.make k Value.Null, Array.make k 0)
+  in
+  match
+    Signed_bag.fold
+      (fun tup n () ->
+        for i = 0 to k - 1 do
+          match aggs.(i) with
+          | A_count -> ()
+          | A_sum pos | A_avg pos | A_min pos | A_max pos -> (
+            match Tuple.get tup pos with
+            | Value.Null -> ()
+            | v -> (
+              nonnull.(i) <- nonnull.(i) + n;
+              match (aggs.(i), v, acc.(i)) with
+              | A_sum _, Value.Int x, Value.Int s ->
+                acc.(i) <- Value.Int (s + (n * x))
+              | A_sum _, Value.Int x, Value.Null ->
+                acc.(i) <- Value.Int (n * x)
+              | (A_min _ | A_max _), _, _ when n < 0 ->
+                if Value.compare v acc.(i) = 0 then raise Refold
+              | A_min _, _, _ -> acc.(i) <- min_value acc.(i) v
+              | A_max _, _, _ -> acc.(i) <- max_value acc.(i) v
+              | (A_sum _ | A_avg _ | A_count), _, _ -> raise Refold))
+        done)
+      slice ()
+  with
+  | () ->
+    Array.iteri
+      (fun i agg ->
+        match agg with
+        | A_count -> acc.(i) <- Value.Int (Bag.cardinal after)
+        | A_sum _ when nonnull.(i) = 0 -> acc.(i) <- Value.Null
+        | A_sum _ | A_avg _ | A_min _ | A_max _ -> ())
+      aggs;
+    { members = after; row = Tuple.concat key (Tuple.of_array acc); nonnull }
+  | exception Refold ->
+    count_folded after;
+    entry ~aggs ~key after
 
 (* ------------------------------------------------------------------ *)
 (* Hash join on counted tuple lists.                                  *)
@@ -682,47 +805,57 @@ let rec delta_with ~state ~exec ~pre_index ~pre_relation ~changes ~eval_pre t
             Tuple_map.add key (Signed_bag.add tup n slice) acc)
           d_in Tuple_map.empty
       in
-      (* The affected groups' pre-state members: from the node's state
-         (partitioning the whole pre-state input the first time), or,
-         without state, from one scan of the pre-state input restricted
-         to the affected keys. *)
-      let pre_groups =
-        match state with
-        | None ->
+      match state with
+      | None ->
+        (* Without state: the affected groups' members from one scan of
+           the pre-state input restricted to the affected keys, and each
+           group's old and new rows recomputed from its members. *)
+        let pre_groups =
           group_members ~key_pos
             ~keep:(fun key -> Tuple_map.mem key slices)
             (eval_pre input)
-        | Some groups -> (
-          match Slot_map.find_opt slot !groups with
-          | Some partition -> partition
-          | None ->
-            Atomic.incr builds_counter;
-            group_members ~key_pos ~keep:(fun _ -> true) (eval_pre input))
-      in
-      (* Retract each affected group's old output row and emit its new
-         one, both recomputed from the members: exact for every
-         aggregate kind (Min/Max under deletions, float Sum/Avg folded
-         in the same order as full evaluation). *)
-      let out, post_groups =
+        in
         Tuple_map.fold
-          (fun key slice (out, groups) ->
+          (fun key slice out ->
             let before = members key pre_groups in
             let after = Signed_bag.apply slice before in
             let out =
               if Bag.is_empty before then out
               else Signed_bag.add (recompute ~aggs ~key before) (-1) out
             in
-            if Bag.is_empty after then (out, Tuple_map.remove key groups)
-            else
-              ( Signed_bag.add (recompute ~aggs ~key after) 1 out,
-                Tuple_map.add key after groups ))
-          slices
-          (Signed_bag.zero, pre_groups)
-      in
-      Option.iter
-        (fun groups -> groups := Slot_map.add slot post_groups !groups)
-        state;
-      out
+            if Bag.is_empty after then out
+            else Signed_bag.add (recompute ~aggs ~key after) 1 out)
+          slices Signed_bag.zero
+      | Some groups ->
+        (* With state (partitioning the whole pre-state input the first
+           time): retract each affected group's cached row and emit the
+           row {!advance} derives from the slice. *)
+        let pre_groups =
+          match Slot_map.find_opt slot !groups with
+          | Some partition -> partition
+          | None ->
+            Atomic.incr builds_counter;
+            partition ~key_pos ~aggs (eval_pre input)
+        in
+        let out, post_groups =
+          Tuple_map.fold
+            (fun key slice (out, groups) ->
+              let previous = Tuple_map.find_opt key groups in
+              let out, before =
+                match previous with
+                | Some e -> (Signed_bag.add e.row (-1) out, e.members)
+                | None -> (out, Bag.empty)
+              in
+              let after = Signed_bag.apply slice before in
+              if Bag.is_empty after then (out, Tuple_map.remove key groups)
+              else
+                let e = advance ~aggs ~key ~after ~slice previous in
+                (Signed_bag.add e.row 1 out, Tuple_map.add key e groups))
+            slices
+            (Signed_bag.zero, pre_groups)
+        in
+        groups := Slot_map.add slot post_groups !groups;
+        out
     end
 
 let delta ?(exec = Parallel.Exec.sequential) ?(pre_index = no_pre_index)
@@ -744,16 +877,20 @@ let build_groups ~eval_pre t =
     | Base _ -> acc
     | Select (_, e) | Project (_, e) -> go acc e
     | Join { left; right; _ } | Union (left, right) -> go (go acc left) right
-    | Group_by { input; key_pos; slot; _ } ->
+    | Group_by { input; key_pos; aggs; slot } ->
       Slot_map.add slot
-        (group_members ~key_pos ~keep:(fun _ -> true) (eval_pre input))
+        (partition ~key_pos ~aggs (eval_pre input))
         (go acc input)
   in
   go no_groups t
 
 let group_state groups =
   List.map
-    (fun (slot, partition) -> (slot, Tuple_map.bindings partition))
+    (fun (slot, partition) ->
+      ( slot,
+        List.map
+          (fun (key, e) -> (key, e.members, e.row))
+          (Tuple_map.bindings partition) ))
     (Slot_map.bindings groups)
 
 (* ------------------------------------------------------------------ *)

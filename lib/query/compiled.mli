@@ -71,8 +71,8 @@ val delta :
     one scan of the pre-state input gathers those groups' members, each
     group's slice of the delta is applied to them, and the old and new
     output rows come from {!aggregate_group} over the old and new
-    members. {!step} is the same rule with the members kept across
-    calls.
+    members. {!step} keeps each group's members and output row across
+    calls instead, and derives the new row from the old one.
 
     [pre_index name ~key_pos], when it returns a hash index over [name]'s
     pre-state keyed at [key_pos], turns the join rules whose pre-state
@@ -96,9 +96,14 @@ val delta :
 
 type groups
 (** Persistent maintenance state of a plan's [Group_by] nodes: each
-    built node's input, partitioned by group key into member bags. A
-    node's partition is built on the first {!step} whose delta reaches
-    it. Values are immutable; a step returns a new state. *)
+    built node's input, partitioned by group key. Each group keeps its
+    member bag, the output row last emitted for it, and each
+    aggregate's non-null multiplicity; the row holds the other running
+    accumulators (an Int Sum's total, a Min/Max's extreme). A node's
+    partition is built on the first {!step} whose delta reaches it.
+    Values are immutable: a step returns a new state and never changes
+    one an older state, another domain or a cached snapshot still
+    holds. *)
 
 val no_groups : groups
 (** No node built. *)
@@ -114,11 +119,18 @@ val step :
   groups:groups ->
   t ->
   Signed_bag.t * groups
-(** {!delta} with [groups] as the [Group_by] members: an affected group's
-    members come from the state instead of a scan of the pre-state
-    input, so a built node costs O(|delta| log G + the affected groups'
-    sizes) rather than O(|input|). Returns the same delta as {!delta}
-    and the state of the post-state.
+(** {!delta} with [groups] as the [Group_by] state: an affected group's
+    cached row is retracted and its new row derived from that row, the
+    group's running accumulators and its slice of the delta — Count is
+    the members' cardinality, an Int Sum adds the slice, Min/Max compare
+    the inserted values with the extreme. A built node then costs
+    O(|delta| log G) with no scan of the input and no fold of a group's
+    members, except for refolds: an affected group's members are folded
+    again when a deletion removes a value equal to its current Min/Max,
+    or when a float Sum or an Avg sees a non-null change (those folds
+    are order-dependent and must stay identical to full evaluation).
+    Refolds are counted in {!group_rows}. Returns the same delta as
+    {!delta} and the state of the post-state.
 
     The state must partition what [eval_pre] returns for each built
     node's input, and [changes] must apply to the pre-state without
@@ -135,9 +147,9 @@ val build_groups : eval_pre:(t -> Bag.t) -> t -> groups
 (** Every [Group_by] node of the plan built from [eval_pre] — the state
     a sequence of clean {!step}s must reach. *)
 
-val group_state : groups -> (int * (Tuple.t * Bag.t) list) list
+val group_state : groups -> (int * (Tuple.t * Bag.t * Tuple.t) list) list
 (** Built nodes by slot (numbered in compile order), each with its
-    groups in key order. *)
+    groups in key order: key, members and cached output row. *)
 
 val group_state_builds : unit -> int
 (** Process-wide count of node partitions built by {!step}. *)
@@ -148,8 +160,10 @@ val group_state_drops : unit -> int
 
 val group_rows : unit -> int
 (** Process-wide count of member rows (with multiplicity) that
-    [Group_by] maintenance folded to recompute affected groups, by
-    {!delta} and {!step}. *)
+    [Group_by] maintenance folded: both folds of each affected group in
+    the stateless {!delta}, and {!step}'s refolds. A node's first build
+    (one fold of its whole input) is counted by {!group_state_builds}
+    instead. *)
 
 val join_counted_pos :
   ?exec:Parallel.Exec.t ->
@@ -188,5 +202,7 @@ val aggregate_group :
     skipped by Sum/Avg/Min/Max and counted by Count; an all-null group
     yields [Null] for that aggregate. The interpreted kernels
     ({!Eval}, the naive {!Delta} rules) use it; the compiled plan runs a
-    positional copy whose results are identical, for full evaluation and
-    for the affected groups that {!delta} and {!step} recompute. *)
+    positional copy whose results are identical — one pass over the
+    members for all aggregates, each folding in the same order — for
+    full evaluation, state builds, {!delta}'s recomputes and {!step}'s
+    refolds. *)

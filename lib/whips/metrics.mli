@@ -100,9 +100,10 @@ type t = {
       (** Built node states dropped because a transaction's deletions
           clamped ({!Query.Compiled.group_state_drops} delta). *)
   group_rows : int Atomic.t;
-      (** Member rows folded to recompute affected groups
-          ({!Query.Compiled.group_rows} delta) — the aggregate
-          maintenance work. *)
+      (** Member rows folded by [Group_by] maintenance
+          ({!Query.Compiled.group_rows} delta): the refolds of stateful
+          steps (a deleted Min/Max extreme, a changed float Sum or Avg)
+          and both folds per affected group of the stateless rule. *)
   cache_refreshes : int Atomic.t;
       (** Result-cache entries advanced in place by incremental refresh
           at commit. *)

@@ -809,13 +809,16 @@ let run_pipelined cfg =
   let exec = Parallel.Config.exec cfg.parallel in
   let metrics = Metrics.create () in
   let timeline = ref [] in
+  (* With the timeline off, a record consumes its arguments without
+     formatting them: no message is built for nobody. *)
   let record fmt =
-    Fmt.kstr
-      (fun msg ->
-        if cfg.record_timeline then
-          timeline := (Sim.Engine.now engine, msg) :: !timeline)
-      fmt
+    if cfg.record_timeline then
+      Fmt.kstr
+        (fun msg -> timeline := (Sim.Engine.now engine, msg) :: !timeline)
+        fmt
+    else Format.ikfprintf ignore Format.err_formatter fmt
   in
+  let names = Fmt.(list ~sep:(any ", ") string) in
   (* Fault plan: the config's channel-level plan plus the deterministic
      translation of Drop_action_list faults (the nth physical message on
      the manager's action-list channel). Injection happens in the channel,
@@ -1079,10 +1082,11 @@ let run_pipelined cfg =
         if durable_on && batch_mode <> Fused then
           Durable.Wal.append wh_wal (time, wt))
       ~on_commit:(fun wt ->
-        record "warehouse commit: rows [%a] -> views {%s}"
+        record "warehouse commit: rows [%a] -> views {%a}"
           (Fmt.list ~sep:Fmt.comma Fmt.int)
           wt.Warehouse.Wt.rows
-          (String.concat ", " (Warehouse.Wt.views wt));
+          (fun ppf wt -> names ppf (Warehouse.Wt.views wt))
+          wt;
         Atomic.incr metrics.Metrics.commits;
         Metrics.add metrics.Metrics.actions_applied
           (Warehouse.Wt.action_count wt);
@@ -1873,7 +1877,7 @@ let run_pipelined cfg =
     merge_server_of gi
       ( (fun () -> Mvc.Merge.receive_rel (merge_of gi) ~row ~rel:rel_group),
         fun () ->
-          record "merge <- REL_%d = {%s}" row (String.concat ", " rel_group);
+          record "merge <- REL_%d = {%a}" row names rel_group;
           snapshot_group gi (merge_of gi);
           drain_emitted gi;
           sample_merge_metrics () )
@@ -1960,9 +1964,8 @@ let run_pipelined cfg =
       if Integrator.ingested integ mod dur.integ_checkpoint_every = 0 then
         Durable.Wal.seal integ_wal
     end;
-    record "integrator: U%d (%a) REL = {%s}" stamped.Update.Transaction.id
-      Update.Transaction.pp stamped
-      (String.concat ", " rel);
+    record "integrator: U%d (%a) REL = {%a}" stamped.Update.Transaction.id
+      Update.Transaction.pp stamped names rel;
     route_rels stamped rel;
     route_updates stamped rel;
     let pending =

@@ -33,6 +33,20 @@ let with_columnar flag f =
   Columnar.enabled := flag;
   Fun.protect ~finally:(fun () -> Columnar.enabled := saved) f
 
+(* Words allocated by [f ()]: [Gc.minor_words] (exact, unlike the
+   counters, which only catch up at a minor collection) plus the words
+   allocated directly on the major heap — the large blocks, such as a
+   chunk's columns. The allocation guards bound it. *)
+let words_allocated f =
+  let direct_major () =
+    let s = Gc.quick_stat () in
+    s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let minor0 = Gc.minor_words () and major0 = direct_major () in
+  let r = f () in
+  let minor1 = Gc.minor_words () and major1 = direct_major () in
+  (r, minor1 -. minor0 +. (major1 -. major0))
+
 let qcheck ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name gen prop)

@@ -138,7 +138,9 @@ module Stateful = struct
   let check (db, view, txns) =
     let plan = Compiled.compile ~lookup:(Database.schema db) view in
     let fail = QCheck2.Test.fail_report in
-    let same_groups (k, b) (k', b') = Tuple.equal k k' && Bag.equal b b' in
+    let same_groups (k, b, row) (k', b', row') =
+      Tuple.equal k k' && Bag.equal b b' && Tuple.equal row row'
+    in
     let step (pre, groups) txn =
       let changes = Delta.of_transaction txn in
       let post = Database.apply_transaction pre txn in
@@ -165,11 +167,239 @@ module Stateful = struct
         List.iter
           (fun (slot, partition) ->
             if not (List.equal same_groups partition (List.assoc slot fresh))
-            then fail "state is not a partition of the post-state")
+            then fail "state is not the post-state's partition and rows")
           state);
       (post, groups)
     in
     ignore (List.fold_left step (db, Compiled.no_groups) txns);
+    true
+end
+
+(* The maintained group rows against the oracles, on clamp-free chains
+   aimed at what the running accumulators must get right: Nulls, deletes
+   of a group's current Min/Max (also of one of several members holding
+   it), groups emptied and re-created, and Int sums that wrap around.
+   Facts M(g, i, f) fall in two groups; the Int and Float measures come
+   from small pools, so extremes are often shared. *)
+module Running = struct
+  open QCheck2.Gen
+
+  let schema =
+    Schema.make
+      [ ("g", Value.Int_ty); ("i", Value.Int_ty); ("f", Value.Float_ty) ]
+
+  let ints = [ min_int; min_int + 1; -3; 0; 2; 5; max_int - 1; max_int ]
+
+  (* 1e16 absorbs the small terms, so a float sum depends on its order. *)
+  let floats = [ -1.0 /. 3.0; 0.1; 2.0 /. 3.0; 1e16 ]
+
+  let measure pool = frequency [ (1, return Value.Null); (4, oneofl pool) ]
+
+  let fact =
+    map3
+      (fun g i f -> Tuple.of_list [ Value.Int g; i; f ])
+      (int_range 0 1)
+      (measure (List.map (fun n -> Value.Int n) ints))
+      (measure (List.map (fun x -> Value.Float x) floats))
+
+  let all_aggregates =
+    Algebra.
+      [ ("n", Count); ("si", Sum "i"); ("ai", Avg "i"); ("lo_i", Min "i");
+        ("hi_i", Max "i"); ("sf", Sum "f"); ("af", Avg "f"); ("lo_f", Min "f");
+        ("hi_f", Max "f") ]
+
+  (* A random non-empty subset: a float Sum or an Avg refolds its group
+     on every non-null change, so views without them are what exercise
+     the running Count, Int Sum and Min/Max alone. *)
+  let view_gen =
+    list_repeat (List.length all_aggregates) bool >>= fun picks ->
+    let aggregates =
+      match List.filteri (fun n _ -> List.nth picks n) all_aggregates with
+      | [] -> [ List.hd all_aggregates ]
+      | chosen -> chosen
+    in
+    oneofl
+      Algebra.
+        [ group_by ~keys:[ "g" ] ~aggregates (base "M");
+          group_by ~keys:[] ~aggregates (base "M") ]
+
+  let live db = Bag.to_list (Relation.contents (Database.find db "M"))
+
+  let in_group g rows =
+    List.filter (fun t -> Value.equal (Tuple.get t 0) (Value.Int g)) rows
+
+  (* The live rows of group [g] holding the extreme of column [pos]. *)
+  let extreme_rows db ~g ~pos ~better =
+    let rows = in_group g (live db) in
+    let values =
+      List.filter_map
+        (fun t ->
+          match Tuple.get t pos with Value.Null -> None | v -> Some v)
+        rows
+    in
+    match values with
+    | [] -> []
+    | v :: vs ->
+      let best =
+        List.fold_left
+          (fun b v -> if better (Value.compare v b) then v else b)
+          v vs
+      in
+      List.filter (fun t -> Value.equal (Tuple.get t pos) best) rows
+
+  (* One step of a transaction as a list of updates, against [db]. *)
+  let updates db =
+    let extreme =
+      int_range 0 1 >>= fun g ->
+      oneofl [ 1; 2 ] >>= fun pos ->
+      oneofl [ (fun c -> c < 0); (fun c -> c > 0) ] >>= fun better ->
+      return (g, pos, extreme_rows db ~g ~pos ~better)
+    in
+    match live db with
+    | [] -> map (fun t -> [ Update.insert "M" t ]) fact
+    | rows ->
+      frequency
+        [ (3, map (fun t -> [ Update.insert "M" t ]) fact);
+          (2, map (fun t -> [ Update.delete "M" t ]) (oneofl rows));
+          ( 2,
+            map2
+              (fun before after -> [ Update.modify "M" ~before ~after ])
+              (oneofl rows) fact );
+          (* Delete one member holding the extreme. *)
+          ( 3,
+            extreme >>= function
+            | _, _, [] -> return []
+            | _, _, holders ->
+              map (fun t -> [ Update.delete "M" t ]) (oneofl holders) );
+          (* Share the extreme with a new member. *)
+          ( 2,
+            extreme >>= function
+            | _, _, [] -> return []
+            | g, pos, t :: _ ->
+              map
+                (fun fresh ->
+                  let v = Array.of_list (Tuple.to_list fresh) in
+                  v.(0) <- Value.Int g;
+                  v.(pos) <- Tuple.get t pos;
+                  [ Update.insert "M" (Tuple.of_array v) ])
+                fact );
+          (* Empty a group, one delete per copy. *)
+          ( 1,
+            map
+              (fun g -> List.map (Update.delete "M") (in_group g rows))
+              (int_range 0 1) ) ]
+
+  let txn_gen db =
+    let rec go db n acc =
+      if n = 0 then return (List.concat (List.rev acc))
+      else
+        updates db >>= fun us ->
+        go (List.fold_left Database.apply_update db us) (n - 1) (us :: acc)
+    in
+    int_range 1 3 >>= fun n -> go db n []
+
+  let chain_gen =
+    map
+      (fun rows -> Database.of_list [ ("M", Relation.of_tuples schema rows) ])
+      (list_size (int_range 0 8) fact)
+    >>= fun db ->
+    view_gen >>= fun view ->
+    let rec go db n acc =
+      if n = 0 then return (List.rev acc)
+      else
+        txn_gen db >>= fun updates ->
+        if updates = [] then go db (n - 1) acc
+        else
+          let txn = Update.Transaction.make ~id:n ~source:"s" updates in
+          go (Database.apply_transaction db txn) (n - 1) (txn :: acc)
+    in
+    int_range 1 10 >>= fun n ->
+    map (fun txns -> (db, view, txns)) (go db n [])
+
+  let print (db, view, txns) =
+    Fmt.str "%a@.%s@.%a" Database.pp db (Algebra.to_string view)
+      (Fmt.list ~sep:Fmt.cut Update.Transaction.pp) txns
+
+  (* Equal rows, floats compared bit for bit. *)
+  let identical a b =
+    List.equal
+      (fun x y ->
+        match (x, y) with
+        | Value.Float x, Value.Float y ->
+          Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+        | _ -> Value.equal x y)
+      (Tuple.to_list a) (Tuple.to_list b)
+
+  let same_state =
+    List.equal (fun (s, groups) (s', groups') ->
+        s = s'
+        && List.equal
+             (fun (k, b, row) (k', b', row') ->
+               Tuple.equal k k' && Bag.equal b b' && identical row row')
+             groups groups')
+
+  (* After every step: the delta equals the naive rule's; each cached row
+     equals the aggregate of its members, and the state equals one built
+     afresh from the post-state; the step leaves its pre-state's state
+     untouched. Then every step is re-run from its own pre-state on the
+     default parallel runtime, all at once (across domains under
+     MVC_DOMAINS), and must reproduce its delta and state. *)
+  let check (db, view, txns) =
+    let plan = Compiled.compile ~lookup:(Database.schema db) view in
+    let group =
+      match view with Algebra.Group_by g -> g | _ -> assert false
+    in
+    let input_schema = Algebra.schema_of (Database.schema db) group.input in
+    let fail = QCheck2.Test.fail_report in
+    let step (pre, groups) txn =
+      Delta.step ~pre ~groups (Delta.of_transaction txn) plan
+    in
+    let check_step ((pre, groups), steps) txn =
+      let changes = Delta.of_transaction txn in
+      if Delta.first_clamp ~pre changes <> None then fail "chain clamps";
+      let before = Compiled.group_state groups in
+      let ((delta, groups') as result) = step (pre, groups) txn in
+      let post = Database.apply_transaction pre txn in
+      if not (Signed_bag.equal delta (Delta.eval ~naive:true ~pre changes view))
+      then fail "step <> naive delta";
+      if not (same_state before (Compiled.group_state groups)) then
+        fail "step changed the state it started from";
+      let state = Compiled.group_state groups' in
+      let fresh =
+        Compiled.group_state
+          (Compiled.build_groups ~eval_pre:(Compiled.eval_bag post) plan)
+      in
+      List.iter
+        (fun ((slot, partition) as built) ->
+          List.iter
+            (fun (key, members, row) ->
+              if
+                not
+                  (identical row
+                     (Compiled.aggregate_group ~input_schema ~group ~key
+                        members))
+              then fail "cached row <> aggregate of its members")
+            partition;
+          if not (same_state [ built ] [ (slot, List.assoc slot fresh) ]) then
+            fail "state <> a fresh build of the post-state")
+        state;
+      ((post, groups'), ((pre, groups), txn, result) :: steps)
+    in
+    let _, steps =
+      List.fold_left check_step ((db, Compiled.no_groups), []) txns
+    in
+    let exec = Parallel.Config.exec (Parallel.Config.default ()) in
+    let rerun = Parallel.Exec.map exec (fun (s, txn, _) -> step s txn) steps in
+    List.iter2
+      (fun (_, _, (delta, groups)) (delta', groups') ->
+        if
+          not
+            (Signed_bag.equal delta delta'
+            && same_state
+                 (Compiled.group_state groups)
+                 (Compiled.group_state groups'))
+        then fail "a re-run step differs")
+      steps rerun;
     true
 end
 
@@ -484,6 +714,76 @@ let tests =
       (QCheck2.Test.make ~count:300 ~print:Stateful.print
          ~name:"stateful group_by step == eval_plan == naive over chains"
          Stateful.chain_gen Stateful.check);
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300 ~print:Running.print
+         ~name:"running aggregates == naive over extreme-deleting chains"
+         Running.chain_gen Running.check);
+    case "a 1-row change to a 10k-member group folds no member" (fun () ->
+        (* One group of 10k distinct values under Count, Int Sum and Max:
+           an insert and a non-extreme delete derive the new row from the
+           cached one — no member folded, allocation O(|delta| log G)
+           plus the member bag's O(log |group|) path — while deleting
+           the unique max refolds the group once. *)
+        let size = 10_000 in
+        let schema = Helpers.int_schema [ "g"; "v" ] in
+        let db =
+          Database.of_list
+            [ ("S", Helpers.rel schema (List.init size (fun v -> [ 0; v ]))) ]
+        in
+        let view =
+          Algebra.group_by ~keys:[ "g" ]
+            ~aggregates:
+              Algebra.[ ("n", Count); ("s", Sum "v"); ("hi", Max "v") ]
+            (Algebra.base "S")
+        in
+        let plan = Compiled.compile ~lookup:(Database.schema db) view in
+        let groups =
+          Compiled.build_groups ~eval_pre:(Compiled.eval_bag db) plan
+        in
+        (* A tenth of a word per member: a refold allocates two boxed
+           Ints per member for the Sum alone. About 500 words are used. *)
+        let budget = float_of_int size /. 10.0 in
+        let step (pre, groups) u =
+          let changes = Delta.of_update u in
+          let rows0 = Compiled.group_rows () in
+          let (delta, groups), words =
+            Helpers.words_allocated (fun () ->
+                Delta.step ~pre ~groups changes plan)
+          in
+          let folded = Compiled.group_rows () - rows0 in
+          Alcotest.check Helpers.signed_bag "delta = naive"
+            (Delta.eval ~naive:true ~pre changes view)
+            delta;
+          ((Database.apply_update pre u, groups), folded, words)
+        in
+        let within name words =
+          if words >= budget then
+            Alcotest.failf "%s allocated %.0f words; budget %.0f" name words
+              budget
+        in
+        let s, folded, words =
+          step (db, groups) (Update.insert "S" (Helpers.ints [ 0; 5000 ]))
+        in
+        Alcotest.(check int) "insert folds no member" 0 folded;
+        within "insert" words;
+        let s, folded, words =
+          step s (Update.delete "S" (Helpers.ints [ 0; 17 ]))
+        in
+        Alcotest.(check int) "non-extreme delete folds no member" 0 folded;
+        within "non-extreme delete" words;
+        let (_, groups), folded, _ =
+          step s (Update.delete "S" (Helpers.ints [ 0; size - 1 ]))
+        in
+        Alcotest.(check int) "deleting the max refolds the group once"
+          (size - 1) folded;
+        match Compiled.group_state groups with
+        | [ (_, [ (_, _, row) ]) ] ->
+          Alcotest.check Helpers.tuple "row after the refold"
+            (Tuple.ints
+               [ 0; size - 1; (size * (size - 1) / 2) + 5000 - 17 - (size - 1);
+                 size - 2 ])
+            row
+        | _ -> Alcotest.fail "expected one built node with one group");
     case "sales-rollup scenario is complete end to end" (fun () ->
         let scen = Workload.Scenarios.sales_rollup in
         let result =

@@ -604,19 +604,7 @@ let snapshot_tests =
 
 (* ---- Allocation guard: a commit costs O(|delta|), not O(|view|) ---- *)
 
-(* Words allocated by [f ()]: [Gc.minor_words] (exact, unlike the
-   counters, which only catch up at a minor collection) plus the words
-   allocated directly on the major heap — the large blocks, such as a
-   chunk's columns. *)
-let words_allocated f =
-  let direct_major () =
-    let s = Gc.quick_stat () in
-    s.Gc.major_words -. s.Gc.promoted_words
-  in
-  let minor0 = Gc.minor_words () and major0 = direct_major () in
-  let r = f () in
-  let minor1 = Gc.minor_words () and major1 = direct_major () in
-  (r, minor1 -. minor0 +. (major1 -. major0))
+let words_allocated = Helpers.words_allocated
 
 let big_view_rows = 10_000
 

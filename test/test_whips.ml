@@ -29,6 +29,43 @@ let tests =
         Alcotest.(check bool) "merge RELs" true (has "merge <- REL");
         Alcotest.(check bool) "merge ALs" true (has "merge <- AL");
         Alcotest.(check bool) "warehouse commits" true (has "warehouse commit"));
+    case "timeline is pinned byte for byte on a paper scenario" (fun () ->
+        (* Batched managers at 80 txn/s: a fused commit of two rows, and
+           every message kind of a fault-free run. The multi-row commit's
+           line break comes from the row list's break hint. *)
+        let result =
+          System.run
+            { (System.default Workload.Scenarios.paper_views) with
+              record_timeline = true;
+              vm_kind = System.Batching_vm;
+              arrival = System.Poisson 80.0;
+              seed = 3 }
+        in
+        let expected =
+          [ (0x1.f2d5b0cbab268p-9, "source commit: U1 at src2");
+            ( 0x1.7d57d528604a8p-8,
+              "integrator: U1 (T1@src2{insert S [2; 8]}) REL = {V1, V2}" );
+            (0x1.f34f26fad1384p-8, "merge <- REL_1 = {V1, V2}");
+            (0x1.528522bb645a6p-7, "source commit: U2 at src3");
+            ( 0x1.63c6e4c1a0f2fp-7,
+              "integrator: U2 (T2@src3{insert Q [4; 6]}) REL = {V2, V3}" );
+            (0x1.a7f123bb23bb6p-7, "merge <- REL_2 = {V2, V3}");
+            (0x1.aef44220c97c9p-7, "merge <- AL(V3, 2)");
+            (0x1.06d5437542aa4p-6, "source commit: U3 at src2");
+            ( 0x1.08b85d8ccfd66p-6,
+              "integrator: U3 (T3@src2{delete S [2; 3]}) REL = {V1, V2}" );
+            (0x1.1cdb359cb706dp-6, "merge <- REL_3 = {V1, V2}");
+            (0x1.276d8d520aad9p-6, "merge <- AL(V1, 1)");
+            (0x1.3e16ad328f707p-6, "merge <- AL(V2, 1)");
+            ( 0x1.6a7ee5c2eafdap-6,
+              "warehouse commit: rows [1] -> views {V1, V2}" );
+            (0x1.f64bf813ae22cp-6, "merge <- AL(V2, 3)");
+            (0x1.2879dccc5df59p-5, "merge <- AL(V1, 3)");
+            ( 0x1.28c3da3ac662p-5,
+              "warehouse commit: rows [2,\n3] -> views {V3, V2, V1}" ) ]
+        in
+        Alcotest.(check (list (pair (float 0.0) string)))
+          "timeline" expected result.timeline);
     case "timeline records forwarded RELs under via-manager routing"
       (fun () ->
         let result =
