@@ -46,8 +46,6 @@ let stats t =
 let buffered t row =
   match Hashtbl.find_opt t.pending row with Some als -> als | None -> []
 
-let is_red (e : Vut.entry) = e.color = Vut.Red
-
 (* Collection phase of ProcessRow (Lines 1-5 of Algorithm 2): accumulate
    into [apply_rows] the closure of rows that must be applied together with
    [i], returning false as soon as some required row cannot be applied
@@ -73,34 +71,18 @@ let rec collect t i =
   else if Vut.white_count t.vut ~row:i > 0 then false
   else begin
     t.apply_rows <- Int_set.add i t.apply_rows;
-    let views = Vut.views t.vut in
-    List.for_all
-      (fun view ->
-        if is_red (Vut.entry t.vut ~row:i ~view) then
-          List.for_all (collect t) (Vut.earlier_reds t.vut ~row:i ~view)
-        else true)
-      views
-    && List.for_all
-         (fun view ->
-           let e = Vut.entry t.vut ~row:i ~view in
-           if is_red e && e.state > i then collect t e.state else true)
-         views
+    Vut.for_all_reds t.vut ~row:i (fun ~col ~state:_ ->
+        List.for_all (collect t) (Vut.earlier_reds_at t.vut ~col ~row:i))
+    && Vut.for_all_reds t.vut ~row:i (fun ~col:_ ~state ->
+           state <= i || collect t state)
   end
 
 (* Lines 6-10 of Algorithm 2: gray the closure, emit it as one warehouse
    transaction, rescan for newly enabled rows, purge. *)
 let rec apply_closure t =
-  let views = Vut.views t.vut in
   let rows = Int_set.elements t.apply_rows in
   t.apply_rows <- Int_set.empty;
-  List.iter
-    (fun j ->
-      List.iter
-        (fun view ->
-          if is_red (Vut.entry t.vut ~row:j ~view) then
-            Vut.set_color t.vut ~row:j ~view Vut.Gray)
-        views)
-    rows;
+  List.iter (fun j -> Vut.gray_reds t.vut ~row:j) rows;
   let actions = List.concat_map (fun j -> buffered t j) rows in
   List.iter
     (fun j ->
@@ -116,20 +98,12 @@ let rec apply_closure t =
      rescan probes nextRed from the closure's own gray cells instead of
      scanning the whole table: any extra target the full scan would have
      produced is either already purged or still blocked, and no-ops. *)
-  let targets =
-    List.concat_map
-      (fun row ->
-        List.filter_map
-          (fun view ->
-            let e = Vut.entry t.vut ~row ~view in
-            if e.color = Vut.Gray then
-              let next = Vut.next_red t.vut ~row ~view in
-              if next <> 0 then Some next else None
-            else None)
-          views)
-      rows
-  in
-  List.iter (top_process_row t) (List.sort_uniq Int.compare targets);
+  let targets = ref [] in
+  List.iter
+    (fun row ->
+      Vut.iter_gray_next_reds t.vut ~row (fun next -> targets := next :: !targets))
+    rows;
+  List.iter (top_process_row t) (List.sort_uniq Int.compare !targets);
   (* Line 10: only the closure's rows can have newly become purgeable
      (every cell gray or black after Line 6), so purge exactly those —
      descendant rescans purge their own closures. *)

@@ -50,8 +50,6 @@ let stats t =
 let buffered t row =
   match Hashtbl.find_opt t.pending row with Some als -> als | None -> []
 
-let is_red (e : Vut.entry) = e.color = Vut.Red
-
 (* Procedure ProcessRow(i), Algorithm 1. *)
 let rec process_row t i =
   if Vut.has_row t.vut i then begin
@@ -62,18 +60,10 @@ let rec process_row t i =
        unapplied; lists must reach the warehouse in generation order. A row
        with no red cells cannot be blocked, so the counter short-circuits
        the per-column index probes. *)
-    let blocked_by_earlier =
-      Vut.red_count t.vut ~row:i > 0
-      && Vut.exists_in_row t.vut ~row:i (fun view e ->
-             is_red e && Vut.has_earlier_red t.vut ~row:i ~view)
-    in
+    let blocked_by_earlier = Vut.has_blocked_red t.vut ~row:i in
     if not (some_white || blocked_by_earlier) then begin
       (* Line 3: red -> gray. *)
-      List.iter
-        (fun view ->
-          if is_red (Vut.entry t.vut ~row:i ~view) then
-            Vut.set_color t.vut ~row:i ~view Vut.Gray)
-        (Vut.views t.vut);
+      Vut.gray_reds t.vut ~row:i;
       (* Line 4: apply WT_i as a single warehouse transaction. *)
       let actions = buffered t i in
       Hashtbl.remove t.pending i;
@@ -82,13 +72,7 @@ let rec process_row t i =
       t.run_rows <- t.run_rows + 1;
       t.emit (Warehouse.Wt.make ~rows:[ i ] actions);
       (* Line 5: applying this row may enable later rows. *)
-      List.iter
-        (fun view ->
-          if (Vut.entry t.vut ~row:i ~view).color = Vut.Gray then begin
-            let next = Vut.next_red t.vut ~row:i ~view in
-            if next <> 0 then process_row t next
-          end)
-        (Vut.views t.vut);
+      Vut.iter_gray_next_reds t.vut ~row:i (process_row t);
       (* Line 6: purge. *)
       Vut.purge_row t.vut i
     end

@@ -143,6 +143,66 @@ let fold_row t ~row f init =
     cells;
   !acc
 
+(* Row walks: one row lookup, then the cells by column — the per-row
+   loops of SPA and PA, without a row lookup and a view-name hash per
+   cell. *)
+
+let red_before t ~col row =
+  match Int_set.min_elt_opt t.reds.(col) with
+  | Some i -> i < row
+  | None -> false
+
+let next_red_at t ~col row =
+  match Int_set.find_first_opt (fun i -> i > row) t.reds.(col) with
+  | Some i -> i
+  | None -> 0
+
+let has_blocked_red t ~row =
+  let r = find_row t row in
+  r.n_red > 0
+  &&
+  let n = Array.length r.cells in
+  let rec loop col =
+    col < n
+    && ((r.cells.(col).color = Red && red_before t ~col row) || loop (col + 1))
+  in
+  loop 0
+
+let gray_reds t ~row =
+  let r = find_row t row in
+  Array.iteri
+    (fun col c ->
+      if c.color = Red then begin
+        track_color t ~row ~col Red Gray;
+        bump r Red Gray;
+        c.color <- Gray
+      end)
+    r.cells
+
+let iter_gray_next_reds t ~row f =
+  let r = find_row t row in
+  Array.iteri
+    (fun col c ->
+      if c.color = Gray then begin
+        let next = next_red_at t ~col row in
+        if next <> 0 then f next
+      end)
+    r.cells
+
+let for_all_reds t ~row f =
+  let r = find_row t row in
+  let n = Array.length r.cells in
+  let rec loop col =
+    col >= n
+    || ((r.cells.(col).color <> Red || f ~col ~state:r.cells.(col).state)
+       && loop (col + 1))
+  in
+  loop 0
+
+let earlier_reds_at t ~col ~row =
+  let below, _, _ = Int_set.split row t.reds.(col) in
+  Int_set.elements below
+
 let earlier_with t ~row ~view pred =
   let col = index t view in
   Int_map.fold
@@ -154,16 +214,9 @@ let earlier_with t ~row ~view pred =
     t.table []
   |> List.rev
 
-let earlier_reds t ~row ~view =
-  let col = index t view in
-  let below, _, _ = Int_set.split row t.reds.(col) in
-  Int_set.elements below
+let earlier_reds t ~row ~view = earlier_reds_at t ~col:(index t view) ~row
 
-let has_earlier_red t ~row ~view =
-  let col = index t view in
-  match Int_set.min_elt_opt t.reds.(col) with
-  | Some i -> i < row
-  | None -> false
+let has_earlier_red t ~row ~view = red_before t ~col:(index t view) row
 
 let first_earlier_white t ~row ~view =
   let col = index t view in
@@ -171,11 +224,7 @@ let first_earlier_white t ~row ~view =
   | Some i when i < row -> Some i
   | _ -> None
 
-let next_red t ~row ~view =
-  let col = index t view in
-  match Int_set.find_first_opt (fun i -> i > row) t.reds.(col) with
-  | Some i -> i
-  | None -> 0
+let next_red t ~row ~view = next_red_at t ~col:(index t view) row
 
 let purge_row t row =
   (match Int_map.find_opt row t.table with

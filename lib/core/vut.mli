@@ -88,6 +88,33 @@ val next_red : t -> row:int -> view:string -> int
     entry in column [view] is red; 0 when none (paper convention). Answered
     from the per-column red index in O(log live). *)
 
+(** {2 Row walks}
+
+    One row lookup, then the row's cells in column order: the per-row
+    loops of SPA and PA, without a row lookup and a view-name lookup
+    per cell. Each raises {!Protocol_error} if the row is absent. *)
+
+val has_blocked_red : t -> row:int -> bool
+(** Some red cell of the row has a red cell in an earlier live row of
+    its column (SPA's Line 2). *)
+
+val gray_reds : t -> row:int -> unit
+(** Turn every red cell of the row gray (SPA's Line 3, PA's Line 6). *)
+
+val iter_gray_next_reds : t -> row:int -> (int -> unit) -> unit
+(** For each gray cell of the row, in column order, [f] of nextRed in
+    its column, computed just before that call; columns whose nextRed
+    is 0 are skipped (SPA's Line 5, PA's Line 9 rescan). [f] may change
+    other rows, but not this row's cells. *)
+
+val for_all_reds : t -> row:int -> (col:int -> state:int -> bool) -> bool
+(** Whether [f ~col ~state] holds for every red cell of the row, in
+    column order, stopping at the first [false]. [f] must not change the
+    table. *)
+
+val earlier_reds_at : t -> col:int -> row:int -> int list
+(** {!earlier_reds} for a column given by its position in {!views}. *)
+
 val purge_row : t -> int -> unit
 (** Remove a row. Absent rows are ignored. *)
 

@@ -72,18 +72,16 @@ let restrict_map f t =
     t
 
 (* Steps one by one are exact by construction, and cheaper than a clamp
-   check followed by the summed delta. *)
+   check followed by the summed delta. Each step derives the relation's
+   memoized indexes, so the next delta's probes of this post-state need
+   no rebuild. *)
 let apply db t =
   String_map.fold
     (fun name c db ->
       match Database.find_opt db name with
       | None -> db
       | Some rel ->
-        Database.add name
-          (Relation.with_contents rel
-             (List.fold_right Signed_bag.apply c.rev_steps
-                (Relation.contents rel)))
-          db)
+        Database.add name (List.fold_right Relation.derive c.rev_steps rel) db)
     t db
 
 let change_for t name =

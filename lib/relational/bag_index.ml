@@ -7,9 +7,19 @@
    a handful of int compares — no per-probe tuple hashing or boxed key
    allocation. Counts may be negative (signed deltas index fine); a
    count that reaches exactly zero under [apply_signed] is dead and
-   skipped by every reader. *)
+   skipped by every reader.
 
-type t = {
+   An index is that flat table (the base) plus an overlay: a persistent
+   map from key ids to the entries of the key whose count differs from
+   the base's. Built indexes have an empty overlay. [derive] records
+   each change in a new overlay that shares all but O(|delta| log k)
+   nodes with its parent's and the base by pointer, so every version of
+   a maintained relation keeps its own index without copying a row;
+   once the overlay reaches a quarter of the base it is folded into a
+   fresh flat table. A derived-from base is frozen: [apply_signed] (the
+   in-place path) refuses it, so no version's probes ever change. *)
+
+type flat = {
   key_pos : int array;
   karity : int;
   mutable tups : Tuple.t array;
@@ -20,6 +30,33 @@ type t = {
   mutable next : int array;
   mutable used : int;  (* occupied slots (distinct keys) *)
   mutable dead : int;  (* rows whose count reached exactly 0 (tombstones) *)
+  mutable frozen : bool;  (* some derived index shares this table *)
+}
+
+(* An overlaid entry: the tuple's count in this version (0 = deleted)
+   and the base row it overrides, or -1 when the base holds no live row
+   for the tuple. An entry never repeats the base's count. *)
+type over = { otup : Tuple.t; ocount : int; orow : int }
+
+module Key_map = Map.Make (struct
+  type t = int array
+
+  let compare (a : int array) b =
+    let n = Array.length a in
+    let rec go c =
+      if c >= n then 0
+      else
+        let d = Int.compare a.(c) b.(c) in
+        if d <> 0 then d else go (c + 1)
+    in
+    go 0
+end)
+
+type t = {
+  base : flat;
+  over : over list Key_map.t;
+  n_over : int;  (* overlaid entries *)
+  live_delta : int;  (* live entries minus the base's *)
 }
 
 let dummy_tuple = Tuple.of_list []
@@ -31,18 +68,18 @@ let hash_ids ids off karity =
   done;
   !h land max_int
 
-let row_hash t row = hash_ids t.keys (row * t.karity) t.karity
+let row_hash b row = hash_ids b.keys (row * b.karity) b.karity
 
-let keys_equal_rows t a b =
-  let ka = a * t.karity and kb = b * t.karity in
+let keys_equal_rows b a r =
+  let ka = a * b.karity and kb = r * b.karity in
   let rec go c =
-    c >= t.karity || (t.keys.(ka + c) = t.keys.(kb + c) && go (c + 1))
+    c >= b.karity || (b.keys.(ka + c) = b.keys.(kb + c) && go (c + 1))
   in
   go 0
 
-let keys_equal_probe t row (ids : int array) =
-  let k = row * t.karity in
-  let rec go c = c >= t.karity || (t.keys.(k + c) = ids.(c) && go (c + 1)) in
+let keys_equal_probe b row (ids : int array) =
+  let k = row * b.karity in
+  let rec go c = c >= b.karity || (b.keys.(k + c) = ids.(c) && go (c + 1)) in
   go 0
 
 let create ~key_pos cap =
@@ -55,150 +92,255 @@ let create ~key_pos cap =
     tups = Array.make cap dummy_tuple; counts = Array.make cap 0;
     keys = Array.make (cap * Array.length key_pos + 1) 0; n = 0;
     slots = Array.make scap 0; next = Array.make cap (-1); used = 0;
-    dead = 0 }
+    dead = 0; frozen = false }
 
 (* Link [row] into the table: linear-probe for its key's slot. *)
-let link t row =
-  let mask = Array.length t.slots - 1 in
-  let h = ref (row_hash t row land mask) in
+let link b row =
+  let mask = Array.length b.slots - 1 in
+  let h = ref (row_hash b row land mask) in
   let placed = ref false in
   while not !placed do
-    let head = t.slots.(!h) in
+    let head = b.slots.(!h) in
     if head = 0 then begin
-      t.slots.(!h) <- row + 1;
-      t.next.(row) <- -1;
-      t.used <- t.used + 1;
+      b.slots.(!h) <- row + 1;
+      b.next.(row) <- -1;
+      b.used <- b.used + 1;
       placed := true
     end
-    else if keys_equal_rows t (head - 1) row then begin
-      t.next.(row) <- head - 1;
-      t.slots.(!h) <- row + 1;
+    else if keys_equal_rows b (head - 1) row then begin
+      b.next.(row) <- head - 1;
+      b.slots.(!h) <- row + 1;
       placed := true
     end
     else h := (!h + 1) land mask
   done
 
-let rehash t =
-  let scap = 2 * Array.length t.slots in
-  t.slots <- Array.make scap 0;
-  t.used <- 0;
-  for row = 0 to t.n - 1 do
-    link t row
+let rehash b =
+  let scap = 2 * Array.length b.slots in
+  b.slots <- Array.make scap 0;
+  b.used <- 0;
+  for row = 0 to b.n - 1 do
+    link b row
   done
 
-let grow_rows t =
-  let cap = 2 * Array.length t.tups in
+let grow_rows b =
+  let cap = 2 * Array.length b.tups in
   let tups = Array.make cap dummy_tuple in
-  Array.blit t.tups 0 tups 0 t.n;
-  t.tups <- tups;
+  Array.blit b.tups 0 tups 0 b.n;
+  b.tups <- tups;
   let counts = Array.make cap 0 in
-  Array.blit t.counts 0 counts 0 t.n;
-  t.counts <- counts;
-  let keys = Array.make (cap * t.karity + 1) 0 in
-  Array.blit t.keys 0 keys 0 (t.n * t.karity);
-  t.keys <- keys;
+  Array.blit b.counts 0 counts 0 b.n;
+  b.counts <- counts;
+  let keys = Array.make (cap * b.karity + 1) 0 in
+  Array.blit b.keys 0 keys 0 (b.n * b.karity);
+  b.keys <- keys;
   let next = Array.make cap (-1) in
-  Array.blit t.next 0 next 0 t.n;
-  t.next <- next
+  Array.blit b.next 0 next 0 b.n;
+  b.next <- next
 
 (* Append a new row (not yet linked). *)
-let push_row t tup count =
-  if t.n = Array.length t.tups then grow_rows t;
-  let row = t.n in
-  t.tups.(row) <- tup;
-  t.counts.(row) <- count;
-  let k = row * t.karity in
-  for c = 0 to t.karity - 1 do
-    t.keys.(k + c) <- Value.intern (Tuple.get tup t.key_pos.(c))
+let push_row b tup count =
+  if b.n = Array.length b.tups then grow_rows b;
+  let row = b.n in
+  b.tups.(row) <- tup;
+  b.counts.(row) <- count;
+  let k = row * b.karity in
+  for c = 0 to b.karity - 1 do
+    b.keys.(k + c) <- Value.intern (Tuple.get tup b.key_pos.(c))
   done;
-  t.n <- row + 1;
-  if 2 * t.used >= Array.length t.slots then rehash t;
-  link t row
+  b.n <- row + 1;
+  if 2 * b.used >= Array.length b.slots then rehash b;
+  link b row
 
-let add t tup n = if n <> 0 then push_row t tup n
+let add b tup n = if n <> 0 then push_row b tup n
+
+let of_flat base = { base; over = Key_map.empty; n_over = 0; live_delta = 0 }
 
 let of_counted ~key_pos entries =
-  let t = create ~key_pos (List.length entries) in
-  List.iter (fun (tup, n) -> add t tup n) entries;
-  t
+  let b = create ~key_pos (List.length entries) in
+  List.iter (fun (tup, n) -> add b tup n) entries;
+  of_flat b
 
 let of_bag ~key_pos bag =
-  let t = create ~key_pos (Bag.distinct bag) in
-  Bag.iter (fun tup n -> add t tup n) bag;
-  t
+  let b = create ~key_pos (Bag.distinct bag) in
+  Bag.iter (fun tup n -> add b tup n) bag;
+  of_flat b
 
 (* Chain head for the key given as interned ids, or -1. *)
-let find_head t (ids : int array) =
-  let mask = Array.length t.slots - 1 in
-  let s = ref (hash_ids ids 0 t.karity land mask) in
+let find_head b (ids : int array) =
+  let mask = Array.length b.slots - 1 in
+  let s = ref (hash_ids ids 0 b.karity land mask) in
   let res = ref (-2) in
   while !res = -2 do
-    let head = t.slots.(!s) in
+    let head = b.slots.(!s) in
     if head = 0 then res := -1
-    else if keys_equal_probe t (head - 1) ids then res := head - 1
+    else if keys_equal_probe b (head - 1) ids then res := head - 1
     else s := (!s + 1) land mask
   done;
   !res
 
+let key_ids b tup =
+  Array.map (fun p -> Value.intern (Tuple.get tup p)) b.key_pos
+
+let overlaid t ids =
+  if t.n_over = 0 then []
+  else match Key_map.find_opt ids t.over with Some l -> l | None -> []
+
+let rec overrides row = function
+  | [] -> false
+  | o :: rest -> o.orow = row || overrides row rest
+
+(* The base chain minus the rows the key's overlay overrides, then the
+   overlay's live entries. *)
 let fold_ids t ids f acc =
+  let b = t.base and ovs = overlaid t ids in
   let rec go row acc =
     if row < 0 then acc
     else
-      go t.next.(row)
-        (if t.counts.(row) = 0 then acc else f t.tups.(row) t.counts.(row) acc)
+      go b.next.(row)
+        (if b.counts.(row) = 0 || overrides row ovs then acc
+         else f b.tups.(row) b.counts.(row) acc)
   in
-  go (find_head t ids) acc
+  let acc = go (find_head b ids) acc in
+  match ovs with
+  | [] -> acc
+  | _ ->
+    List.fold_left
+      (fun acc o -> if o.ocount = 0 then acc else f o.otup o.ocount acc)
+      acc ovs
 
 let find t key =
   fold_ids t (Tuple.intern key) (fun tup n acc -> (tup, n) :: acc) []
 
-let key_of t tup = Tuple.project_pos t.key_pos tup
+let key_of t tup = Tuple.project_pos t.base.key_pos tup
 
 let find_matching t tup = find t (key_of t tup)
 
+(* Every live entry: the base rows no overlay entry overrides, then the
+   overlay's live entries. *)
+let iter_live t f =
+  let b = t.base in
+  let overridden = Array.make (if t.n_over = 0 then 0 else b.n) false in
+  Key_map.iter
+    (fun _ ovs ->
+      List.iter (fun o -> if o.orow >= 0 then overridden.(o.orow) <- true) ovs)
+    t.over;
+  for row = 0 to b.n - 1 do
+    if b.counts.(row) <> 0 && not (t.n_over > 0 && overridden.(row)) then
+      f b.tups.(row) b.counts.(row)
+  done;
+  Key_map.iter
+    (fun _ ovs -> List.iter (fun o -> if o.ocount <> 0 then f o.otup o.ocount) ovs)
+    t.over
+
 (* Live groups, rebuilt by scan (test/debug surface, not a hot path). *)
 let groups t =
-  let heads = Hashtbl.create (t.used + 1) in
-  for row = 0 to t.n - 1 do
-    if t.counts.(row) <> 0 then begin
-      let key = key_of t t.tups.(row) in
+  let heads = Hashtbl.create (t.base.used + 1) in
+  iter_live t (fun tup n ->
+      let key = key_of t tup in
       let existing =
         match Hashtbl.find_opt heads key with Some l -> l | None -> []
       in
-      Hashtbl.replace heads key ((t.tups.(row), t.counts.(row)) :: existing)
-    end
-  done;
+      Hashtbl.replace heads key ((tup, n) :: existing));
   Hashtbl.fold (fun key entries acc -> (key, entries) :: acc) heads []
 
 let n_keys t = List.length (groups t)
+
+(* ---- Derivation ---- *)
+
+let flattens_counter = Atomic.make 0
+
+let flattens () = Atomic.get flattens_counter
+
+let live_rows t = t.base.n - t.base.dead + t.live_delta
+
+let flatten t =
+  Atomic.incr flattens_counter;
+  let b = create ~key_pos:t.base.key_pos (live_rows t) in
+  iter_live t (add b);
+  of_flat b
+
+(* The live base row holding [tup] in the chain of [ids], or -1. *)
+let base_row b ids tup =
+  let rec go row =
+    if row < 0 then -1
+    else if b.counts.(row) <> 0 && Tuple.equal b.tups.(row) tup then row
+    else go b.next.(row)
+  in
+  go (find_head b ids)
+
+(* One tuple's step, as [Signed_bag.apply] takes it: an insertion adds,
+   a deletion removes and floors the count at zero. *)
+let derive_entry b tup n ((over, n_over, live_delta) as acc) =
+  let ids = key_ids b tup in
+  let ovs = match Key_map.find_opt ids over with Some l -> l | None -> [] in
+  let old, row, rest =
+    match List.partition (fun o -> Tuple.equal o.otup tup) ovs with
+    | o :: _, rest -> (o.ocount, o.orow, rest)
+    | [], _ ->
+      let row = base_row b ids tup in
+      ((if row < 0 then 0 else b.counts.(row)), row, ovs)
+  in
+  let now = if n > 0 then old + n else max 0 (old + n) in
+  if now = old then acc
+  else begin
+    let in_base = if row < 0 then 0 else b.counts.(row) in
+    let ovs' =
+      if now = in_base then rest else { otup = tup; ocount = now; orow = row } :: rest
+    in
+    ( (match ovs' with
+      | [] -> Key_map.remove ids over
+      | _ -> Key_map.add ids ovs' over),
+      n_over - List.length ovs + List.length ovs',
+      live_delta + Bool.to_int (now <> 0) - Bool.to_int (old <> 0) )
+  end
+
+let derive t delta =
+  if Signed_bag.is_zero delta then t
+  else begin
+    let b = t.base in
+    let over, n_over, live_delta =
+      Signed_bag.fold (derive_entry b) delta (t.over, t.n_over, t.live_delta)
+    in
+    if over == t.over then t
+    else begin
+      b.frozen <- true;
+      let d = { base = b; over; n_over; live_delta } in
+      (* Probes pay O(log k) per key for the overlay, and the base rows
+         it overrides stay allocated; a quarter of the base bounds both
+         and amortizes the O(n) rebuild over the n/4 derivations that
+         filled the overlay. *)
+      if n_over >= 16 && 4 * n_over >= b.n - b.dead then flatten d else d
+    end
+  end
 
 (* Tombstone compaction: slide live rows down over the dead ones and
    relink every chain from scratch. Row order within a key's chain is
    not preserved — consumers canonicalize into bags, so only the set of
    live (tuple, count) entries matters, and that is untouched. *)
-let compact t =
+let compact b =
   let m = ref 0 in
-  for row = 0 to t.n - 1 do
-    if t.counts.(row) <> 0 then begin
+  for row = 0 to b.n - 1 do
+    if b.counts.(row) <> 0 then begin
       let m' = !m in
       if m' <> row then begin
-        t.tups.(m') <- t.tups.(row);
-        t.counts.(m') <- t.counts.(row);
-        Array.blit t.keys (row * t.karity) t.keys (m' * t.karity) t.karity
+        b.tups.(m') <- b.tups.(row);
+        b.counts.(m') <- b.counts.(row);
+        Array.blit b.keys (row * b.karity) b.keys (m' * b.karity) b.karity
       end;
       incr m
     end
   done;
-  for row = !m to t.n - 1 do
-    t.tups.(row) <- dummy_tuple;
-    t.counts.(row) <- 0
+  for row = !m to b.n - 1 do
+    b.tups.(row) <- dummy_tuple;
+    b.counts.(row) <- 0
   done;
-  t.n <- !m;
-  t.dead <- 0;
-  Array.fill t.slots 0 (Array.length t.slots) 0;
-  t.used <- 0;
-  for row = 0 to t.n - 1 do
-    link t row
+  b.n <- !m;
+  b.dead <- 0;
+  Array.fill b.slots 0 (Array.length b.slots) 0;
+  b.used <- 0;
+  for row = 0 to b.n - 1 do
+    link b row
   done
 
 (* In-place signed migration. The empty-delta fast path returns before
@@ -206,33 +348,37 @@ let compact t =
    calls this for every live index, delta or no delta. *)
 let apply_signed t delta =
   if not (Signed_bag.is_zero delta) then begin
+    let b = t.base in
+    if b.frozen || t.n_over > 0 then
+      invalid_arg "Bag_index.apply_signed: index shared with derived versions";
     Signed_bag.fold
       (fun tup n () ->
-        let ids =
-          Array.map
-            (fun p -> Value.intern (Tuple.get tup p))
-            t.key_pos
-        in
         let rec adjust row =
-          if row < 0 then push_row t tup n
-          else if t.counts.(row) <> 0 && Tuple.equal t.tups.(row) tup then begin
-            t.counts.(row) <- t.counts.(row) + n;
-            if t.counts.(row) = 0 then t.dead <- t.dead + 1
+          if row < 0 then push_row b tup n
+          else if b.counts.(row) <> 0 && Tuple.equal b.tups.(row) tup then begin
+            b.counts.(row) <- b.counts.(row) + n;
+            if b.counts.(row) = 0 then b.dead <- b.dead + 1
           end
-          else adjust t.next.(row)
+          else adjust b.next.(row)
         in
-        adjust (find_head t ids))
+        adjust (find_head b (key_ids b tup)))
       delta ();
     (* Long-lived indexes under churn accumulate count-0 tombstones that
        every probe must skip and that keep forcing slot-table growth.
        Rehash in place once tombstones dominate: amortized O(1) per
        migrated entry, and row/slot storage stays proportional to the
        live population. *)
-    if t.n >= 16 && 2 * t.dead >= t.n then compact t
+    if b.n >= 16 && 2 * b.dead >= b.n then compact b
   end
 
-type occupancy = { rows : int; live : int; tombstones : int; slots : int }
+type occupancy = {
+  rows : int;
+  live : int;
+  tombstones : int;
+  slots : int;
+  overlay : int;
+}
 
 let occupancy t =
-  { rows = t.n; live = t.n - t.dead; tombstones = t.dead;
-    slots = Array.length t.slots }
+  { rows = t.base.n; live = live_rows t; tombstones = t.base.dead;
+    slots = Array.length t.base.slots; overlay = t.n_over }

@@ -22,6 +22,8 @@ let mem t name = String_map.mem name t
 
 let schema t name = Relation.schema (find t name)
 
+let map f t = String_map.map f t
+
 let names t = List.map fst (String_map.bindings t)
 
 let restrict t keep =

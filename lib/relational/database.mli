@@ -26,6 +26,9 @@ val mem : t -> string -> bool
 val schema : t -> string -> Schema.t
 (** @raise Unknown_relation if absent. *)
 
+val map : (Relation.t -> Relation.t) -> t -> t
+(** Apply [f] to every relation, keeping the names. *)
+
 val names : t -> string list
 
 val restrict : t -> string list -> t

@@ -17,7 +17,12 @@
    exactly this version's contents. Keeping the parent's bag rather
    than the parent record holds one level, never a chain: the bag is
    persistent and shares all but O(|delta| log n) nodes with this
-   version's contents. *)
+   version's contents.
+
+   A version built by [derive] — a maintenance cache's next state —
+   instead carries its parent's indexes, each derived in O(|delta|)
+   (Bag_index.derive), so the delta rules' first probe after a change
+   finds an index instead of rebuilding one over the whole relation. *)
 
 type t = {
   schema : Schema.t;
@@ -69,6 +74,30 @@ let apply_delta delta t =
     in
     make ?origin t.schema (Signed_bag.apply delta t.contents)
 
+let derived_counter = Atomic.make 0
+
+let builds_counter = Atomic.make 0
+
+let index_derived () = Atomic.get derived_counter
+
+let index_builds () = Atomic.get builds_counter
+
+let derive delta t =
+  if Signed_bag.is_zero delta then t
+  else
+    let child = make t.schema (Signed_bag.apply delta t.contents) in
+    match t.idxs with
+    | [] -> child
+    | idxs ->
+      ignore (Atomic.fetch_and_add derived_counter (List.length idxs));
+      child.idxs <-
+        List.map (fun (kp, idx) -> (kp, Bag_index.derive idx delta)) idxs;
+      child
+
+let contents_only t =
+  if Option.is_none t.origin && Option.is_none t.col && t.idxs = [] then t
+  else make t.schema t.contents
+
 let delta_since ~pre post =
   if post.contents == pre.contents then Some Signed_bag.zero
   else
@@ -92,6 +121,7 @@ let index t ~key_pos =
   match lookup t.idxs with
   | Some idx -> idx
   | None ->
+    Atomic.incr builds_counter;
     let idx = Bag_index.of_bag ~key_pos t.contents in
     t.idxs <- (key_pos, idx) :: t.idxs;
     idx

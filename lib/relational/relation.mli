@@ -32,6 +32,34 @@ val apply_delta : Signed_bag.t -> t -> t
     {!delta_since}. It keeps the parent's contents, not the parent
     record, so versions never chain. *)
 
+val derive : Signed_bag.t -> t -> t
+(** [derive delta t] is [t] with [delta] applied as {!Signed_bag.apply}
+    applies it (deletions floor at zero) — how a view manager advances
+    its base-data cache, one source step at a time. Every index
+    memoized on [t] is carried into the result by {!Bag_index.derive}
+    in O(|delta|), mirroring the clamp, so a cache's indexes survive
+    updates instead of being rebuilt on the first probe after each one
+    (counted by {!index_derived}). [t] is not changed and keeps
+    answering for its own contents. No chunk and no provenance is
+    carried: chunks are re-encoded on first use, and {!delta_since}
+    answers [None] against the parent. An empty delta returns [t]
+    itself. Store and source versions ({!apply_delta}, {!insert},
+    {!delete}) keep building indexes lazily: they are retained across
+    versions, and carried indexes would keep every overlay alive. *)
+
+val index_derived : unit -> int
+(** Process-wide count of indexes {!derive} carried into a child. *)
+
+val index_builds : unit -> int
+(** Process-wide count of indexes {!index} built over a version's
+    whole contents. *)
+
+val contents_only : t -> t
+(** The same schema and contents without memoized chunks, indexes or
+    provenance — what a checkpoint should marshal: memos hold
+    process-local interned ids and are rebuilt on demand. Returns [t]
+    itself when it holds none. *)
+
 val delta_since : pre:t -> t -> Signed_bag.t option
 (** [delta_since ~pre post] is the exact delta from [pre]'s contents to
     [post]'s when [post] knows it without a diff: [Some zero] when both
@@ -50,9 +78,11 @@ val columnar : t -> Columnar.t
     chunks, so a version no such plan reads never pays for one. *)
 
 val index : t -> key_pos:int array -> Bag_index.t
-(** Memoized hash index over the contents keyed at [key_pos]. The
-    returned index is shared — callers must treat it as read-only
-    (never {!Bag_index.apply_signed} it); the delta rules only probe. *)
+(** Memoized hash index over the contents keyed at [key_pos]: built at
+    most once per version (counted by {!index_builds}), or carried from
+    the parent by {!derive}. The returned index is shared — callers
+    must treat it as read-only (never {!Bag_index.apply_signed} it); the
+    delta rules only probe. *)
 
 val index_stats : t -> Bag_index.occupancy list
 (** Occupancy of every memoized index of this relation version (empty if

@@ -69,7 +69,8 @@ val step :
 
 val advance : t -> Database.t -> Query.Delta.changes -> Database.t
 (** Apply (already {!project}ed) changes to the auxiliary state, step
-    by step as the sources applied them ({!Query.Delta.apply}). *)
+    by step as the sources applied them ({!Query.Delta.apply}), which
+    carries the cache's memoized indexes into the new state. *)
 
 type storage = {
   aux_rows : int;  (** rows across all auxiliary relations at [ss_0] *)

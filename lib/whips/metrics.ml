@@ -40,6 +40,9 @@ type t = {
   group_state_builds : int Atomic.t;
   group_state_drops : int Atomic.t;
   group_rows : int Atomic.t;
+  index_builds : int Atomic.t;
+  index_derived : int Atomic.t;
+  index_flattens : int Atomic.t;
   cache_refreshes : int Atomic.t;
   cache_refresh_fallbacks : int Atomic.t;
   cache_deltas_carried : int Atomic.t;
@@ -85,7 +88,8 @@ let create () =
     shared_hits = Atomic.make 0; shared_misses = Atomic.make 0;
     shared_rows = Atomic.make 0; memo_contention = Atomic.make 0;
     group_state_builds = Atomic.make 0; group_state_drops = Atomic.make 0;
-    group_rows = Atomic.make 0;
+    group_rows = Atomic.make 0; index_builds = Atomic.make 0;
+    index_derived = Atomic.make 0; index_flattens = Atomic.make 0;
     cache_refreshes = Atomic.make 0; cache_refresh_fallbacks = Atomic.make 0;
     cache_deltas_carried = Atomic.make 0; cache_deltas_diffed = Atomic.make 0;
     cache_snapshots = Atomic.make 0;
@@ -104,20 +108,29 @@ type kernel_counters = {
   k_group_state_builds : int;
   k_group_state_drops : int;
   k_group_rows : int;
+  k_index_builds : int;
+  k_index_derived : int;
+  k_index_flattens : int;
 }
 
 let kernel_counters () =
   { k_memo_contention = Query.Compiled.memo_contention ();
     k_group_state_builds = Query.Compiled.group_state_builds ();
     k_group_state_drops = Query.Compiled.group_state_drops ();
-    k_group_rows = Query.Compiled.group_rows () }
+    k_group_rows = Query.Compiled.group_rows ();
+    k_index_builds = Relational.Relation.index_builds ();
+    k_index_derived = Relational.Relation.index_derived ();
+    k_index_flattens = Relational.Bag_index.flattens () }
 
 let add_kernel_counters_since t k0 =
   let k = kernel_counters () in
   add t.memo_contention (k.k_memo_contention - k0.k_memo_contention);
   add t.group_state_builds (k.k_group_state_builds - k0.k_group_state_builds);
   add t.group_state_drops (k.k_group_state_drops - k0.k_group_state_drops);
-  add t.group_rows (k.k_group_rows - k0.k_group_rows)
+  add t.group_rows (k.k_group_rows - k0.k_group_rows);
+  add t.index_builds (k.k_index_builds - k0.k_index_builds);
+  add t.index_derived (k.k_index_derived - k0.k_index_derived);
+  add t.index_flattens (k.k_index_flattens - k0.k_index_flattens)
 
 let throughput t =
   if t.completed_at <= 0.0 then 0.0
@@ -155,7 +168,8 @@ let pp ppf t =
      serving: reads=%d rtput=%.2f/s cache=%d/%d clamped=%d \
      refreshed=%d refresh-fallbacks=%d deltas-carried=%d deltas-diffed=%d snapshots=%d@ \
      shared-plans: hits=%d/%d rows-maintained=%d memo-contention=%d@ \
-     group-state: builds=%d drops=%d rows-folded=%d@ \
+     group-state: builds=%d drops=%d rows-folded=%d index-builds=%d \
+     index-derived=%d index-flattens=%d@ \
      distributed: union-reads=%d shard-fanout: %a@ \
      sources: queries=%d latency: %a@ \
      selfmaint: aux-rows=%d aux-cells=%d saved-cells=%d@ \
@@ -194,6 +208,8 @@ let pp ppf t =
     (Atomic.get t.memo_contention)
     (Atomic.get t.group_state_builds) (Atomic.get t.group_state_drops)
     (Atomic.get t.group_rows)
+    (Atomic.get t.index_builds) (Atomic.get t.index_derived)
+    (Atomic.get t.index_flattens)
     (Atomic.get t.union_reads)
     Sim.Stats.Summary.pp t.routed_shards
     (Atomic.get t.source_queries)

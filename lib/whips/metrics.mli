@@ -104,6 +104,17 @@ type t = {
           ({!Query.Compiled.group_rows} delta): the refolds of stateful
           steps (a deleted Min/Max extreme, a changed float Sum or Avg)
           and both folds per affected group of the stateless rule. *)
+  index_builds : int Atomic.t;
+      (** Relation indexes built over a version's whole contents
+          ({!Relational.Relation.index_builds} delta): the first probe of
+          a base relation version whose index was not derived. *)
+  index_derived : int Atomic.t;
+      (** Indexes carried into a view manager's next cache version in
+          O(|delta|) ({!Relational.Relation.index_derived} delta). *)
+  index_flattens : int Atomic.t;
+      (** Derived indexes whose overlay reached a quarter of their table
+          and were rebuilt flat ({!Relational.Bag_index.flattens}
+          delta). *)
   cache_refreshes : int Atomic.t;
       (** Result-cache entries advanced in place by incremental refresh
           at commit. *)
@@ -163,8 +174,9 @@ val kernel_counters : unit -> kernel_counters
 
 val add_kernel_counters_since : t -> kernel_counters -> unit
 (** Add what the kernel counters accrued since the snapshot to
-    [memo_contention], [group_state_builds], [group_state_drops] and
-    [group_rows]. The counters are process-wide, so runs must not
+    [memo_contention], [group_state_builds], [group_state_drops],
+    [group_rows], [index_builds], [index_derived] and
+    [index_flattens]. The counters are process-wide, so runs must not
     overlap for the attribution to be exact. *)
 
 val throughput : t -> float

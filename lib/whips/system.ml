@@ -819,6 +819,7 @@ let run_pipelined cfg =
     else Format.ikfprintf ignore Format.err_formatter fmt
   in
   let names = Fmt.(list ~sep:(any ", ") string) in
+  let row_ids = Fmt.(list ~sep:(any ", ") int) in
   (* Fault plan: the config's channel-level plan plus the deterministic
      translation of Drop_action_list faults (the nth physical message on
      the manager's action-list channel). Injection happens in the channel,
@@ -1082,8 +1083,7 @@ let run_pipelined cfg =
         if durable_on && batch_mode <> Fused then
           Durable.Wal.append wh_wal (time, wt))
       ~on_commit:(fun wt ->
-        record "warehouse commit: rows [%a] -> views {%a}"
-          (Fmt.list ~sep:Fmt.comma Fmt.int)
+        record "warehouse commit: rows [%a] -> views {%a}" row_ids
           wt.Warehouse.Wt.rows
           (fun ppf wt -> names ppf (Warehouse.Wt.views wt))
           wt;
@@ -1212,14 +1212,12 @@ let run_pipelined cfg =
     while not (Queue.is_empty emitted.(gi)) do
       let wt = Queue.pop emitted.(gi) in
       if !wh_down then
-        record "warehouse down: WT for rows [%a] lost"
-          (Fmt.list ~sep:Fmt.comma Fmt.int)
+        record "warehouse down: WT for rows [%a] lost" row_ids
           wt.Warehouse.Wt.rows
       else begin
         note_wh_event ();
         if !wh_down then
-          record "warehouse crashed receiving WT for rows [%a]"
-            (Fmt.list ~sep:Fmt.comma Fmt.int)
+          record "warehouse crashed receiving WT for rows [%a]" row_ids
             wt.Warehouse.Wt.rows
         else if
           process_crashes
@@ -1231,8 +1229,7 @@ let run_pipelined cfg =
           (* Recovery re-derived a WT the pre-crash incarnation already
              submitted; committing it twice would double-apply. *)
           incr dup_wts;
-          record "duplicate WT for rows [%a] dropped at submit"
-            (Fmt.list ~sep:Fmt.comma Fmt.int)
+          record "duplicate WT for rows [%a] dropped at submit" row_ids
             wt.Warehouse.Wt.rows
         end
         else begin
@@ -1296,9 +1293,7 @@ let run_pipelined cfg =
         let bwt = Warehouse.Wt.batch wts in
         if List.length wts > 1 then
           record "merge: fused %d WTs into one BWT (rows [%a])"
-            (List.length wts)
-            (Fmt.list ~sep:Fmt.comma Fmt.int)
-            bwt.Warehouse.Wt.rows;
+            (List.length wts) row_ids bwt.Warehouse.Wt.rows;
         (* As a single-entry run so the submitter plans it: the BWT's
            action lists are coalesced per view — a batch cancels its own
            churn — and the per-view walks fan across the pool. *)
@@ -1628,7 +1623,10 @@ let run_pipelined cfg =
         Durable.Wal.append wal txn.Update.Transaction.id;
         incr aux_applies;
         if !aux_applies mod dur.checkpoint_every = 0 then
-          Durable.Wal.checkpoint wal (cache, txn.Update.Transaction.id)
+          (* Contents only: memos hold process-local interned ids. *)
+          Durable.Wal.checkpoint wal
+            ( Database.map Relation.contents_only cache,
+              txn.Update.Transaction.id )
     in
     let receive_ref = ref (fun (_ : Update.Transaction.t) -> ()) in
     let integ_link =

@@ -231,5 +231,196 @@ let index_tests =
                  (Signed_bag.of_list (Bag_index.find_matching rebuilt tup)))
           post true) ]
 
+(* ---- Derived indexes: the chain oracle ---- *)
+
+(* One entry of a derivation step, resolved against the parent's live
+   tuples when the step is built: an insertion (a fresh tuple or a
+   re-insertion), a deletion of a live tuple (by position, possibly of
+   more copies than it holds: a clamp), a modify (a live tuple out, a
+   tuple in, in one step), or a deletion of a tuple the parent may not
+   hold. *)
+type derive_op =
+  | Ins of Tuple.t * int
+  | Del of int * int
+  | Modify of int * Tuple.t
+  | Del_any of Tuple.t
+
+let derive_tuple_gen = Helpers.Gen.int_tuple ~arity:2 ~range:6
+
+let derive_op_gen =
+  QCheck2.Gen.(
+    oneof
+      [ map2 (fun t n -> Ins (t, n)) derive_tuple_gen (int_range 1 2);
+        map2 (fun i n -> Del (i, n)) nat (int_range 1 3);
+        map2 (fun i t -> Modify (i, t)) nat derive_tuple_gen;
+        map (fun t -> Del_any t) derive_tuple_gen ])
+
+(* A root bag, then steps: each derives from a version picked by the
+   int (mostly the latest, so chains run long enough to cross a
+   flatten; otherwise any earlier one, so parents get several
+   children). *)
+let derive_chain_gen =
+  QCheck2.Gen.(
+    pair
+      (list_size (int_range 0 24) derive_tuple_gen)
+      (list_size (int_range 1 70)
+         (pair (int_range 0 99) (list_size (int_range 1 4) derive_op_gen))))
+
+let step_of_ops bag ops =
+  let live = Array.of_list (Bag.to_list bag) in
+  let pick i = live.(i mod Array.length live) in
+  List.fold_left
+    (fun acc op ->
+      match op with
+      | Ins (t, n) -> Signed_bag.add t n acc
+      | Del (i, n) when live <> [||] -> Signed_bag.add (pick i) (-n) acc
+      | Modify (i, t) when live <> [||] ->
+        Signed_bag.add t 1 (Signed_bag.add (pick i) (-1) acc)
+      | Del _ | Modify _ -> acc
+      | Del_any t -> Signed_bag.add t (-1) acc)
+    Signed_bag.zero ops
+
+(* The oracle's probes: every key of the domain plus one never
+   generated, over a one-column and a two-column key. *)
+let derive_key_sets =
+  let domain = List.init 7 Fun.id in
+  [ ([| 0 |], List.map (fun k -> [ k ]) domain);
+    ( [| 1; 0 |],
+      List.concat_map (fun a -> List.map (fun b -> [ a; b ]) domain) domain ) ]
+
+let derive_chain_prop (root, steps) =
+  let schema = Helpers.int_schema [ "a"; "b" ] in
+  let root = Relation.of_tuples schema root in
+  List.iter
+    (fun (key_pos, _) -> ignore (Relation.index root ~key_pos))
+    derive_key_sets;
+  (* Every version descends from the root, so every probe below must
+     find a derived index: a build would make the oracle vacuous. *)
+  let builds = Relation.index_builds () in
+  let answers rel =
+    List.concat_map
+      (fun (key_pos, keys) ->
+        let idx = Relation.index rel ~key_pos
+        and fresh = Bag_index.of_bag ~key_pos (Relation.contents rel) in
+        List.map
+          (fun key ->
+            let ids =
+              Array.of_list (List.map (fun v -> Value.intern (Value.Int v)) key)
+            in
+            let probe i =
+              Bag_index.fold_ids i ids
+                (fun tup n acc -> Signed_bag.add tup n acc)
+                Signed_bag.zero
+            in
+            (probe idx, probe fresh))
+          keys)
+      derive_key_sets
+  in
+  let check what rel =
+    List.iter
+      (fun (got, want) ->
+        if not (Signed_bag.equal got want) then
+          QCheck2.Test.fail_reportf "%s: probe %a, fresh index %a" what
+            Signed_bag.pp got Signed_bag.pp want)
+      (answers rel);
+    let live =
+      (Bag_index.occupancy (Relation.index rel ~key_pos:[| 0 |])).Bag_index.live
+    in
+    let distinct = List.length (Bag.to_counted_list (Relation.contents rel)) in
+    if live <> distinct then
+      QCheck2.Test.fail_reportf "%s: %d live entries, %d distinct tuples" what
+        live distinct;
+    if Relation.index_builds () <> builds then
+      QCheck2.Test.fail_reportf "%s: an index was built, not derived" what
+  in
+  check "root" root;
+  let versions = ref [| (root, List.map fst (answers root)) |] in
+  List.iteri
+    (fun i (pick, ops) ->
+      let n = Array.length !versions in
+      let parent, _ = !versions.(if pick < 75 then n - 1 else pick mod n) in
+      let step = step_of_ops (Relation.contents parent) ops in
+      let child = Relation.derive step parent in
+      if
+        not
+          (Bag.equal (Relation.contents child)
+             (Signed_bag.apply step (Relation.contents parent)))
+      then QCheck2.Test.fail_reportf "step %d: contents diverged" i;
+      check (Printf.sprintf "step %d" i) child;
+      versions :=
+        Array.append !versions [| (child, List.map fst (answers child)) |])
+    steps;
+  (* Deriving children changed no earlier version's answers. *)
+  Array.iteri
+    (fun i (rel, recorded) ->
+      check (Printf.sprintf "version %d, re-probed" i) rel;
+      if not (List.equal Signed_bag.equal recorded (List.map fst (answers rel)))
+      then
+        QCheck2.Test.fail_reportf
+          "version %d answers changed after its children" i)
+    !versions;
+  true
+
+let derive_tests =
+  [ Helpers.qcheck ~count:300 "derived indexes probe like fresh builds along delta chains"
+      derive_chain_gen derive_chain_prop;
+    case "a long chain crosses a flatten and stays exact" (fun () ->
+        let f0 = Bag_index.flattens () in
+        let root = List.init 20 (fun i -> Tuple.ints [ i mod 6; i ]) in
+        let steps =
+          List.init 40 (fun i ->
+              ( 0,
+                [ Ins (Tuple.ints [ i mod 7; 100 + i ], 1);
+                  Del_any (Tuple.ints [ i mod 6; i ]) ] ))
+        in
+        Alcotest.(check bool) "oracle holds" true (derive_chain_prop (root, steps));
+        Alcotest.(check bool) "flattened at least once" true
+          (Bag_index.flattens () > f0));
+    case "a 1-row Delta.apply on a 10k-row cache allocates O(|delta|)"
+      (fun () ->
+        let schema = Helpers.int_schema [ "k"; "v" ] in
+        let rel =
+          Relation.of_tuples schema
+            (List.init 10_000 (fun i -> Tuple.ints [ i mod 1000; i ]))
+        in
+        let idx = Relation.index rel ~key_pos:[| 0 |] in
+        let cache = Database.of_list [ ("R", rel) ] in
+        let changes =
+          Query.Delta.changes_of_list
+            [ ("R", Signed_bag.singleton (Tuple.ints [ 7; -1 ]) 1) ]
+        in
+        (* A rebuild would allocate the index's arrays: 4 words per row
+           and 2 per slot, over 60,000 words at 10k rows. *)
+        let budget = 1_000.0 in
+        let post, words =
+          Helpers.words_allocated (fun () -> Query.Delta.apply cache changes)
+        in
+        if words > budget then
+          Alcotest.failf "Delta.apply allocated %.0f words; budget %.0f" words
+            budget;
+        let builds = Relation.index_builds () in
+        let post_rel = Database.find post "R" in
+        let derived = Relation.index post_rel ~key_pos:[| 0 |] in
+        Alcotest.(check int) "the probe built no index" builds
+          (Relation.index_builds ());
+        Alcotest.(check int) "one overlaid entry" 1
+          (Bag_index.occupancy derived).Bag_index.overlay;
+        Alcotest.(check int) "the key sees the insert" 11
+          (List.length (Bag_index.find derived (Tuple.ints [ 7 ])));
+        Alcotest.(check int) "the parent does not" 10
+          (List.length (Bag_index.find idx (Tuple.ints [ 7 ]))));
+    case "apply_signed refuses an index shared with a derived version"
+      (fun () ->
+        let idx = Bag_index.of_bag ~key_pos:[| 0 |] (Helpers.bag_of [ [ 1; 2 ] ]) in
+        let child = Bag_index.derive idx (Signed_bag.singleton (Tuple.ints [ 1; 3 ]) 1) in
+        let d = Signed_bag.singleton (Tuple.ints [ 2; 2 ]) 1 in
+        Alcotest.check_raises "parent"
+          (Invalid_argument "Bag_index.apply_signed: index shared with derived versions")
+          (fun () -> Bag_index.apply_signed idx d);
+        Alcotest.check_raises "child"
+          (Invalid_argument "Bag_index.apply_signed: index shared with derived versions")
+          (fun () -> Bag_index.apply_signed child d)) ]
+
 let tests =
   intern_tests @ chunk_tests @ sharing_tests @ empty_delta_tests @ index_tests
+  @ derive_tests

@@ -145,6 +145,35 @@ let vut_indexes_agree vut =
              = List.filter (fun r -> r <= row && colored White r view) rows)
         probes)
     Vut_gen.views
+  (* The row walks against the per-view queries, on every live row. *)
+  && List.for_all
+       (fun row ->
+         let red_views = List.filter (colored Red row) Vut_gen.views in
+         let gray_nexts = ref [] and reds = ref [] in
+         iter_gray_next_reds vut ~row (fun n -> gray_nexts := n :: !gray_nexts);
+         ignore
+           (for_all_reds vut ~row (fun ~col ~state ->
+                reds := (List.nth Vut_gen.views col, state) :: !reds;
+                true));
+         has_blocked_red vut ~row
+         = List.exists (fun view -> has_earlier_red vut ~row ~view) red_views
+         && List.rev !gray_nexts
+            = List.filter_map
+                (fun view ->
+                  if colored Gray row view then
+                    match next_red vut ~row ~view with 0 -> None | n -> Some n
+                  else None)
+                Vut_gen.views
+         && List.rev !reds
+            = List.map (fun view -> (view, (entry vut ~row ~view).state)) red_views
+         && List.for_all
+              (fun view ->
+                earlier_reds_at vut
+                  ~col:(Option.get (List.find_index (String.equal view) Vut_gen.views))
+                  ~row
+                = earlier_reds vut ~row ~view)
+              Vut_gen.views)
+       rows
 
 let tests =
   [ qcheck "hash join == nested-loop join" Join_gen.t

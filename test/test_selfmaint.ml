@@ -342,4 +342,53 @@ let dist_tests =
               v.Consistency.Checker.complete)
           (Dist.System.shard_verdicts self)) ]
 
-let tests = derive_tests @ al_tests @ oracle_tests @ tamper_tests @ dist_tests
+(* ---- aux WAL checkpoints hold contents only ---- *)
+
+(* Memos hold process-local interned ids, and every cache version now
+   carries derived indexes: the aux WAL checkpoints the cache through
+   [Relation.contents_only], so its bytes must not depend on them. The
+   bytes are the WAL's own encoding (Marshal, no sharing). *)
+let checkpoint_tests =
+  [ case "a checkpoint image marshals like memo-free contents" (fun () ->
+        let rel =
+          Helpers.rel rs (List.init 200 (fun i -> [ i; i mod 10 ]))
+        and s = Helpers.rel ss (List.init 10 (fun i -> [ i; i ])) in
+        ignore (Relation.index rel ~key_pos:[| 1 |]);
+        ignore (Relation.columnar rel);
+        ignore (Relation.index s ~key_pos:[| 0 |]);
+        let cache =
+          Delta.apply
+            (Database.of_list [ ("R", rel); ("S", s) ])
+            (Delta.changes_of_list
+               [ ("R", Signed_bag.singleton (Helpers.ints [ 500; 3 ]) 1) ])
+        in
+        ignore (Relation.columnar (Database.find cache "R"));
+        Alcotest.(check int) "the derived version carries its index" 1
+          (List.length (Relation.index_stats (Database.find cache "R")));
+        let bare =
+          Database.map
+            (fun r ->
+              Relation.with_contents (Relation.create (Relation.schema r))
+                (Relation.contents r))
+            cache
+        in
+        let bytes ck = Marshal.to_bytes (ck, 9) [ Marshal.No_sharing ] in
+        Alcotest.(check bool) "the memos would change the bytes" false
+          (Bytes.equal (bytes cache) (bytes bare));
+        Alcotest.(check bool) "the image's bytes are the contents' bytes" true
+          (Bytes.equal
+             (bytes (Database.map Relation.contents_only cache))
+             (bytes bare));
+        let wal : (Database.t * int, int) Durable.Wal.t =
+          Durable.Wal.create ()
+        in
+        Durable.Wal.checkpoint wal (Database.map Relation.contents_only cache, 9);
+        match Durable.Wal.recover wal with
+        | Some (ck, 9), [] ->
+          Alcotest.(check bool) "recovers the contents" true
+            (Database.equal ck cache)
+        | _ -> Alcotest.fail "expected the checkpoint back") ]
+
+let tests =
+  derive_tests @ al_tests @ oracle_tests @ tamper_tests @ checkpoint_tests
+  @ dist_tests

@@ -62,7 +62,7 @@ let tests =
             (0x1.f64bf813ae22cp-6, "merge <- AL(V2, 3)");
             (0x1.2879dccc5df59p-5, "merge <- AL(V1, 3)");
             ( 0x1.28c3da3ac662p-5,
-              "warehouse commit: rows [2,\n3] -> views {V3, V2, V1}" ) ]
+              "warehouse commit: rows [2, 3] -> views {V3, V2, V1}" ) ]
         in
         Alcotest.(check (list (pair (float 0.0) string)))
           "timeline" expected result.timeline);
@@ -158,6 +158,69 @@ let tests =
         let verdict, witness = System.verdict_with_witness result in
         if not verdict.strongly_consistent then
           Alcotest.(check bool) "no witness" true (witness = None));
+    case "a 300-transaction retail_star run derives its cache indexes"
+      (fun () ->
+        let open Relational in
+        let star = Workload.Scenarios.retail_star in
+        let spec source relation schema rows =
+          { Source.Sources.source; relation;
+            init = Relation.of_tuples schema (List.map Tuple.ints rows) }
+        in
+        let product sku = [ sku; 10 * (1 + (sku mod 10)) ] in
+        (* Sale [i] (sku, store, qty): the initial table holds sales
+           0..599, so sale [i] of a modify below is always present. *)
+        let sale ?(qty = 0) i =
+          [ i mod 100; i mod 8; (if qty = 0 then 1 + (i mod 20) else qty) ]
+        in
+        (* Every tenth transaction inserts a product, so the managers
+           probe the sales side after it changed; the rest insert or
+           re-quantify sales, which probes the product and store
+           sides. *)
+        let script n =
+          List.init n (fun i ->
+              match i mod 10 with
+              | 9 -> [ Update.insert "product" (Tuple.ints (product (100 + i))) ]
+              | 7 | 8 ->
+                [ Update.modify "sales"
+                    ~before:(Tuple.ints (sale i))
+                    ~after:(Tuple.ints (sale ~qty:(50 + i) i)) ]
+              | _ -> [ Update.insert "sales" (Tuple.ints (sale i)) ])
+        in
+        let run n =
+          let scen =
+            { star with
+              Workload.Scenarios.name = "retail-star-300";
+              specs =
+                [ spec "pos" "sales"
+                    (Helpers.int_schema [ "sku"; "store"; "qty" ])
+                    (List.init 600 sale);
+                  spec "catalog" "product"
+                    (Helpers.int_schema [ "sku"; "cat" ])
+                    (List.init 100 product);
+                  spec "catalog" "store"
+                    (Helpers.int_schema [ "store"; "region" ])
+                    (List.init 8 (fun s -> [ s; 100 * (1 + (s mod 4)) ])) ];
+              script = script n }
+          in
+          let r =
+            System.run
+              { (System.default scen) with
+                arrival = System.Poisson 50.0;
+                seed = 5 }
+          in
+          let m = r.System.metrics in
+          ( Atomic.get m.Metrics.index_builds,
+            Atomic.get m.Metrics.index_derived,
+            Atomic.get m.Metrics.index_flattens )
+        in
+        let initial, _, _ = run 30 in
+        let builds, derived, flattens = run 300 in
+        Alcotest.(check bool) "indexes were derived" true (derived > 0);
+        if builds > flattens + initial then
+          Alcotest.failf
+            "%d index builds in 300 transactions; the first 30 built %d and \
+             %d derived indexes were flattened"
+            builds initial flattens);
     case "default latencies are positive" (fun () ->
         let l = System.default_latencies in
         Alcotest.(check bool) "all positive" true
