@@ -1,19 +1,23 @@
-(* S: shared-plan delta engine ablations. Two sweeps land in
-   BENCH_shared.json (format documented in EXPERIMENTS.md):
+(* S: shared-subplan ablations. Two sweeps land in BENCH_shared.json
+   (format documented in EXPERIMENTS.md):
 
-   - overlap: view-overlap degree x update count on a six-view workload.
-     Degree d means the six views form 6/d families, each family d
-     sigma/pi variants over its own R_f |><| S_f — so d views share one
-     join subplan and a transaction fans out to d managers. Each point
-     runs sharing off (every view evaluates its own compiled delta
-     plan) and sharing on (the Shared.Engine DAG maintains the join
-     once and serves the memoized delta to the other d-1 views, probing
-     the materialized intermediate's index instead of re-hashing the
-     pre-state). Work is measured as kernel rows — tuples the join
-     kernel ingested or probed (Query.Compiled.kernel_rows), with the
+   - overlap: view-overlap degree x update count x join fanout on a
+     six-view workload. Degree d means the six views form 6/d families,
+     each family d sigma/pi variants over its own R_f |><| S_f — so d
+     views share one join subplan and a transaction fans out to d
+     views. Each point runs sharing off (every view steps its own plan)
+     and sharing on (Selfmaint.Plan.share makes the join a slot:
+     computed once per transaction and served from the memo to the
+     other d-1 views, which probe its versions like base relations).
+     Two families differ in the join column's key range: "wide" keys
+     give about half an S match per delta row, "high-fanout" keys about
+     a hundred. Work is measured as kernel rows — tuples the join kernel
+     ingested or probed (Query.Compiled.kernel_rows), with the
      identical initialization work subtracted via a zero-transaction
-     run — plus wall clock; every point asserts the final warehouse
-     states and commit trace are identical to the unshared run.
+     run — and wall clock as the median whole-run time over
+     [wall_pairs] alternating off/on runs; every point asserts the final
+     warehouse states and commit trace are identical to the unshared
+     run.
 
    - refresh: the PR 3 serve read path (fact |><| dim view, a read mix
      against the versioned result cache) with the cache's
@@ -37,26 +41,40 @@ let quick () = !Micro.quick
 
 (* Families get disjoint base pairs, so subplans are shared within a
    family and nothing is shared across families. The delta side R_f is
-   small and the probed side S_f big: an unshared delta pass re-hashes
-   S_f per referring view, the engine probes its materialized index. *)
-let overlap_scenario ~degree ~rows ~txns =
+   small and the probed side S_f big. The join column B is drawn from
+   [keys] values (default: as wide as the other columns), so a delta row
+   of R_f matches about [rows / keys] rows of S_f. *)
+let overlap_scenario ?keys ~degree ~rows ~txns () =
   assert (6 mod degree = 0);
   let families = 6 / degree in
   let range = 2 * rows in
+  let keys = Option.value keys ~default:range in
   let rs = Parallel_bench.int_schema [ "A"; "B" ]
   and ss = Parallel_bench.int_schema [ "B"; "C" ] in
+  let bag seed n ~first ~second =
+    let rng = Sim.Rng.create seed in
+    let rec loop i acc =
+      if i = 0 then acc
+      else
+        loop (i - 1)
+          (Bag.add
+             (Tuple.ints [ Sim.Rng.int rng first; Sim.Rng.int rng second ])
+             acc)
+    in
+    loop n Bag.empty
+  in
   let specs =
     List.concat
       (List.init families (fun f ->
-           let spec rel sch seed n =
+           let spec rel sch bag =
              { Source.Sources.source = Printf.sprintf "src%d" f;
                relation = rel;
-               init =
-                 Relation.with_contents (Relation.create sch)
-                   (Parallel_bench.random_bag_wide seed n ~range) }
+               init = Relation.with_contents (Relation.create sch) bag }
            in
-           [ spec (Printf.sprintf "R%d" f) rs (10 + f) (max 10 (rows / 10));
-             spec (Printf.sprintf "S%d" f) ss (50 + f) rows ]))
+           [ spec (Printf.sprintf "R%d" f) rs
+               (bag (10 + f) (max 10 (rows / 10)) ~first:range ~second:keys);
+             spec (Printf.sprintf "S%d" f) ss
+               (bag (50 + f) rows ~first:keys ~second:range) ]))
   in
   let views =
     List.concat
@@ -82,7 +100,7 @@ let overlap_scenario ~degree ~rows ~txns =
     List.init txns (fun i ->
         let rel = Printf.sprintf "R%d" (i mod families) in
         let tuple () =
-          Tuple.ints [ Sim.Rng.int rng range; Sim.Rng.int rng range ]
+          Tuple.ints [ Sim.Rng.int rng range; Sim.Rng.int rng keys ]
         in
         [ Update.insert rel (tuple ()); Update.insert rel (tuple ()) ])
   in
@@ -101,36 +119,62 @@ let run_overlap ~shared ~domains scen =
 
 (* Kernel rows charged to delta maintenance alone: the same scenario
    with an empty script prices initialization (store materialization,
-   engine DAG construction) and is subtracted out. *)
+   slot materialization) and is subtracted out. *)
 let delta_rows ~shared scen =
   let scen0 = { scen with Workload.Scenarios.script = [] } in
   let r0 = Query.Compiled.kernel_rows () in
   ignore (run_overlap ~shared ~domains:1 scen0);
   let init_rows = Query.Compiled.kernel_rows () - r0 in
   let r1 = Query.Compiled.kernel_rows () in
-  let t0 = Unix.gettimeofday () in
   let res = run_overlap ~shared ~domains:1 scen in
-  let wall = Unix.gettimeofday () -. t0 in
-  let rows = Query.Compiled.kernel_rows () - r1 - init_rows in
-  (res, rows, wall)
+  (res, Query.Compiled.kernel_rows () - r1 - init_rows)
 
 type overlap_point = {
+  p_family : string;
+  p_keys : int;
   p_degree : int;
   p_txns : int;
   p_rows_off : int;
   p_rows_on : int;
   p_ratio : float;
-  p_wall_off : float;
+  p_wall_off : float;  (* medians over [wall_pairs] runs *)
   p_wall_on : float;
+  p_setup_off : float;  (* the same, for the zero-transaction run *)
+  p_setup_on : float;
+  p_on_faster : int;  (* pairs whose sharing-on run was faster *)
   p_hits : int;
   p_misses : int;
   p_identical : bool;
 }
 
-let overlap_point ~degree ~rows ~txns =
-  let scen = overlap_scenario ~degree ~rows ~txns in
-  let off, p_rows_off, p_wall_off = delta_rows ~shared:false scen in
-  let on, p_rows_on, p_wall_on = delta_rows ~shared:true scen in
+(* Enough alternating off/on pairs that a median is not one lucky run;
+   each run starts from a compacted heap. *)
+let wall_pairs = 10
+
+let median xs =
+  let a = Array.of_list (List.sort Float.compare xs) in
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
+let timed_run ~shared scen =
+  Gc.compact ();
+  let t0 = Unix.gettimeofday () in
+  ignore (Sys.opaque_identity (run_overlap ~shared ~domains:1 scen));
+  Unix.gettimeofday () -. t0
+
+let timed_pairs scen =
+  List.init wall_pairs (fun _ ->
+      let off = timed_run ~shared:false scen in
+      (off, timed_run ~shared:true scen))
+
+let overlap_point ~family ~keys ~degree ~rows ~txns =
+  let scen = overlap_scenario ~keys ~degree ~rows ~txns () in
+  let off, p_rows_off = delta_rows ~shared:false scen in
+  let on, p_rows_on = delta_rows ~shared:true scen in
+  (* Set-up (store and slot materialization) is paid once per run;
+     timing the zero-transaction run separates it from maintenance. *)
+  let pairs = timed_pairs scen in
+  let setup = timed_pairs { scen with Workload.Scenarios.script = [] } in
   let p_identical =
     Parallel_bench.signatures_equal (Parallel_bench.signature off)
       (Parallel_bench.signature on)
@@ -139,24 +183,35 @@ let overlap_point ~degree ~rows ~txns =
     failwith
       (Printf.sprintf "sharing changed the trace at degree %d" degree);
   let m = on.System.metrics in
-  { p_degree = degree; p_txns = txns; p_rows_off; p_rows_on;
+  { p_family = family; p_keys = keys; p_degree = degree; p_txns = txns;
+    p_rows_off; p_rows_on;
     p_ratio =
       (if p_rows_on = 0 then Float.infinity
        else float_of_int p_rows_off /. float_of_int p_rows_on);
-    p_wall_off; p_wall_on;
+    p_wall_off = median (List.map fst pairs);
+    p_wall_on = median (List.map snd pairs);
+    p_setup_off = median (List.map fst setup);
+    p_setup_on = median (List.map snd setup);
+    p_on_faster = List.length (List.filter (fun (off, on) -> on < off) pairs);
     p_hits = Atomic.get m.Metrics.shared_hits;
     p_misses = Atomic.get m.Metrics.shared_misses;
     p_identical }
 
+(* "wide": join keys as wide as the other columns, about half an S
+   match per delta row; "high-fanout": a hundred matches per delta row, where
+   the shared join is the expensive part of every referrer's delta. *)
 let overlap_sweep () =
   let rows = if quick () then 1_000 else 5_000 in
   let txn_counts = if quick () then [ 6 ] else [ 12; 36 ] in
   List.concat_map
-    (fun txns ->
-      List.map
-        (fun degree -> overlap_point ~degree ~rows ~txns)
-        [ 1; 2; 3; 6 ])
-    txn_counts
+    (fun (family, keys) ->
+      List.concat_map
+        (fun txns ->
+          List.map
+            (fun degree -> overlap_point ~family ~keys ~degree ~rows ~txns)
+            [ 1; 2; 3; 6 ])
+        txn_counts)
+    [ ("wide", 2 * rows); ("high-fanout", rows / 100) ]
 
 (* ---- refresh vs invalidate on the serve read path ---- *)
 
@@ -258,9 +313,11 @@ let refresh_sweep () =
 (* ---- reporting ---- *)
 
 let headline points =
-  (* kernel-rows reduction at overlap degree 3, largest update count. *)
+  (* kernel-rows reduction at overlap degree 3, largest update count,
+     wide keys. *)
   List.fold_left
-    (fun acc p -> if p.p_degree = 3 then p.p_ratio else acc)
+    (fun acc p ->
+      if p.p_degree = 3 && p.p_family = "wide" then p.p_ratio else acc)
     1.0 points
 
 let write_json ~path ~overlap ~refresh =
@@ -269,12 +326,16 @@ let write_json ~path ~overlap ~refresh =
     List.map
       (fun p ->
         Printf.sprintf
-          "    { \"degree\": %d, \"transactions\": %d, \"kernel_rows_off\": \
-           %d, \"kernel_rows_on\": %d, \"rows_reduction\": %.2f, \
-           \"wall_off_s\": %.3f, \"wall_on_s\": %.3f, \"shared_hits\": %d, \
+          "    { \"family\": %S, \"key_range\": %d, \"degree\": %d, \
+           \"transactions\": %d, \"kernel_rows_off\": %d, \
+           \"kernel_rows_on\": %d, \"rows_reduction\": %.2f, \
+           \"wall_off_s\": %.4f, \"wall_on_s\": %.4f, \"setup_off_s\": \
+           %.4f, \"setup_on_s\": %.4f, \"wall_pairs\": %d, \
+           \"on_faster_pairs\": %d, \"shared_hits\": %d, \
            \"shared_misses\": %d, \"identical_trace\": %b }"
-          p.p_degree p.p_txns p.p_rows_off p.p_rows_on p.p_ratio p.p_wall_off
-          p.p_wall_on p.p_hits p.p_misses p.p_identical)
+          p.p_family p.p_keys p.p_degree p.p_txns p.p_rows_off p.p_rows_on
+          p.p_ratio p.p_wall_off p.p_wall_on p.p_setup_off p.p_setup_on
+          wall_pairs p.p_on_faster p.p_hits p.p_misses p.p_identical)
       overlap
   in
   let refresh_json =
@@ -295,10 +356,14 @@ let write_json ~path ~overlap ~refresh =
     \  \"quick\": %b,\n\
     \  \"note\": \"kernel_rows counts tuples the join kernel ingested or \
      probed during delta maintenance (initialization subtracted); \
-     identical_trace asserts sharing never changed commits, completion \
-     instants or view contents. The refresh sweep compares the result \
-     cache's invalidate-on-commit policy against incremental refresh on \
-     the fact|><|dim read path.\",\n\
+     wall_off_s and wall_on_s are median whole-run seconds over \
+     wall_pairs alternating off/on runs, on_faster_pairs how many pairs \
+     sharing won, setup_off_s and setup_on_s the same medians for the \
+     zero-transaction run (store and slot materialization), so wall - \
+     setup is maintenance; identical_trace asserts sharing never changed commits, \
+     completion instants or view contents. The refresh sweep compares \
+     the result cache's invalidate-on-commit policy against incremental \
+     refresh on the fact|><|dim read path.\",\n\
     \  \"overlap_sweep\": [\n%s\n  ],\n\
     \  \"rows_reduction_at_degree_3\": %.2f,\n\
     \  \"refresh_sweep\": [\n%s\n  ]\n\
@@ -310,20 +375,23 @@ let write_json ~path ~overlap ~refresh =
   close_out oc
 
 let run () =
-  Tables.section "S: shared-plan delta engine (overlap x updates, refresh)";
+  Tables.section "S: shared subplans (overlap x updates x fanout, refresh)";
   let overlap = overlap_sweep () in
   Tables.print
-    ~title:"subplan sharing: kernel rows per run (six views)"
+    ~title:"subplan sharing: kernel rows and median wall per run (six views)"
     ~header:
-      [ "degree"; "txns"; "rows off"; "rows on"; "reduction"; "wall off";
-        "wall on"; "memo" ]
+      [ "family"; "degree"; "txns"; "rows off"; "rows on"; "reduction";
+        "wall off"; "wall on"; "on won"; "setup off"; "setup on"; "memo" ]
     (List.map
        (fun p ->
-         [ string_of_int p.p_degree; string_of_int p.p_txns;
+         [ p.p_family; string_of_int p.p_degree; string_of_int p.p_txns;
            string_of_int p.p_rows_off; string_of_int p.p_rows_on;
            Printf.sprintf "%.2fx" p.p_ratio;
-           Printf.sprintf "%.2f s" p.p_wall_off;
-           Printf.sprintf "%.2f s" p.p_wall_on;
+           Printf.sprintf "%.4f s" p.p_wall_off;
+           Printf.sprintf "%.4f s" p.p_wall_on;
+           Printf.sprintf "%d/%d" p.p_on_faster wall_pairs;
+           Printf.sprintf "%.4f s" p.p_setup_off;
+           Printf.sprintf "%.4f s" p.p_setup_on;
            Printf.sprintf "%d/%d" p.p_hits (p.p_hits + p.p_misses) ])
        overlap);
   let refresh = refresh_sweep () in
@@ -355,9 +423,9 @@ let sharedsmoke () =
     if not ok then failures := name :: !failures
   in
   (* Sequential runtime: sharing on/off identical, >= 2x fewer rows. *)
-  let scen = overlap_scenario ~degree:3 ~rows:600 ~txns:6 in
-  let off, rows_off, _ = delta_rows ~shared:false scen in
-  let on, rows_on, _ = delta_rows ~shared:true scen in
+  let scen = overlap_scenario ~degree:3 ~rows:600 ~txns:6 () in
+  let off, rows_off = delta_rows ~shared:false scen in
+  let on, rows_on = delta_rows ~shared:true scen in
   check "sequential: identical trace"
     (Parallel_bench.signatures_equal (Parallel_bench.signature off)
        (Parallel_bench.signature on));
@@ -372,7 +440,7 @@ let sharedsmoke () =
          Parallel_bench.signatures_equal base
            (Parallel_bench.signature (run_overlap ~shared:true ~domains:d scen)))
        [ 2; 4 ]);
-  (* Pipelined runtime: complete managers route through the engine. *)
+  (* Pipelined runtime: complete managers share one slot table. *)
   let run_pipe ~shared ~domains =
     System.run
       { (System.default scen) with

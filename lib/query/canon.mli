@@ -4,8 +4,8 @@
     subexpressions — commuted natural joins, reordered selection
     conjuncts, stacked selections/projections, selections pushed into
     join operands (the {!Optimize} rewrite, undone locally so the bare
-    join is the shareable core) — structurally equal, so the
-    shared-plan engine can hash-cons them into one DAG node and the
+    join is the shareable core) — structurally equal, so
+    {!Selfmaint.Plan.share} can hash-cons them into one slot and the
     physically-keyed {!Compiled.compile_memo} shares their compiled
     plans. Column permutations introduced by operand reordering are
     bridged with explicit permutation [Project]s hoisted above the

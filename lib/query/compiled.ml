@@ -681,17 +681,7 @@ let eval ?exec db t =
    evaluated when the matching delta side is non-empty. A [Group_by]
    recomputes exactly its affected groups, taking their members from
    [state] when the caller keeps one ([step]) and from a scan of the
-   pre-state input otherwise.
-
-   [pre_index], when it returns an index for a [Base] join operand
-   (keyed on that operand's join-key positions over its pre-state),
-   short-circuits the dA |><| B_pre and A_pre |><| dB rules into pure
-   probes: the pre-state side is neither evaluated nor re-indexed, so
-   the cost is O(|delta|) instead of O(|pre|). The shared-plan engine
-   supplies it for materialized intermediates. *)
-let no_pre_index : string -> key_pos:int array -> Bag_index.t option =
- fun _ ~key_pos:_ -> None
-
+   pre-state input otherwise. *)
 let no_pre_relation : string -> Relation.t option = fun _ -> None
 
 (* The key of [tup] at [key_pos] as interned ids — the probe currency of
@@ -731,9 +721,8 @@ let probe_left_index ?filter ~index ~key_right ~right_extra db_l =
         acc)
     [] db_l
 
-let rec delta_with ~state ~exec ~pre_index ~pre_relation ~changes ~eval_pre t
-    =
-  let go = delta_with ~state ~exec ~pre_index ~pre_relation ~changes ~eval_pre in
+let rec delta_with ~state ~exec ~pre_relation ~changes ~eval_pre t =
+  let go = delta_with ~state ~exec ~pre_relation ~changes ~eval_pre in
   match t.node with
   | Base name -> changes name
   | Select (pred, e) -> Signed_bag.filter (eval_pred pred) (go e)
@@ -745,21 +734,15 @@ let rec delta_with ~state ~exec ~pre_index ~pre_relation ~changes ~eval_pre t
       let join = join_counted_pos ~exec ~key_left ~key_right ~right_extra in
       let da_l = Signed_bag.to_list da and db_l = Signed_bag.to_list db_ in
       (* An index over a pre-state side, avoiding its evaluation: the
-         caller-supplied [pre_index] (materialized intermediates), else
-         the relation's own memoized int-keyed index when the side is a
-         base relation — possibly under a pushed-down selection, which
+         relation's own memoized int-keyed index when the side is a base
+         relation — possibly under a pushed-down selection, which
          becomes a filter on the probe matches. *)
       let indexed side key =
         match side.node with
-        | Base name -> (
-          match pre_index name ~key_pos:key with
-          | Some index -> Some (index, None)
-          | None ->
-            if !Columnar.enabled then
-              Option.map
-                (fun rel -> (Relation.index rel ~key_pos:key, None))
-                (pre_relation name)
-            else None)
+        | Base name when !Columnar.enabled ->
+          Option.map
+            (fun rel -> (Relation.index rel ~key_pos:key, None))
+            (pre_relation name)
         | Select (p, { node = Base name; _ }) when !Columnar.enabled ->
           Option.map
             (fun rel -> (Relation.index rel ~key_pos:key, Some p))
@@ -858,16 +841,15 @@ let rec delta_with ~state ~exec ~pre_index ~pre_relation ~changes ~eval_pre t
         out
     end
 
-let delta ?(exec = Parallel.Exec.sequential) ?(pre_index = no_pre_index)
+let delta ?(exec = Parallel.Exec.sequential)
     ?(pre_relation = no_pre_relation) ~changes ~eval_pre t =
-  delta_with ~state:None ~exec ~pre_index ~pre_relation ~changes ~eval_pre t
+  delta_with ~state:None ~exec ~pre_relation ~changes ~eval_pre t
 
-let step ?(exec = Parallel.Exec.sequential) ?(pre_index = no_pre_index)
+let step ?(exec = Parallel.Exec.sequential)
     ?(pre_relation = no_pre_relation) ~changes ~eval_pre ~groups t =
   let state = ref groups in
   let delta =
-    delta_with ~state:(Some state) ~exec ~pre_index ~pre_relation ~changes
-      ~eval_pre t
+    delta_with ~state:(Some state) ~exec ~pre_relation ~changes ~eval_pre t
   in
   (delta, !state)
 

@@ -54,7 +54,6 @@ val eval_bag : ?exec:Parallel.Exec.t -> Database.t -> t -> Bag.t
 
 val delta :
   ?exec:Parallel.Exec.t ->
-  ?pre_index:(string -> key_pos:int array -> Bag_index.t option) ->
   ?pre_relation:(string -> Relation.t option) ->
   changes:(string -> Signed_bag.t) ->
   eval_pre:(t -> Bag.t) ->
@@ -73,14 +72,6 @@ val delta :
     output rows come from {!aggregate_group} over the old and new
     members. {!step} keeps each group's members and output row across
     calls instead, and derives the new row from the old one.
-
-    [pre_index name ~key_pos], when it returns a hash index over [name]'s
-    pre-state keyed at [key_pos], turns the join rules whose pre-state
-    side is that base relation into pure probes of the existing index —
-    O(|delta|) instead of evaluating and indexing the pre-state. The
-    index must be consistent with what [eval_pre] would return for
-    [Base name]. The shared-plan engine supplies it for materialized
-    intermediates; by default no index is offered.
 
     [pre_relation name], when it returns [name]'s pre-state relation,
     lets the join rules fall back to the relation's own memoized
@@ -112,7 +103,6 @@ val has_group_by : t -> bool
 
 val step :
   ?exec:Parallel.Exec.t ->
-  ?pre_index:(string -> key_pos:int array -> Bag_index.t option) ->
   ?pre_relation:(string -> Relation.t option) ->
   changes:(string -> Signed_bag.t) ->
   eval_pre:(t -> Bag.t) ->

@@ -191,13 +191,17 @@ let rec eval_naive ~pre changes expr =
         affected Signed_bag.zero
     end
 
-(* A base relation's change, forcing the relation to exist in [pre]. *)
+(* A base relation's change, forcing an unchanged relation to exist in
+   [pre]. *)
 let changes_over ~pre changes name =
-  let _ = Database.find pre name in
-  change_for changes name
+  match String_map.find_opt name changes with
+  | Some c -> c.total
+  | None ->
+    let _ = Database.find pre name in
+    Signed_bag.zero
 
-let eval_plan ?(exec = Parallel.Exec.sequential) ?pre_index ~pre changes plan =
-  Compiled.delta ~exec ?pre_index ~pre_relation:(Database.find_opt pre)
+let eval_plan ?(exec = Parallel.Exec.sequential) ~pre changes plan =
+  Compiled.delta ~exec ~pre_relation:(Database.find_opt pre)
     ~changes:(changes_over ~pre changes)
     ~eval_pre:(Compiled.eval_bag ~exec pre)
     plan
@@ -205,14 +209,13 @@ let eval_plan ?(exec = Parallel.Exec.sequential) ?pre_index ~pre changes plan =
 (* The stateful rule needs [pre] + [changes] to be the post-state; when a
    deletion would clamp, the state is dropped and rebuilt by a later
    step from its own (post-state) pre-state. *)
-let step ?(exec = Parallel.Exec.sequential) ?pre_index ~pre ~groups changes
-    plan =
+let step ?(exec = Parallel.Exec.sequential) ~pre ~groups changes plan =
   if not (Compiled.has_group_by plan) then
-    (eval_plan ~exec ?pre_index ~pre changes plan, groups)
+    (eval_plan ~exec ~pre changes plan, groups)
   else if Option.is_some (first_clamp ~pre changes) then
-    (eval_plan ~exec ?pre_index ~pre changes plan, Compiled.drop_groups groups)
+    (eval_plan ~exec ~pre changes plan, Compiled.drop_groups groups)
   else
-    Compiled.step ~exec ?pre_index ~pre_relation:(Database.find_opt pre)
+    Compiled.step ~exec ~pre_relation:(Database.find_opt pre)
       ~changes:(changes_over ~pre changes)
       ~eval_pre:(Compiled.eval_bag ~exec pre)
       ~groups plan

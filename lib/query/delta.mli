@@ -21,6 +21,10 @@ val changes_of_list : (string * Signed_bag.t) list -> changes
 (** Later entries for the same relation are summed. The entries are also
     kept in order as the relation's steps, for {!first_clamp}. *)
 
+val add_change : string -> Signed_bag.t -> changes -> changes
+(** One more step of the relation: summed into its total and appended to
+    its steps. *)
+
 val of_update : Update.t -> changes
 
 val of_transaction : Update.Transaction.t -> changes
@@ -73,20 +77,20 @@ val eval :
 
 val eval_plan :
   ?exec:Parallel.Exec.t ->
-  ?pre_index:(string -> key_pos:int array -> Bag_index.t option) ->
   pre:Database.t ->
   changes ->
   Compiled.t ->
   Signed_bag.t
 (** Delta of an already-compiled plan — what view managers use, compiling
-    their definition once at creation instead of per transaction.
-    [pre_index] is forwarded to {!Compiled.delta}: a returned index over a
-    base relation's pre-state turns that relation's join rules into pure
-    probes. *)
+    their definition once at creation instead of per transaction. A
+    relation the changes carry may be absent from [pre] as long as no
+    rule reads its pre-state (it sits under no join and no [Group_by]):
+    how a shared slot without versions passes its delta
+    ({!Selfmaint.Plan.share}).
+    @raise Database.Unknown_relation on any other absent relation. *)
 
 val step :
   ?exec:Parallel.Exec.t ->
-  ?pre_index:(string -> key_pos:int array -> Bag_index.t option) ->
   pre:Database.t ->
   groups:Compiled.groups ->
   changes ->

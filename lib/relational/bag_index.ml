@@ -5,9 +5,7 @@
    empty) with linear probing between distinct keys and an intra-key
    [next] chain. Probing therefore costs an int-mix of the key ids and
    a handful of int compares — no per-probe tuple hashing or boxed key
-   allocation. Counts may be negative (signed deltas index fine); a
-   count that reaches exactly zero under [apply_signed] is dead and
-   skipped by every reader.
+   allocation. Counts may be negative (signed deltas index fine).
 
    An index is that flat table (the base) plus an overlay: a persistent
    map from key ids to the entries of the key whose count differs from
@@ -16,8 +14,8 @@
    nodes with its parent's and the base by pointer, so every version of
    a maintained relation keeps its own index without copying a row;
    once the overlay reaches a quarter of the base it is folded into a
-   fresh flat table. A derived-from base is frozen: [apply_signed] (the
-   in-place path) refuses it, so no version's probes ever change. *)
+   fresh flat table. A table is never edited once built, so no
+   version's probes ever change. *)
 
 type flat = {
   key_pos : int array;
@@ -25,12 +23,10 @@ type flat = {
   mutable tups : Tuple.t array;
   mutable counts : int array;
   mutable keys : int array;  (* flat: row * karity + c *)
-  mutable n : int;  (* rows, dead included *)
+  mutable n : int;  (* rows *)
   mutable slots : int array;  (* chain heads: row + 1; 0 = empty *)
   mutable next : int array;
   mutable used : int;  (* occupied slots (distinct keys) *)
-  mutable dead : int;  (* rows whose count reached exactly 0 (tombstones) *)
-  mutable frozen : bool;  (* some derived index shares this table *)
 }
 
 (* An overlaid entry: the tuple's count in this version (0 = deleted)
@@ -91,8 +87,7 @@ let create ~key_pos cap =
   { key_pos; karity = Array.length key_pos;
     tups = Array.make cap dummy_tuple; counts = Array.make cap 0;
     keys = Array.make (cap * Array.length key_pos + 1) 0; n = 0;
-    slots = Array.make scap 0; next = Array.make cap (-1); used = 0;
-    dead = 0; frozen = false }
+    slots = Array.make scap 0; next = Array.make cap (-1); used = 0 }
 
 (* Link [row] into the table: linear-probe for its key's slot. *)
 let link b row =
@@ -198,7 +193,7 @@ let fold_ids t ids f acc =
     if row < 0 then acc
     else
       go b.next.(row)
-        (if b.counts.(row) = 0 || overrides row ovs then acc
+        (if overrides row ovs then acc
          else f b.tups.(row) b.counts.(row) acc)
   in
   let acc = go (find_head b ids) acc in
@@ -226,7 +221,7 @@ let iter_live t f =
       List.iter (fun o -> if o.orow >= 0 then overridden.(o.orow) <- true) ovs)
     t.over;
   for row = 0 to b.n - 1 do
-    if b.counts.(row) <> 0 && not (t.n_over > 0 && overridden.(row)) then
+    if not (t.n_over > 0 && overridden.(row)) then
       f b.tups.(row) b.counts.(row)
   done;
   Key_map.iter
@@ -252,7 +247,7 @@ let flattens_counter = Atomic.make 0
 
 let flattens () = Atomic.get flattens_counter
 
-let live_rows t = t.base.n - t.base.dead + t.live_delta
+let live_rows t = t.base.n + t.live_delta
 
 let flatten t =
   Atomic.incr flattens_counter;
@@ -264,7 +259,7 @@ let flatten t =
 let base_row b ids tup =
   let rec go row =
     if row < 0 then -1
-    else if b.counts.(row) <> 0 && Tuple.equal b.tups.(row) tup then row
+    else if Tuple.equal b.tups.(row) tup then row
     else go b.next.(row)
   in
   go (find_head b ids)
@@ -304,81 +299,17 @@ let derive t delta =
     in
     if over == t.over then t
     else begin
-      b.frozen <- true;
       let d = { base = b; over; n_over; live_delta } in
       (* Probes pay O(log k) per key for the overlay, and the base rows
          it overrides stay allocated; a quarter of the base bounds both
          and amortizes the O(n) rebuild over the n/4 derivations that
          filled the overlay. *)
-      if n_over >= 16 && 4 * n_over >= b.n - b.dead then flatten d else d
+      if n_over >= 16 && 4 * n_over >= b.n then flatten d else d
     end
   end
 
-(* Tombstone compaction: slide live rows down over the dead ones and
-   relink every chain from scratch. Row order within a key's chain is
-   not preserved — consumers canonicalize into bags, so only the set of
-   live (tuple, count) entries matters, and that is untouched. *)
-let compact b =
-  let m = ref 0 in
-  for row = 0 to b.n - 1 do
-    if b.counts.(row) <> 0 then begin
-      let m' = !m in
-      if m' <> row then begin
-        b.tups.(m') <- b.tups.(row);
-        b.counts.(m') <- b.counts.(row);
-        Array.blit b.keys (row * b.karity) b.keys (m' * b.karity) b.karity
-      end;
-      incr m
-    end
-  done;
-  for row = !m to b.n - 1 do
-    b.tups.(row) <- dummy_tuple;
-    b.counts.(row) <- 0
-  done;
-  b.n <- !m;
-  b.dead <- 0;
-  Array.fill b.slots 0 (Array.length b.slots) 0;
-  b.used <- 0;
-  for row = 0 to b.n - 1 do
-    link b row
-  done
-
-(* In-place signed migration. The empty-delta fast path returns before
-   touching (or allocating) anything — per-transaction maintenance
-   calls this for every live index, delta or no delta. *)
-let apply_signed t delta =
-  if not (Signed_bag.is_zero delta) then begin
-    let b = t.base in
-    if b.frozen || t.n_over > 0 then
-      invalid_arg "Bag_index.apply_signed: index shared with derived versions";
-    Signed_bag.fold
-      (fun tup n () ->
-        let rec adjust row =
-          if row < 0 then push_row b tup n
-          else if b.counts.(row) <> 0 && Tuple.equal b.tups.(row) tup then begin
-            b.counts.(row) <- b.counts.(row) + n;
-            if b.counts.(row) = 0 then b.dead <- b.dead + 1
-          end
-          else adjust b.next.(row)
-        in
-        adjust (find_head b (key_ids b tup)))
-      delta ();
-    (* Long-lived indexes under churn accumulate count-0 tombstones that
-       every probe must skip and that keep forcing slot-table growth.
-       Rehash in place once tombstones dominate: amortized O(1) per
-       migrated entry, and row/slot storage stays proportional to the
-       live population. *)
-    if b.n >= 16 && 2 * b.dead >= b.n then compact b
-  end
-
-type occupancy = {
-  rows : int;
-  live : int;
-  tombstones : int;
-  slots : int;
-  overlay : int;
-}
+type occupancy = { rows : int; live : int; slots : int; overlay : int }
 
 let occupancy t =
-  { rows = t.base.n; live = live_rows t; tombstones = t.base.dead;
-    slots = Array.length t.base.slots; overlay = t.n_over }
+  { rows = t.base.n; live = live_rows t; slots = Array.length t.base.slots;
+    overlay = t.n_over }

@@ -8,12 +8,10 @@
     happens per tuple. Counts pass through untouched and may be negative
     (signed deltas index fine).
 
-    An index is immutable once {!derive} has used it: the next version
-    of a maintained relation gets its own index in O(|delta|), a frozen
-    flat table shared by pointer plus a persistent overlay of the
-    changed entries, and every earlier version keeps probing its own
-    bag. Only an index nothing derives from may be edited in place
-    ({!apply_signed}). *)
+    An index is immutable: the next version of a maintained relation
+    gets its own index in O(|delta|) ({!derive}), a flat table shared
+    by pointer plus a persistent overlay of the changed entries, and
+    every earlier version keeps probing its own bag. *)
 
 type t
 
@@ -60,32 +58,12 @@ val derive : t -> Signed_bag.t -> t
 val flattens : unit -> int
 (** Process-wide count of derived indexes rebuilt flat by {!derive}. *)
 
-val apply_signed : t -> Signed_bag.t -> unit
-(** [apply_signed t delta] edits the index in place so it indexes
-    [Signed_bag.apply delta b] whenever it previously indexed [b] (the
-    delta must apply exactly — counts that sum to zero are dropped, and
-    net-negative counts would be recorded as-is). Lets a long-lived index
-    over a maintained intermediate ride through updates instead of being
-    rebuilt per batch. Bucket order is not preserved; consumers must not
-    depend on entry order (join results are canonicalized into bags).
-    An empty delta returns immediately without allocating.
-
-    Counts that reach exactly zero become tombstones; once tombstones
-    are at least half of the stored rows (and the index is non-trivial)
-    the index compacts in place — live entries and probe results are
-    unchanged, but row and slot storage stays proportional to the live
-    population under churn instead of growing forever.
-
-    @raise Invalid_argument on an index that {!derive} produced or
-    derived from: its table is shared with other versions. *)
-
 type occupancy = {
-  rows : int;  (** Rows of the flat table, tombstones included. *)
+  rows : int;  (** Rows of the flat table. *)
   live : int;  (** Live entries, overlay included. *)
-  tombstones : int;
   slots : int;  (** Physical slot-table size (power of two). *)
   overlay : int;  (** Entries {!derive} overlaid on the table; 0 when flat. *)
 }
 
 val occupancy : t -> occupancy
-(** Storage accounting, for the churn tests pinning bounded growth. *)
+(** Storage accounting, surfaced through the system metrics. *)

@@ -80,9 +80,8 @@ val columnar : t -> Columnar.t
 val index : t -> key_pos:int array -> Bag_index.t
 (** Memoized hash index over the contents keyed at [key_pos]: built at
     most once per version (counted by {!index_builds}), or carried from
-    the parent by {!derive}. The returned index is shared — callers
-    must treat it as read-only (never {!Bag_index.apply_signed} it); the
-    delta rules only probe. *)
+    the parent by {!derive}. The returned index is shared; the delta
+    rules only probe it. *)
 
 val index_stats : t -> Bag_index.occupancy list
 (** Occupancy of every memoized index of this relation version (empty if

@@ -3,7 +3,6 @@ open Relational
 type state = {
   engine : Sim.Engine.t;
   compute_latency : batch:int -> float;
-  aux : Query.View.t list;
   aux_plans : (string * Query.Compiled.t) list; (* per aux view, compiled *)
   view : Query.View.t;
   over_aux_plan : Query.Compiled.t;
@@ -11,6 +10,8 @@ type state = {
   queue : Update.Transaction.t Queue.t;
   mutable base_cache : Database.t; (* base relations the aux views need *)
   mutable aux_cache : Database.t; (* materialized auxiliary views *)
+  mutable aux_groups : Query.Compiled.groups list; (* per aux plan *)
+  mutable over_aux_groups : Query.Compiled.groups;
   mutable busy : bool;
 }
 
@@ -19,29 +20,28 @@ let rec pump st =
     st.busy <- true;
     let txn = Queue.pop st.queue in
     let base_changes = Query.Delta.of_transaction txn in
-    (* Level 1: deltas of each auxiliary view from the base cache. *)
-    let aux_changes =
-      Query.Delta.changes_of_list
-        (List.map
-           (fun (name, plan) ->
-             (name, Query.Delta.eval_plan ~pre:st.base_cache base_changes plan))
-           st.aux_plans)
+    (* Level 1: deltas of each auxiliary view from the base cache, each
+       plan keeping its own [Group_by] state. *)
+    let aux_deltas =
+      List.map2
+        (fun (name, plan) groups ->
+          let d, groups =
+            Query.Delta.step ~pre:st.base_cache ~groups base_changes plan
+          in
+          ((name, d), groups))
+        st.aux_plans st.aux_groups
     in
+    let aux_changes = Query.Delta.changes_of_list (List.map fst aux_deltas) in
     (* Level 2: the primary view's delta over the materialized
        auxiliaries. *)
-    let delta =
-      Query.Delta.eval_plan ~pre:st.aux_cache aux_changes st.over_aux_plan
+    let delta, over_aux_groups =
+      Query.Delta.step ~pre:st.aux_cache ~groups:st.over_aux_groups aux_changes
+        st.over_aux_plan
     in
-    st.base_cache <- Database.apply_relevant st.base_cache txn;
-    st.aux_cache <-
-      List.fold_left
-        (fun db aux ->
-          let name = Query.View.name aux in
-          let rel = Database.find db name in
-          Database.add name
-            (Relation.apply_delta (Query.Delta.change_for aux_changes name) rel)
-            db)
-        st.aux_cache st.aux;
+    st.aux_groups <- List.map snd aux_deltas;
+    st.over_aux_groups <- over_aux_groups;
+    st.base_cache <- Query.Delta.apply st.base_cache base_changes;
+    st.aux_cache <- Query.Delta.apply st.aux_cache aux_changes;
     let al =
       Query.Action_list.delta ~view:(Query.View.name st.view)
         ~state:txn.Update.Transaction.id delta
@@ -85,8 +85,10 @@ let create ~engine ~compute_latency ~initial ~aux ~view ~over_aux ~emit () =
     Query.Compiled.compile ~lookup:(Database.schema aux_cache) over_aux
   in
   let st =
-    { engine; compute_latency; aux; aux_plans; view; over_aux_plan; emit;
-      queue = Queue.create (); base_cache; aux_cache; busy = false }
+    { engine; compute_latency; aux_plans; view; over_aux_plan; emit;
+      queue = Queue.create (); base_cache; aux_cache;
+      aux_groups = List.map (fun _ -> Query.Compiled.no_groups) aux_plans;
+      over_aux_groups = Query.Compiled.no_groups; busy = false }
   in
   { Vm.view; level = Vm.Complete;
     receive =

@@ -11,8 +11,6 @@ type state = {
   engine : Sim.Engine.t;
   compute_latency : batch:int -> float;
   exec : Parallel.Exec.t;
-  delta_fn :
-    (pre:Database.t -> Update.Transaction.t -> Signed_bag.t) option;
   on_apply : Update.Transaction.t -> Database.t -> unit;
   drain : drain;
   plan : Selfmaint.Plan.t;
@@ -41,28 +39,29 @@ and run st batch =
     Selfmaint.Plan.project st.plan (Query.Delta.of_transactions batch)
   in
   (* Cache and group state are persistent, so [pre] and [groups] stay
-     an immutable snapshot for the future; the emit event installs the
-     post-state group state. *)
+     an immutable snapshot for the future. The emit event advances the
+     cache after the future has probed [pre], so every index the step
+     built is carried into the post-state instead of rebuilt by the
+     next step; nothing reads the cache before then, the manager being
+     busy. *)
   let pre = st.cache and groups = st.groups in
+  let txn = last.Update.Transaction.id in
   let fut =
     Parallel.Exec.spawn st.exec (fun () ->
         let delta, groups =
-          match st.delta_fn with
-          | Some f -> (f ~pre last, groups)
-          | None ->
-            Selfmaint.Plan.step ~exec:st.exec st.plan ~pre ~groups changes
+          Selfmaint.Plan.step ~exec:st.exec ~txn st.plan ~pre ~groups changes
         in
         ( Query.Action_list.delta
             ~view:(Query.View.name (Selfmaint.Plan.view st.plan))
-            ~state:last.Update.Transaction.id delta,
+            ~state:txn delta,
           groups ))
   in
-  st.cache <- Selfmaint.Plan.advance st.plan st.cache changes;
-  st.on_apply last st.cache;
   Sim.Engine.schedule_after st.engine
     (st.compute_latency ~batch:(List.length batch))
     (fun () ->
       let al, groups = Parallel.Exec.await fut in
+      st.cache <- Selfmaint.Plan.advance st.plan pre changes;
+      st.on_apply last st.cache;
       st.groups <- groups;
       st.emit al;
       st.busy <- false;
@@ -73,19 +72,19 @@ let flush st =
     run st (take st (Queue.length st.queue))
 
 let create ~engine ~compute_latency ?(exec = Parallel.Exec.sequential)
-    ?delta_fn ?state ?(on_apply = fun _ _ -> ()) ~drain ~plan ~emit () =
-  (match (drain, delta_fn) with
-  | Exactly n, _ when n < 1 -> invalid_arg "Plan_vm.create: Exactly n < 1"
-  | (Greedy | Exactly _), Some _ ->
-    invalid_arg "Plan_vm.create: delta_fn needs the One drain"
-  | _ -> ());
+    ?state ?(on_apply = fun _ _ -> ()) ~drain ~plan ~emit () =
+  (match drain with
+  | Exactly n when n < 1 -> invalid_arg "Plan_vm.create: Exactly n < 1"
+  | (Greedy | Exactly _) when Selfmaint.Plan.has_slots plan ->
+    invalid_arg "Plan_vm.create: a plan with shared slots needs the One drain"
+  | One | Greedy | Exactly _ -> ());
   let cache, groups =
     match state with
     | Some s -> s
     | None -> (Selfmaint.Plan.initial_cache plan, Query.Compiled.no_groups)
   in
   let st =
-    { engine; compute_latency; exec; delta_fn; on_apply; drain; plan; emit;
+    { engine; compute_latency; exec; on_apply; drain; plan; emit;
       queue = Queue.create (); cache; groups; busy = false }
   in
   { Vm.view = Selfmaint.Plan.view plan; level = level drain;

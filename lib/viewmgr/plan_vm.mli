@@ -47,10 +47,6 @@ val create :
   engine:Sim.Engine.t ->
   compute_latency:(batch:int -> float) ->
   ?exec:Parallel.Exec.t ->
-  ?delta_fn:
-    (pre:Relational.Database.t ->
-    Relational.Update.Transaction.t ->
-    Relational.Signed_bag.t) ->
   ?state:Relational.Database.t * Query.Compiled.groups ->
   ?on_apply:(Relational.Update.Transaction.t -> Relational.Database.t -> unit) ->
   drain:drain ->
@@ -62,15 +58,15 @@ val create :
     With a pooled [exec] (default sequential) the delta runs on the
     domain pool; results and the simulated timeline are identical.
 
-    [delta_fn], when given, replaces the plan's delta (the shared-plan
-    engine routes views through its DAG this way); it receives the
-    pre-transaction cache and must return exactly what the plan would.
+    A plan {!Selfmaint.Plan.share} rewrote steps with each step's
+    transaction id, so its slots advance once per transaction.
 
     [state], when given, resumes at a cache and its [Group_by] state
     (crash recovery rebuilds both by log replay) instead of the plan's
     initial cache. [on_apply txn cache] fires after each step's changes
-    are applied, with the step's last transaction — the durability hook
-    the system layer uses for the auxiliary WAL.
+    are applied — at the step's emit event, after its delta — with the
+    step's last transaction: the durability hook the system layer uses
+    for the auxiliary WAL.
 
     @raise Invalid_argument if [drain] is [Exactly n] with [n < 1], or
-    if [delta_fn] is given with a drain other than [One]. *)
+    if the plan has shared slots and [drain] is not [One]. *)

@@ -11,7 +11,6 @@ type t = {
   coalesce_fallbacks : int Atomic.t;
   index_slots : Sim.Stats.Summary.t;
   index_live : Sim.Stats.Summary.t;
-  index_tombstones : Sim.Stats.Summary.t;
   vm_queue : Sim.Stats.Summary.t;
   read_latency : Sim.Stats.Summary.t;
   served_staleness : Sim.Stats.Summary.t;
@@ -71,7 +70,6 @@ let create () =
     coalesce_fallbacks = Atomic.make 0;
     index_slots = Sim.Stats.Summary.create ();
     index_live = Sim.Stats.Summary.create ();
-    index_tombstones = Sim.Stats.Summary.create ();
     vm_queue = Sim.Stats.Summary.create ();
     read_latency = Sim.Stats.Summary.create ();
     served_staleness = Sim.Stats.Summary.create ();
@@ -162,7 +160,7 @@ let pp ppf t =
      staleness: %a@ merge-held: %a@ vut-rows: %a@ vm-queue: %a@ \
      merge-fastpath: runs=%d coalesced=%d->%d (cancel %.2f) fallbacks=%d@ \
      merge-queue-depth: %a@ merge-batch-size: %a@ merge-service: %a@ \
-     index-occupancy: slots: %a live: %a tombstones: %a@ \
+     index-occupancy: slots: %a live: %a@ \
      resilience: dropped=%d retx=%d acks=%d nacks=%d dups=%d gave-up=%d \
      crashes=%d recoveries=%d@ \
      serving: reads=%d rtput=%.2f/s cache=%d/%d clamped=%d \
@@ -188,7 +186,6 @@ let pp ppf t =
     Sim.Stats.Summary.pp t.merge_service_time
     Sim.Stats.Summary.pp t.index_slots
     Sim.Stats.Summary.pp t.index_live
-    Sim.Stats.Summary.pp t.index_tombstones
     (Atomic.get t.msgs_dropped) (Atomic.get t.retransmits) (Atomic.get t.acks)
     (Atomic.get t.nacks)
     (Atomic.get t.dup_frames_dropped)

@@ -41,9 +41,6 @@ type t = {
           of committed warehouse states, sampled per index at commit. *)
   index_live : Sim.Stats.Summary.t;
       (** Live entries per sampled index. *)
-  index_tombstones : Sim.Stats.Summary.t;
-      (** Tombstoned entries per sampled index — churn that compaction
-          has not yet reclaimed. *)
   vm_queue : Sim.Stats.Summary.t;
       (** Pending work across view managers, sampled on update routing. *)
   read_latency : Sim.Stats.Summary.t;

@@ -535,17 +535,17 @@ let serving_result ctx =
 let ctx_cache_of = function Some c -> c.ctx_cache | None -> None
 
 (* Fold the run-scoped perf counters into the metrics at drain time: the
-   query-kernel counters accrued since the run started, the shared-plan
-   engine's hit/miss/maintenance tallies, and the result cache's
+   query-kernel counters accrued since the run started, the shared
+   slots' hit/miss/maintenance tallies, and the result cache's
    refresh-vs-invalidate decision counts and retained snapshots. *)
-let finalize_perf_metrics metrics ~kernel0 ~shared ~serving =
+let finalize_perf_metrics metrics ~kernel0 ~slots ~serving =
   Metrics.add_kernel_counters_since metrics kernel0;
-  (match shared with
-  | Some eng ->
-    let s = Shared.Engine.stats eng in
-    Metrics.add metrics.Metrics.shared_hits s.Shared.Engine.hits;
-    Metrics.add metrics.Metrics.shared_misses s.Shared.Engine.misses;
-    Metrics.add metrics.Metrics.shared_rows s.Shared.Engine.rows_maintained
+  (match slots with
+  | Some slots ->
+    let s = Selfmaint.Plan.slot_stats slots in
+    Metrics.add metrics.Metrics.shared_hits s.Selfmaint.Plan.hits;
+    Metrics.add metrics.Metrics.shared_misses s.Selfmaint.Plan.misses;
+    Metrics.add metrics.Metrics.shared_rows s.Selfmaint.Plan.rows_maintained
   | None -> ());
   match ctx_cache_of serving with
   | Some c ->
@@ -571,6 +571,16 @@ let effective_views cfg schemas =
       cfg.scenario.Workload.Scenarios.views
   else cfg.scenario.views
 
+(* One full-replica plan per view, rewritten to share their common
+   subplans under [shared_plans]; the slot table comes along for its
+   counters. *)
+let view_plans cfg ~initial views =
+  let plans = List.map (Selfmaint.Plan.replica ~initial) views in
+  if cfg.shared_plans then
+    let plans, slots = Selfmaint.Plan.share plans in
+    (plans, Some slots)
+  else (plans, None)
+
 let run_sequential cfg =
   if process_crash_faults cfg then
     invalid_arg
@@ -593,13 +603,12 @@ let run_sequential cfg =
   let kernel0 = Metrics.kernel_counters () in
   let sample mean = Sim.Rng.exponential lat_rng ~mean in
   let exec = Parallel.Config.exec cfg.parallel in
-  let shared =
-    if cfg.shared_plans then
-      Some
-        (Shared.Engine.create
-           ~schemas:(Source.Sources.schema_lookup sources)
-           ~initial:initial_db views)
-    else None
+  let plans, slots = view_plans cfg ~initial:initial_db views in
+  (* Each view with its plan and the plan's [Group_by] state. *)
+  let managed =
+    List.map2
+      (fun v plan -> (v, plan, ref Query.Compiled.no_groups))
+      views plans
   in
   let serving =
     setup_serving engine ~rng ~sample ~metrics ~store ~views ~log:ignore cfg
@@ -615,47 +624,33 @@ let run_sequential cfg =
       let changes = Query.Delta.of_transaction txn in
       let relevant =
         List.filter
-          (fun v ->
+          (fun (v, _, _) ->
             List.exists
               (fun r -> Query.View.uses v r)
               (Update.Transaction.relations txn))
-          views
+          managed
       in
       (* The per-view deltas of one source update are independent by
          construction (each reads only the shared pre-state), so they fan
          out across the pool; [Exec.map] preserves view order, making the
          action-list order — and thus the WT — identical to [List.map].
-         With [shared_plans] the fan-out instead happens inside the
-         engine's topological pass — one node delta per shared subplan,
-         served to every referring view — which computes bit-identical
-         per-view deltas, so the WT stream is unchanged. *)
+         Each view steps its own plan over the one cache; a shared slot
+         advances once, on the first view's demand. *)
       let pre = !cache in
       let actions =
-        match shared with
-        | Some eng ->
-          let deltas = Shared.Engine.txn_pass eng ~exec ~pre txn in
-          List.map
-            (fun v ->
-              let name = Query.View.name v in
-              let delta =
-                match List.assoc_opt name deltas with
-                | Some d -> d
-                | None -> Signed_bag.zero
-              in
-              Query.Action_list.delta ~view:name
-                ~state:txn.Update.Transaction.id delta)
-            relevant
-        | None ->
-          Parallel.Exec.map exec
-            (fun v ->
-              let delta =
-                Query.Delta.eval ~exec ~pre changes v.Query.View.def
-              in
-              Query.Action_list.delta ~view:(Query.View.name v)
-                ~state:txn.Update.Transaction.id delta)
-            relevant
+        Parallel.Exec.map exec
+          (fun (v, plan, groups) ->
+            let delta, g =
+              Selfmaint.Plan.step ~exec ~txn:txn.Update.Transaction.id plan
+                ~pre ~groups:!groups
+                (Selfmaint.Plan.project plan changes)
+            in
+            groups := g;
+            Query.Action_list.delta ~view:(Query.View.name v)
+              ~state:txn.Update.Transaction.id delta)
+          relevant
       in
-      cache := Database.apply_transaction !cache txn;
+      cache := Query.Delta.apply !cache changes;
       (* Deltas for all views are computed one after the other by the same
          process — the whole point of the strawman's slowness. Under
          [model_overlap] the charge is instead the LPT makespan of the
@@ -711,7 +706,7 @@ let run_sequential cfg =
   if not ok then
     raise (Stuck "sequential baseline failed to drain");
   metrics.Metrics.completed_at <- Sim.Engine.now engine;
-  finalize_perf_metrics metrics ~kernel0 ~shared ~serving;
+  finalize_perf_metrics metrics ~kernel0 ~slots ~serving;
   { config = cfg; store; sources;
     transactions = Source.Sources.transactions sources; metrics;
     merge_algorithm = "sequential"; timeline = []; stuck = false;
@@ -891,24 +886,14 @@ let run_pipelined cfg =
          views)
   in
   let kernel0 = Metrics.kernel_counters () in
-  (* Shared-plan engine for the pipelined runtime: complete managers
-     route their per-update deltas through one sub-plan DAG instead of
-     each evaluating its own compiled plan, so a subplan common to
-     several views is maintained once per update. Gated to fault-free,
-     unfiltered runs — the engine requires every routed view to demand
-     every transaction touching its base relations in id order, which
-     message drops, crashes and semantic filtering all break. *)
-  let is_complete v =
-    match kind_of cfg v with Complete_vm -> true | _ -> false
-  in
-  let shared =
-    if cfg.shared_plans && faultless cfg && not cfg.semantic_filter
-       && List.exists is_complete views
-    then
-      Some
-        (Shared.Engine.create ~schemas ~initial:initial_db
-           (List.filter is_complete views))
-    else None
+  (* Under [shared_plans] every view is a complete manager ([run]
+     checks it), and their plans are built here, together, so they
+     share one slot table. *)
+  let shared_plans, slots =
+    if cfg.shared_plans then
+      let plans, slots = view_plans cfg ~initial:initial_db views in
+      (List.combine (List.map Query.View.name views) plans, slots)
+    else ([], None)
   in
   let arrival_times = Hashtbl.create 64 in
   let serving =
@@ -1113,9 +1098,7 @@ let run_pipelined cfg =
                 Sim.Stats.Summary.add metrics.Metrics.index_slots
                   (float_of_int o.Bag_index.slots);
                 Sim.Stats.Summary.add metrics.Metrics.index_live
-                  (float_of_int o.Bag_index.live);
-                Sim.Stats.Summary.add metrics.Metrics.index_tombstones
-                  (float_of_int o.Bag_index.tombstones))
+                  (float_of_int o.Bag_index.live))
               (Relation.index_stats (Warehouse.Store.view store v)))
           (Warehouse.Wt.views wt))
       ()
@@ -1712,6 +1695,7 @@ let run_pipelined cfg =
           | Some (plan, state) ->
             resume := None;
             (plan, Some state)
+          | None when cfg.shared_plans -> (List.assoc name shared_plans, None)
           | None ->
             let plan = make_plan ~initial:initial_db view in
             if kind = Selfmaint_vm then begin
@@ -1723,16 +1707,8 @@ let run_pipelined cfg =
             end;
             (plan, None)
         in
-        let delta_fn =
-          if kind <> Complete_vm then None
-          else
-            Option.map
-              (fun eng ~pre txn ->
-                Shared.Engine.txn_delta eng ~view:name ~pre txn)
-              shared
-        in
-        Viewmgr.Plan_vm.create ~engine ~compute_latency ~exec ?delta_fn
-          ?state ~on_apply:aux_on_apply ~drain ~plan ~emit ()
+        Viewmgr.Plan_vm.create ~engine ~compute_latency ~exec ?state
+          ~on_apply:aux_on_apply ~drain ~plan ~emit ()
     in
     let inner = ref (build_inner ~inc:0) in
     (* Application-level id dedup is only needed around crash recovery
@@ -2244,7 +2220,7 @@ let run_pipelined cfg =
   if (not ok) && faultless cfg then
     raise (Stuck "system failed to drain after flushing view managers");
   metrics.Metrics.completed_at <- Sim.Engine.now engine;
-  finalize_perf_metrics metrics ~kernel0 ~shared ~serving;
+  finalize_perf_metrics metrics ~kernel0 ~slots ~serving;
   Metrics.add metrics.Metrics.msgs_dropped
     (List.fold_left (fun acc d -> acc + d ()) 0 !drop_counts);
   List.iter
@@ -2289,7 +2265,44 @@ let run_pipelined cfg =
          Some (List.rev !fused_emitted, List.rev !fused_parts)
        else None) }
 
+(* Shared slots advance once per transaction, in id order, on the first
+   referrer's demand. A configuration that breaks that discipline is
+   refused here rather than run unshared. *)
+let check_shared_plans cfg =
+  let refuse why = invalid_arg ("System: shared_plans " ^ why) in
+  if cfg.shared_plans then begin
+    if not (faultless cfg) then
+      refuse
+        "needs a fault-free run: a lost message or a crash replays a \
+         view's transactions out of step with the shared slots";
+    if cfg.semantic_filter then
+      refuse
+        "excludes semantic_filter: a filtered view skips transactions the \
+         shared slots it reads must advance through";
+    if cfg.merge_kind <> Sequential then
+      List.iter
+        (fun v ->
+          let refuse_manager why =
+            refuse
+              (Printf.sprintf "needs Complete_vm managers: view %s's manager %s"
+                 (Query.View.name v) why)
+          in
+          match kind_of cfg v with
+          | Complete_vm -> ()
+          | Selfmaint_vm ->
+            refuse_manager
+              "keeps projected auxiliaries, and slots read full replicas"
+          | Batching_vm | Complete_n_vm _ ->
+            refuse_manager
+              "steps several transactions at once, and slots advance one at \
+               a time"
+          | Strobe_vm | Periodic_vm _ | Convergent_vm | Derived_vm _ ->
+            refuse_manager "steps no plan, so nothing would be shared")
+        cfg.scenario.Workload.Scenarios.views
+  end
+
 let run cfg =
+  check_shared_plans cfg;
   match cfg.merge_kind with
   | Sequential -> run_sequential cfg
   | Auto | Force_spa | Force_pa | Force_passthrough | Force_holdall ->

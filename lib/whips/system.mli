@@ -311,18 +311,18 @@ type config = {
           count yields identical commits, reads and verdicts —
           [model_overlap] is the separate latency-model switch. *)
   shared_plans : bool;
-      (** Route per-update delta evaluation through the
-          {!Shared.Engine} sub-plan DAG: join-bearing subplans common
-          to several views are canonicalized, materialized and
-          incrementally maintained once per update instead of once per
-          referring view. Per-view deltas are bit-identical to the
-          unshared path, so commits, reads and verdicts are unchanged.
-          The sequential runtime always honours the flag; the pipelined
-          runtime applies it to [Complete_vm]-managed views on
-          fault-free, unfiltered runs (every routed view must see every
-          transaction touching its base relations, which drops, crashes
-          and semantic filtering break) and silently falls back to
-          per-view plans otherwise. Off by default. *)
+      (** Share the views' common subplans ({!Selfmaint.Plan.share}):
+          every join-bearing subexpression that two or more view
+          definitions contain is maintained once per update, in a slot
+          every plan containing it reads, instead of once per view.
+          Per-view deltas are bit-identical to the unshared path, so
+          commits, reads and verdicts are unchanged. A slot advances one
+          transaction at a time, in id order, for every view reading
+          it, so {!run} raises [Invalid_argument], with the reason, on
+          a configuration that breaks this: faults or a fault plan,
+          [semantic_filter], or, in the pipelined runtime, a view whose
+          manager is not [Complete_vm]. The sequential strawman runs no
+          managers and shares under any [vm_kind]. Off by default. *)
   seed : int;
 }
 
@@ -413,6 +413,9 @@ exception Stuck of string
 (** The system failed to drain without an injected fault — always a bug. *)
 
 val run : config -> result
+(** @raise Invalid_argument, before anything runs, on a configuration
+    [shared_plans] cannot serve (see the field), and on the other
+    combinations the runtimes refuse. *)
 
 val verdict : result -> Consistency.Checker.verdict
 (** Run the consistency oracle on the recorded source and warehouse state

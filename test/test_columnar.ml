@@ -171,19 +171,6 @@ let empty_delta_tests =
         let b = Helpers.bag_of [ [ 1 ]; [ 2 ] ] in
         Alcotest.(check bool) "same bag" true
           (Signed_bag.apply Signed_bag.zero b == b));
-    case "Bag_index.apply_signed of a zero delta allocates nothing"
-      (fun () ->
-        let idx =
-          Bag_index.of_bag ~key_pos:[| 0 |] (Helpers.bag_of [ [ 1; 2 ]; [ 3; 4 ] ])
-        in
-        let groups_before = Bag_index.groups idx in
-        let before = Gc.minor_words () in
-        Bag_index.apply_signed idx Signed_bag.zero;
-        let after = Gc.minor_words () in
-        Alcotest.(check bool) "no allocation" true
-          (after -. before <= alloc_slack);
-        Alcotest.(check int) "index untouched" (List.length groups_before)
-          (List.length (Bag_index.groups idx)));
     case "Signed_bag.sum of two zero deltas allocates nothing" (fun () ->
         let before = Gc.minor_words () in
         let s = Signed_bag.sum Signed_bag.zero Signed_bag.zero in
@@ -212,24 +199,7 @@ let index_tests =
             (fun acc (tup, n) -> Signed_bag.add tup n acc)
             Signed_bag.zero (Bag_index.find idx key)
         in
-        Signed_bag.equal via_fold via_find);
-    Helpers.qcheck "apply_signed tracks a rebuilt index"
-      QCheck2.Gen.(pair bag_gen signed_gen)
-      (fun (b, d) ->
-        let idx = Bag_index.of_bag ~key_pos:[| 1 |] b in
-        (* apply_signed requires a delta that applies exactly (no
-           clamped deletions), so diff the clamped post-state back. *)
-        let post = Signed_bag.apply d b in
-        let d = Signed_bag.diff_of_bags ~before:b ~after:post in
-        Bag_index.apply_signed idx d;
-        let rebuilt = Bag_index.of_bag ~key_pos:[| 1 |] post in
-        Bag.fold
-          (fun tup _ ok ->
-            ok
-            && Signed_bag.equal
-                 (Signed_bag.of_list (Bag_index.find_matching idx tup))
-                 (Signed_bag.of_list (Bag_index.find_matching rebuilt tup)))
-          post true) ]
+        Signed_bag.equal via_fold via_find) ]
 
 (* ---- Derived indexes: the chain oracle ---- *)
 
@@ -408,18 +378,7 @@ let derive_tests =
         Alcotest.(check int) "the key sees the insert" 11
           (List.length (Bag_index.find derived (Tuple.ints [ 7 ])));
         Alcotest.(check int) "the parent does not" 10
-          (List.length (Bag_index.find idx (Tuple.ints [ 7 ]))));
-    case "apply_signed refuses an index shared with a derived version"
-      (fun () ->
-        let idx = Bag_index.of_bag ~key_pos:[| 0 |] (Helpers.bag_of [ [ 1; 2 ] ]) in
-        let child = Bag_index.derive idx (Signed_bag.singleton (Tuple.ints [ 1; 3 ]) 1) in
-        let d = Signed_bag.singleton (Tuple.ints [ 2; 2 ]) 1 in
-        Alcotest.check_raises "parent"
-          (Invalid_argument "Bag_index.apply_signed: index shared with derived versions")
-          (fun () -> Bag_index.apply_signed idx d);
-        Alcotest.check_raises "child"
-          (Invalid_argument "Bag_index.apply_signed: index shared with derived versions")
-          (fun () -> Bag_index.apply_signed child d)) ]
+          (List.length (Bag_index.find idx (Tuple.ints [ 7 ])))) ]
 
 let tests =
   intern_tests @ chunk_tests @ sharing_tests @ empty_delta_tests @ index_tests

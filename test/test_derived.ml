@@ -125,4 +125,55 @@ let tests =
         Alcotest.check Helpers.bag "replay equals recompute"
           (Relation.contents
              (Query.View.materialize (Source.Sources.current srcs) v_view))
-          final) ]
+          final);
+    case "a Group_by over auxiliary views keeps its group state" (fun () ->
+        (* Both levels step with their Group_by state: the primary
+           aggregate is built once and then advanced from each delta,
+           with no refold (Count and an Int Sum never need one). *)
+        let rollup input =
+          Algebra.group_by ~keys:[ "B" ]
+            ~aggregates:[ ("n", Algebra.Count); ("s", Algebra.Sum "D") ]
+            input
+        in
+        let view =
+          Query.View.make "G"
+            (rollup Algebra.(join_all [ base "R"; base "S"; base "T" ]))
+        in
+        let srcs = Workload.Scenarios.sources scen in
+        let initial = Source.Sources.initial srcs in
+        let txns = Workload.Scenarios.run_script scen srcs in
+        let engine = Sim.Engine.create () in
+        let latency ~batch:_ = 0.001 in
+        let direct_out = ref [] and derived_out = ref [] in
+        let direct =
+          Viewmgr.Plan_vm.create ~engine ~compute_latency:latency
+            ~drain:Viewmgr.Plan_vm.One
+            ~plan:(Selfmaint.Plan.replica ~initial view)
+            ~emit:(fun al -> direct_out := !direct_out @ [ al ])
+            ()
+        in
+        drive direct txns engine;
+        let builds = Query.Compiled.group_state_builds ()
+        and rows = Query.Compiled.group_rows () in
+        let derived =
+          Viewmgr.Derived_vm.create ~engine ~compute_latency:latency ~initial
+            ~aux:[ rs_view; st_view ] ~view
+            ~over_aux:(rollup over_aux)
+            ~emit:(fun al -> derived_out := !derived_out @ [ al ])
+            ()
+        in
+        drive derived txns engine;
+        Alcotest.(check int) "one list per transaction"
+          (List.length txns) (List.length !derived_out);
+        List.iter2
+          (fun (a : Action_list.t) (b : Action_list.t) ->
+            Alcotest.(check int) "same state" a.state b.state;
+            match (a.payload, b.payload) with
+            | Action_list.Delta da, Action_list.Delta db ->
+              Alcotest.check Helpers.signed_bag "same delta" da db
+            | _ -> Alcotest.fail "expected delta payloads")
+          !direct_out !derived_out;
+        Alcotest.(check bool) "the group state was built" true
+          (Query.Compiled.group_state_builds () - builds > 0);
+        Alcotest.(check int) "and never refolded" 0
+          (Query.Compiled.group_rows () - rows)) ]

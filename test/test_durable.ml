@@ -301,54 +301,5 @@ let give_up_tests =
         Alcotest.(check bool) "timeline records the death" true
           (List.exists (fun (_, e) -> mentions "gave up" e) r.timeline)) ]
 
-(* ---- Bag_index tombstone compaction under churn ---- *)
-
-(* Deterministic churn driven by a seed: random inserts and deletes of
-   live tuples, applied both to the index in place and to a reference
-   bag. After every step the index must probe exactly like a fresh
-   build, and tombstones must never dominate the stored rows (the
-   compaction law: [rows < 16 || 2 * tombstones < rows]). *)
-let churn_law seed =
-  let rng = Sim.Rng.create (0xC0AC + seed) in
-  let bag = ref Bag.empty in
-  let idx = Bag_index.of_bag ~key_pos:[| 0 |] !bag in
-  let dump i =
-    Bag_index.groups i
-    |> List.concat_map snd
-    |> List.sort compare
-  in
-  for _ = 1 to 60 do
-    let live = Bag.to_list !bag in
-    let delta =
-      if live = [] || Sim.Rng.int rng 3 > 0 then
-        Signed_bag.of_list
-          [ (Tuple.ints [ Sim.Rng.int rng 4; Sim.Rng.int rng 6 ], 1) ]
-      else
-        Signed_bag.of_list
-          [ (List.nth live (Sim.Rng.int rng (List.length live)), -1) ]
-    in
-    Bag_index.apply_signed idx delta;
-    bag := Signed_bag.apply delta !bag;
-    let occ = Bag_index.occupancy idx in
-    let distinct = List.length (List.sort_uniq compare (Bag.to_list !bag)) in
-    if occ.Bag_index.live <> distinct then
-      QCheck2.Test.fail_reportf "churn %d: live %d <> distinct %d" seed
-        occ.Bag_index.live distinct;
-    if not (occ.Bag_index.rows < 16 || 2 * occ.Bag_index.tombstones < occ.Bag_index.rows)
-    then
-      QCheck2.Test.fail_reportf
-        "churn %d: tombstones dominate (rows %d, tombstones %d)" seed
-        occ.Bag_index.rows occ.Bag_index.tombstones;
-    if dump idx <> dump (Bag_index.of_bag ~key_pos:[| 0 |] !bag) then
-      QCheck2.Test.fail_reportf "churn %d: probe results diverged" seed
-  done;
-  true
-
-let bag_index_tests =
-  [ Helpers.qcheck ~count:120
-      "index churn: probes stay exact, tombstones never dominate"
-      QCheck2.Gen.(int_range 0 1_000_000)
-      churn_law ]
-
 let tests =
-  wal_tests @ crash_tests @ validation_tests @ give_up_tests @ bag_index_tests
+  wal_tests @ crash_tests @ validation_tests @ give_up_tests

@@ -1,21 +1,20 @@
-(* The shared-plan delta engine. Four layers of evidence:
+(* Shared subplans (Selfmaint.Plan slots). Four layers of evidence:
 
    - Canon: the normal form is schema- and semantics-preserving (qcheck
      against the naive evaluator), idempotent, and actually unifies what
      it promises — commuted joins, reordered conjuncts and the
      optimizer's selection pushdown all intern to physically shared
      subterms;
-   - Bag_index.apply_signed: an index migrated in place equals a fresh
-     index of the applied bag (the mechanism long-lived intermediates
-     ride through updates on);
-   - the engine oracle: over random databases, view sets with forced
-     subplan overlap and random transaction chains, per-view deltas
-     from [txn_pass] and from demand-driven [txn_delta] (txn-major
-     rotated and view-major laggard orders) equal independent per-view
+   - the slot oracle: over random databases, view sets with forced
+     subplan overlap (a shared join, and a shared [Group_by] over it)
+     and random transaction chains, per-view deltas of shared plans
+     stepped per transaction, and in the txn-major rotated and
+     view-major laggard demand orders, equal independent per-view
      [Query.Delta.eval] runs of the naive reference rules, and applying
      them step by step reproduces the naive recompute of every view;
-   - pinned paper traces: full-system runs of the paper scenarios are
-     byte-identical with sharing on and off, on both runtimes. *)
+   - pinned traces: full-system runs of the paper scenarios and of the
+     sales rollup are byte-identical with sharing on and off, on both
+     runtimes, and the configurations slots do not serve are refused. *)
 
 open Relational
 
@@ -91,48 +90,14 @@ let canon_tests =
              (Query.Eval.eval_bag ~naive:true db n)
         && normalize n = n) ]
 
-(* ---- long-lived index migration ---- *)
+(* ---- the slot oracle (qcheck) ---- *)
 
-let dump_index idx =
-  Bag_index.groups idx
-  |> List.map (fun (k, es) ->
-         ( k,
-           List.sort
-             (fun (t1, c1) (t2, c2) ->
-               match Tuple.compare t1 t2 with 0 -> compare c1 c2 | n -> n)
-             es ))
-  |> List.sort (fun (k1, _) (k2, _) -> Tuple.compare k1 k2)
-
-let index_tests =
-  [ Helpers.qcheck ~count:200 "apply_signed == reindex of the applied bag"
-      QCheck2.Gen.(
-        pair
-          (Helpers.Gen.small_bag ~arity:2 ~range:4)
-          (Helpers.Gen.small_bag ~arity:2 ~range:4))
-      (fun (before, after) ->
-        (* diff_of_bags applies exactly, the precondition apply_signed
-           documents. *)
-        let d = Signed_bag.diff_of_bags ~before ~after in
-        let idx = Bag_index.of_bag ~key_pos:[| 0 |] before in
-        Bag_index.apply_signed idx d;
-        dump_index idx = dump_index (Bag_index.of_bag ~key_pos:[| 0 |] after));
-    case "apply_signed drops emptied keys" (fun () ->
-        let b = Helpers.bag_of [ [ 0; 1 ]; [ 0; 2 ]; [ 1; 3 ] ] in
-        let idx = Bag_index.of_bag ~key_pos:[| 0 |] b in
-        Bag_index.apply_signed idx
-          (Signed_bag.of_list
-             [ (Tuple.ints [ 0; 1 ], -1); (Tuple.ints [ 0; 2 ], -1) ]);
-        Alcotest.(check int) "one key left" 1 (Bag_index.n_keys idx);
-        Alcotest.(check (list (pair Helpers.tuple int)))
-          "emptied group finds nothing" []
-          (Bag_index.find idx (Tuple.ints [ 0 ]))) ]
-
-(* ---- the engine oracle (qcheck) ---- *)
-
-(* Five views: two arbitrary expressions plus a trio built around one
-   join — selected, selected-and-commuted, and raw — so every generated
-   case has forced subplan overlap (the trio's canonical forms meet on
-   Join(R0, R1), giving the engine at least one shared node). *)
+(* Seven views: two arbitrary expressions, a trio built around one
+   join — selected, selected-and-commuted, and raw — and a pair reading
+   one aggregate over that join, so every generated case has forced
+   subplan overlap (the trio's canonical forms meet on Join(R0, R1), and
+   the pair on the Group_by above it: a slot that keeps group state and
+   reads another slot). *)
 let view_set_gen =
   QCheck2.Gen.(
     let pred_on ks =
@@ -144,12 +109,22 @@ let view_set_gen =
     Helpers.Delta_domain.expr_gen >>= fun e2 ->
     pred_on [ 0; 1; 2 ] >>= fun p ->
     pred_on [ 0; 1; 2 ] >>= fun q ->
+    int_range 0 3 >>= fun n ->
+    let rollup =
+      Query.Algebra.group_by ~keys:[ "a1" ]
+        ~aggregates:
+          [ ("n", Query.Algebra.Count); ("s", Query.Algebra.Sum "a2");
+            ("m", Query.Algebra.Max "a0") ]
+        (Query.Algebra.join (rel 0) (rel 1))
+    in
     return
       [ e1;
         e2;
         Query.Algebra.select p (Query.Algebra.join (rel 0) (rel 1));
         Query.Algebra.select q (Query.Algebra.join (rel 1) (rel 0));
-        Query.Algebra.join (rel 0) (rel 1) ])
+        Query.Algebra.join (rel 0) (rel 1);
+        rollup;
+        Query.Algebra.select (Query.Pred.le "n" (Value.Int n)) rollup ])
 
 (* A chain of transactions with strictly increasing ids whose deletes and
    modifies always target live tuples (threading the evolving db, like
@@ -180,96 +155,116 @@ let naive_delta ~pre txn (v : Query.View.t) =
     (Query.Delta.of_transaction txn)
     v.Query.View.def
 
-(* txn_pass: one topological pass per transaction, every relevant view's
-   delta read off the shared DAG, checked against independent naive
-   per-view deltas AND against the naive recompute of the maintained
-   view contents at the end of the chain. *)
-let check_txn_pass (db, defs, txns) =
+let shared_plans db views =
+  let plans, slots =
+    Selfmaint.Plan.share
+      (List.map (fun v -> Selfmaint.Plan.replica ~initial:db v) views)
+  in
+  (Array.of_list plans, slots)
+
+(* Per transaction, every view steps its shared plan over its own cache
+   (advanced by the plan), threading its group state; each delta is
+   checked against independent naive per-view deltas, and the
+   maintained contents against the naive recompute at the end of the
+   chain. *)
+let check_per_txn (db, defs, txns) =
   let views = make_views defs in
-  let eng = Shared.Engine.create ~schemas ~initial:db views in
-  let ok = ref (Shared.Engine.node_count eng >= 1) in
+  let plans, slots = shared_plans db views in
+  let ok = ref ((Selfmaint.Plan.slot_stats slots).Selfmaint.Plan.slots >= 2) in
+  let caches = Array.map Selfmaint.Plan.initial_cache plans in
+  let groups = Array.map (fun _ -> Query.Compiled.no_groups) plans in
   let cur = ref db in
   let mat =
-    ref
+    Array.of_list
       (List.map
          (fun (v : Query.View.t) ->
-           (v.Query.View.name, Query.Eval.eval_bag ~naive:true db v.Query.View.def))
+           Query.Eval.eval_bag ~naive:true db v.Query.View.def)
          views)
   in
   List.iter
-    (fun txn ->
-      let deltas = Shared.Engine.txn_pass eng ~pre:!cur txn in
-      List.iter
-        (fun (v : Query.View.t) ->
-          let oracle = naive_delta ~pre:!cur txn v in
-          let got =
-            Option.value
-              (List.assoc_opt v.Query.View.name deltas)
-              ~default:Signed_bag.zero
+    (fun (txn : Update.Transaction.t) ->
+      List.iteri
+        (fun i (v : Query.View.t) ->
+          let plan = plans.(i) in
+          let changes =
+            Selfmaint.Plan.project plan (Query.Delta.of_transaction txn)
           in
-          if not (Signed_bag.equal got oracle) then ok := false)
+          let d, g =
+            Selfmaint.Plan.step ~txn:txn.Update.Transaction.id plan
+              ~pre:caches.(i) ~groups:groups.(i) changes
+          in
+          groups.(i) <- g;
+          caches.(i) <- Selfmaint.Plan.advance plan caches.(i) changes;
+          if not (Signed_bag.equal d (naive_delta ~pre:!cur txn v)) then
+            ok := false;
+          mat.(i) <- Signed_bag.apply d mat.(i))
         views;
-      mat :=
-        List.map
-          (fun (n, b) ->
-            match List.assoc_opt n deltas with
-            | Some d -> (n, Signed_bag.apply d b)
-            | None -> (n, b))
-          !mat;
       cur := Database.apply_transaction !cur txn)
     txns;
-  List.iter
-    (fun (v : Query.View.t) ->
+  List.iteri
+    (fun i (v : Query.View.t) ->
       if
         not
-          (Bag.equal
-             (List.assoc v.Query.View.name !mat)
+          (Bag.equal mat.(i)
              (Query.Eval.eval_bag ~naive:true !cur v.Query.View.def))
       then ok := false)
     views;
   !ok
 
-(* txn_delta: the pipelined runtime's demand-driven entry, under the two
-   adversarial arrival orders — txn-major with a rotated view order (so
-   every view is sometimes the miss that computes a node and sometimes a
+(* The pipelined runtime's demand order is free across views, under the
+   two adversarial extremes — txn-major with a rotated view order (so
+   every view is sometimes the miss that computes a slot and sometimes a
    memo hit) and view-major (one view drains the whole chain before the
-   next starts, exercising versioned intermediates, deferred advance and
-   laggard index builds). *)
-let check_txn_delta (db, defs, txns) =
+   next starts, so slots keep old versions and memo entries for the
+   laggards). Each view steps only the transactions relevant to it, as
+   the integrator routes them. *)
+let check_demand_orders (db, defs, txns) =
   let views = make_views defs in
   let states = Array.make (List.length txns + 1) db in
   List.iteri
     (fun i txn -> states.(i + 1) <- Database.apply_transaction states.(i) txn)
     txns;
   let ok = ref true in
-  let demand eng i txn (v : Query.View.t) =
-    let d =
-      Shared.Engine.txn_delta eng ~view:v.Query.View.name ~pre:states.(i) txn
-    in
-    if not (Signed_bag.equal d (naive_delta ~pre:states.(i) txn v)) then
-      ok := false
+  let demand (plans, groups) i (txn : Update.Transaction.t) j =
+    let v = List.nth views j in
+    if
+      List.exists (Query.View.uses v) (Update.Transaction.relations txn)
+    then begin
+      let d, g =
+        Selfmaint.Plan.step ~txn:txn.Update.Transaction.id plans.(j)
+          ~pre:states.(i) ~groups:groups.(j)
+          (Selfmaint.Plan.project plans.(j) (Query.Delta.of_transaction txn))
+      in
+      groups.(j) <- g;
+      if not (Signed_bag.equal d (naive_delta ~pre:states.(i) txn v)) then
+        ok := false
+    end
   in
-  let eng1 = Shared.Engine.create ~schemas ~initial:db views in
+  let fresh () =
+    let plans, _ = shared_plans db views in
+    (plans, Array.map (fun _ -> Query.Compiled.no_groups) plans)
+  in
+  let n = List.length views in
+  let rotated = fresh () in
   List.iteri
     (fun i txn ->
-      List.iteri
-        (fun j _ ->
-          demand eng1 i txn (List.nth views ((i + j) mod List.length views)))
-        views)
+      for j = 0 to n - 1 do
+        demand rotated i txn ((i + j) mod n)
+      done)
     txns;
-  let eng2 = Shared.Engine.create ~schemas ~initial:db views in
-  List.iter
-    (fun v -> List.iteri (fun i txn -> demand eng2 i txn v) txns)
-    views;
+  let laggard = fresh () in
+  for j = 0 to n - 1 do
+    List.iteri (fun i txn -> demand laggard i txn j) txns
+  done;
   !ok
 
 let oracle_tests =
   [ Helpers.qcheck ~count:500
-      "txn_pass deltas == independent naive per-view deltas" scenario_gen
-      check_txn_pass;
+      "per-transaction slot deltas == independent naive per-view deltas"
+      scenario_gen check_per_txn;
     Helpers.qcheck ~count:150
-      "demand-driven txn_delta matches the oracle in adversarial orders"
-      scenario_gen check_txn_delta;
+      "slot deltas match the oracle in adversarial demand orders"
+      scenario_gen check_demand_orders;
     case "one miss then memo hits per (node, transaction)" (fun () ->
         let db =
           Database.of_list
@@ -286,28 +281,87 @@ let oracle_tests =
                 (Query.Algebra.join (rel 1) (rel 0));
               j ]
         in
-        let eng = Shared.Engine.create ~schemas ~initial:db views in
-        Alcotest.(check int) "one shared node" 1 (Shared.Engine.node_count eng);
+        let plans, slots = shared_plans db views in
+        Alcotest.(check int) "one slot" 1
+          (Selfmaint.Plan.slot_stats slots).Selfmaint.Plan.slots;
         let txn =
           Update.Transaction.make ~id:1 ~source:"s0"
             [ Update.insert "R0" (Tuple.ints [ 1; 1 ]) ]
         in
-        let deltas = Shared.Engine.txn_pass eng ~pre:db txn in
-        List.iter
-          (fun (v : Query.View.t) ->
+        List.iteri
+          (fun i (v : Query.View.t) ->
+            Alcotest.(check bool) "the plan reads the slot" true
+              (Selfmaint.Plan.has_slots plans.(i));
             Alcotest.check Helpers.signed_bag
               (v.Query.View.name ^ " delta")
               (naive_delta ~pre:db txn v)
-              (Option.value
-                 (List.assoc_opt v.Query.View.name deltas)
-                 ~default:Signed_bag.zero))
+              (fst
+                 (Selfmaint.Plan.step ~txn:1 plans.(i) ~pre:db
+                    ~groups:Query.Compiled.no_groups
+                    (Selfmaint.Plan.project plans.(i)
+                       (Query.Delta.of_transaction txn)))))
           views;
-        let s = Shared.Engine.stats eng in
-        Alcotest.(check int) "the node computed once" 1 s.Shared.Engine.misses;
-        Alcotest.(check int) "served to all three views from the memo" 3
-          s.Shared.Engine.hits;
+        let s = Selfmaint.Plan.slot_stats slots in
+        Alcotest.(check int) "the slot computed once" 1 s.Selfmaint.Plan.misses;
+        Alcotest.(check int) "served to the other two views from the memo" 2
+          s.Selfmaint.Plan.hits;
         Alcotest.(check bool) "maintenance rows counted" true
-          (s.Shared.Engine.rows_maintained > 0)) ]
+          (s.Selfmaint.Plan.rows_maintained > 0));
+    case "a shared Group_by keeps its group state across transactions"
+      (fun () ->
+        let db =
+          Database.of_list
+            [ ("R0", Helpers.rel (schemas "R0") [ [ 0; 1 ]; [ 1; 2 ] ]);
+              ("R1", Helpers.rel (schemas "R1") [ [ 1; 5 ]; [ 2; 6 ] ]);
+              ("R2", Helpers.rel (schemas "R2") [ [ 5; 0 ] ]) ]
+        in
+        let rollup =
+          Query.Algebra.group_by ~keys:[ "a1" ]
+            ~aggregates:
+              [ ("n", Query.Algebra.Count); ("s", Query.Algebra.Sum "a2");
+                ("m", Query.Algebra.Max "a0") ]
+            (Query.Algebra.join (rel 0) (rel 1))
+        in
+        let views =
+          make_views
+            [ rollup;
+              Query.Algebra.select (Query.Pred.le "n" (Value.Int 5)) rollup ]
+        in
+        let plans, slots = shared_plans db views in
+        Alcotest.(check int) "the join and the aggregate over it" 2
+          (Selfmaint.Plan.slot_stats slots).Selfmaint.Plan.slots;
+        let builds = Query.Compiled.group_state_builds ()
+        and rows = Query.Compiled.group_rows () in
+        let cur = ref db in
+        let caches = Array.map Selfmaint.Plan.initial_cache plans in
+        List.iteri
+          (fun i tup ->
+            let txn =
+              Update.Transaction.make ~id:(i + 1) ~source:"s0"
+                [ Update.insert (if i mod 2 = 0 then "R0" else "R1")
+                    (Tuple.ints tup) ]
+            in
+            List.iteri
+              (fun j (v : Query.View.t) ->
+                let changes =
+                  Selfmaint.Plan.project plans.(j)
+                    (Query.Delta.of_transaction txn)
+                in
+                Alcotest.check Helpers.signed_bag
+                  (v.Query.View.name ^ " delta")
+                  (naive_delta ~pre:!cur txn v)
+                  (fst
+                     (Selfmaint.Plan.step ~txn:(i + 1) plans.(j)
+                        ~pre:caches.(j) ~groups:Query.Compiled.no_groups
+                        changes));
+                caches.(j) <- Selfmaint.Plan.advance plans.(j) caches.(j) changes)
+              views;
+            cur := Database.apply_transaction !cur txn)
+          [ [ 3; 1 ]; [ 2; 7 ]; [ 4; 2 ]; [ 1; 8 ]; [ 5; 1 ] ];
+        Alcotest.(check int) "the slot's groups are built once" 1
+          (Query.Compiled.group_state_builds () - builds);
+        Alcotest.(check int) "and never refolded" 0
+          (Query.Compiled.group_rows () - rows)) ]
 
 (* ---- pinned paper traces ---- *)
 
@@ -365,12 +419,12 @@ let pinned_case name scen ~merge_kind ~expect_sharing =
       Alcotest.(check bool) "byte-identical trace" true (trace on = trace off);
       if expect_sharing then begin
         let m = on.Whips.System.metrics in
-        Alcotest.(check bool) "the engine was exercised" true
+        Alcotest.(check bool) "the slots were used" true
           (Atomic.get m.Whips.Metrics.shared_hits
            + Atomic.get m.Whips.Metrics.shared_misses
           > 0);
         let off_m = off.Whips.System.metrics in
-        Alcotest.(check int) "no engine without the flag" 0
+        Alcotest.(check int) "no slots without the flag" 0
           (Atomic.get off_m.Whips.Metrics.shared_hits
           + Atomic.get off_m.Whips.Metrics.shared_misses)
       end)
@@ -395,4 +449,115 @@ let paper_tests =
       Workload.Scenarios.auxiliary ~merge_kind:Whips.System.Auto
       ~expect_sharing:true ]
 
-let tests = canon_tests @ index_tests @ oracle_tests @ paper_tests
+(* ---- Group_by state, supported and refused configurations ---- *)
+
+let group_work (r : Whips.System.result) =
+  let m = r.Whips.System.metrics in
+  ( Atomic.get m.Whips.Metrics.group_rows,
+    Atomic.get m.Whips.Metrics.group_state_builds )
+
+let rollup_case merge_kind label =
+  case
+    (Printf.sprintf "%s: sales_rollup keeps its group state under sharing"
+       label)
+    (fun () ->
+      let scen = Workload.Scenarios.sales_rollup in
+      let off = run_scen scen ~merge_kind ~shared:false in
+      let on = run_scen scen ~merge_kind ~shared:true in
+      Alcotest.(check bool) "byte-identical trace" true (trace on = trace off);
+      Alcotest.(check (pair int int)) "same group rows and state builds"
+        (group_work off) (group_work on);
+      Alcotest.(check bool) "the state was used" true
+        (snd (group_work on) > 0))
+
+(* Every combination the slots serve besides the plain one: WAL
+   durability without crashes, acknowledged links, optimized view
+   definitions and fused merging, all at once. *)
+let composed_case =
+  case "auxiliary is byte-identical under sharing with WAL, ARQ and fusing"
+    (fun () ->
+      let run shared =
+        Whips.System.run
+          { (Whips.System.default Workload.Scenarios.auxiliary) with
+            arrival = Whips.System.Uniform 0.02;
+            durable = Some Whips.System.default_durability;
+            reliability = Whips.System.Acked Sim.Reliable.default_params;
+            optimize_views = true;
+            merge_batch = Whips.System.Fused;
+            record_timeline = true;
+            shared_plans = shared;
+            seed = 5 }
+      in
+      let off = run false and on = run true in
+      Alcotest.(check bool) "byte-identical trace" true (trace on = trace off);
+      Alcotest.(check bool) "the slots were used" true
+        (Atomic.get on.Whips.System.metrics.Whips.Metrics.shared_hits > 0))
+
+let refused name edit reason =
+  case ("shared_plans refuses " ^ name) (fun () ->
+      Alcotest.check_raises "rejected up front"
+        (Invalid_argument ("System: shared_plans " ^ reason))
+        (fun () ->
+          ignore
+            (Whips.System.run
+               (edit
+                  { (Whips.System.default Workload.Scenarios.auxiliary) with
+                    shared_plans = true }))))
+
+let manager kind (cfg : Whips.System.config) =
+  { cfg with Whips.System.vm_overrides = [ ("ST", kind) ] }
+
+let complete_only why =
+  "needs Complete_vm managers: view ST's manager " ^ why
+
+let refusal_tests =
+  [ refused "self-maintaining managers" (manager Whips.System.Selfmaint_vm)
+      (complete_only
+         "keeps projected auxiliaries, and slots read full replicas");
+    refused "batching managers" (manager Whips.System.Batching_vm)
+      (complete_only
+         "steps several transactions at once, and slots advance one at a time");
+    refused "complete-N managers" (manager (Whips.System.Complete_n_vm 2))
+      (complete_only
+         "steps several transactions at once, and slots advance one at a time");
+    refused "managers that step no plan" (manager Whips.System.Strobe_vm)
+      (complete_only "steps no plan, so nothing would be shared");
+    refused "faults"
+      (fun cfg ->
+        { cfg with
+          Whips.System.faults =
+            [ Whips.System.Drop_action_list { view = "ST"; nth = 1 } ] })
+      "needs a fault-free run: a lost message or a crash replays a view's \
+       transactions out of step with the shared slots";
+    refused "a fault plan"
+      (fun cfg ->
+        { cfg with
+          Whips.System.fault_plan =
+            Workload.Fault_plan.random ~drop:0.1 ~duplicate:0.0 ~delay:0.0
+              ~delay_by:0.0 "*" })
+      "needs a fault-free run: a lost message or a crash replays a view's \
+       transactions out of step with the shared slots";
+    refused "semantic filtering"
+      (fun cfg -> { cfg with Whips.System.semantic_filter = true })
+      "excludes semantic_filter: a filtered view skips transactions the \
+       shared slots it reads must advance through";
+    case "the strawman runs any manager kind shared (it runs no managers)"
+      (fun () ->
+        let run shared =
+          Whips.System.run
+            { (Whips.System.default Workload.Scenarios.auxiliary) with
+              merge_kind = Whips.System.Sequential;
+              vm_kind = Whips.System.Batching_vm;
+              shared_plans = shared;
+              seed = 5 }
+        in
+        Alcotest.(check bool) "byte-identical trace" true
+          (trace (run true) = trace (run false))) ]
+
+let config_tests =
+  [ rollup_case Whips.System.Sequential "sequential";
+    rollup_case Whips.System.Auto "pipelined";
+    composed_case ]
+  @ refusal_tests
+
+let tests = canon_tests @ oracle_tests @ paper_tests @ config_tests
