@@ -27,16 +27,15 @@ let experiments =
     ("serve", Serving.run);
     ("servesmoke", Serving.servesmoke);
     ("parallel", Parallel_bench.run);
-    ("parsmoke", Parallel_bench.parsmoke);
     ("shared", Shared_bench.run);
-    ("sharedsmoke", Shared_bench.sharedsmoke);
-    ("colsmoke", Colsmoke.run);
     ("dist", Dist_bench.run);
     ("distsmoke", Dist_bench.distsmoke);
     ("selfmaint", Selfmaint_bench.run);
-    ("selfmaintsmoke", Selfmaint_bench.selfmaintsmoke);
     ("merge", Merge_bench.run);
-    ("mergesmoke", Merge_bench.mergesmoke);
+    ( "diffsmoke",
+      Diffsmoke.run
+        (Parallel_bench.diff_rows @ Shared_bench.diff_rows
+       @ Selfmaint_bench.diff_rows @ Merge_bench.diff_rows) );
     ("summary", Summary.run);
     ("micro", Micro.run) ]
 

@@ -1,29 +1,26 @@
-(* Merge fast path: batched run release vs per-message merging, and the
-   @merge-smoke equivalence gate.
+(* Merge fast path: fused run release vs the coalesced default, and its
+   @diff-smoke row.
 
-   [run] re-runs PR 9's merge-bound cliff (the selfmaint star workload,
+   [run] re-runs the merge-bound cliff (the selfmaint star workload,
    seed 17, 2ms merge cost) per merge_batch policy. The bench pins the
    merge as the binding server — view-manager compute is dropped to 1ms
    so the 5 merge messages per update (1 REL + 4 ALs) saturate first,
    where the seed sweep had the managers' own 10ms compute co-saturating
-   next to the merge. Per-message merging then cliffs near 100
-   updates/s; the fused fast path serves the whole queued backlog per
-   service event and releases each ready run as one batched warehouse
-   transaction, so saturation moves to the next server in line. Writes
-   BENCH_merge.json; headline [merge_saturation_speedup] is the ratio of
-   the highest rate each policy sustains below the staleness threshold,
-   and must be >= 2.
+   next to the merge. [Coalesced] merging, which charges one merge
+   service sample per message and commits every WT, then cliffs near
+   100 updates/s; the fused fast path serves the whole queued backlog
+   per service event and releases each ready run as one batched
+   warehouse transaction, so saturation moves to the next server in
+   line. Writes BENCH_merge.json; headline [merge_saturation_speedup] is
+   the ratio of the highest rate each policy sustains below the
+   staleness threshold, and must be >= 2.
 
-   [mergesmoke] backs the @merge-smoke alias: every pinned paper
-   scenario (plus one generated workload) runs with the fast path on
-   ([Coalesced], the default) and off ([Per_message]) at 1 and 4
-   domains, and the traces must be byte-identical — commits, action
-   counts, the simulated completion instant, final view contents, every
-   served read and the consistency verdict. The [Fused] policy is
-   exempt from trace identity by design (it is the behavioral knob); the
-   smoke instead requires every fused run to pass
-   {!Consistency.Checker.certify_fused} and stay strongly consistent.
-   Exits nonzero on any violation. *)
+   [diff_rows] is the @diff-smoke row: every pinned paper scenario (plus
+   one generated workload) under the [Coalesced] default must be
+   trace-identical at 1 and 4 domains. The [Fused] policy is exempt from
+   trace identity by design (it is the behavioral knob); every fused run
+   must instead pass {!Consistency.Checker.certify_fused} and stay
+   strongly consistent. *)
 
 open Whips
 
@@ -69,8 +66,8 @@ let saturation_rate cells =
 
 type cell = {
   rate : float;
-  off_mean : float;
-  off_p95 : float;
+  coalesced_mean : float;
+  coalesced_p95 : float;
   fused_mean : float;
   fused_p95 : float;
   fused_batch_mean : float;
@@ -80,81 +77,74 @@ type cell = {
 
 let run () =
   Tables.section
-    "merge fast path: per-message vs fused run release (update-rate sweep)";
+    "merge fast path: coalesced vs fused run release (update-rate sweep)";
   let txns = if quick () then 60 else 150 in
   let scen = Selfmaint_bench.star_scenario ~n_views:4 ~txns ~seed:17 in
   let rates =
     if quick () then [ 40.0; 160.0; 640.0 ]
     else [ 20.0; 40.0; 80.0; 160.0; 320.0; 640.0; 1280.0 ]
   in
-  let cells =
+  let runs =
     List.map
       (fun rate ->
-        let off = cliff_run scen ~batch:System.Per_message ~rate in
+        let coalesced = cliff_run scen ~batch:System.Coalesced ~rate in
         let fused = cliff_run scen ~batch:System.Fused ~rate in
-        { rate;
-          off_mean = mean_staleness off;
-          off_p95 = p95_staleness off;
-          fused_mean = mean_staleness fused;
-          fused_p95 = p95_staleness fused;
-          fused_batch_mean =
-            Sim.Stats.Summary.mean fused.metrics.Metrics.merge_batch_size;
-          fused_batch_max =
-            Sim.Stats.Summary.max fused.metrics.Metrics.merge_batch_size;
-          fused_commits = Atomic.get fused.metrics.Metrics.commits })
+        ( coalesced,
+          { rate;
+            coalesced_mean = mean_staleness coalesced;
+            coalesced_p95 = p95_staleness coalesced;
+            fused_mean = mean_staleness fused;
+            fused_p95 = p95_staleness fused;
+            fused_batch_mean =
+              Sim.Stats.Summary.mean fused.metrics.Metrics.merge_batch_size;
+            fused_batch_max =
+              Sim.Stats.Summary.max fused.metrics.Metrics.merge_batch_size;
+            fused_commits = Atomic.get fused.metrics.Metrics.commits } ))
       rates
   in
+  let cells = List.map snd runs in
   Tables.print
     ~title:
       "mean / p95 staleness; merge 2ms per message, fused serves the \
        backlog per service event"
     ~header:
-      [ "rate/s"; "off mean"; "off p95"; "fused mean"; "fused p95";
-        "batch mean"; "batch max"; "fused commits" ]
+      [ "rate/s"; "coalesced mean"; "coalesced p95"; "fused mean";
+        "fused p95"; "batch mean"; "batch max"; "fused commits" ]
     (List.map
        (fun c ->
          [ string_of_int (int_of_float c.rate);
-           Tables.ms c.off_mean; Tables.ms c.off_p95;
+           Tables.ms c.coalesced_mean; Tables.ms c.coalesced_p95;
            Tables.ms c.fused_mean; Tables.ms c.fused_p95;
            Tables.f1 c.fused_batch_mean; Tables.f1 c.fused_batch_max;
            string_of_int c.fused_commits ])
        cells);
-  (* The default fast path must not move a single number: same sweep
-     point under Coalesced vs Per_message, full trace compared. *)
-  let id_rate = List.nth rates (List.length rates / 2) in
-  let id_off = cliff_run scen ~batch:System.Per_message ~rate:id_rate in
-  let id_on = cliff_run scen ~batch:System.Coalesced ~rate:id_rate in
-  let identical =
-    Parallel_bench.signatures_equal
-      (Parallel_bench.signature id_on)
-      (Parallel_bench.signature id_off)
+  (* The coalescing counters of the coalesced run at the middle rate. *)
+  let probe_rate, probe =
+    let coalesced, c = List.nth runs (List.length runs / 2) in
+    (c.rate, coalesced.metrics)
   in
-  if not identical then begin
-    Printf.printf
-      "merge bench FAILED: Coalesced diverged from Per_message at %g/s\n%!"
-      id_rate;
-    exit 1
-  end;
   Printf.printf
-    "identity probe at %g/s: Coalesced trace == Per_message trace; \
-     coalesced %d->%d actions (cancel ratio %.2f, %d fallbacks)\n"
-    id_rate
-    (Atomic.get id_on.metrics.Metrics.coalesced_in)
-    (Atomic.get id_on.metrics.Metrics.coalesced_out)
-    (Metrics.coalesce_cancel_ratio id_on.metrics)
-    (Atomic.get id_on.metrics.Metrics.coalesce_fallbacks);
-  let off_sat =
-    saturation_rate (List.map (fun c -> (c.rate, c.off_mean)) cells)
+    "coalesced run at %g/s: %d->%d actions (cancel ratio %.2f, %d \
+     fallbacks)\n"
+    probe_rate
+    (Atomic.get probe.Metrics.coalesced_in)
+    (Atomic.get probe.Metrics.coalesced_out)
+    (Metrics.coalesce_cancel_ratio probe)
+    (Atomic.get probe.Metrics.coalesce_fallbacks);
+  let coalesced_sat =
+    saturation_rate (List.map (fun c -> (c.rate, c.coalesced_mean)) cells)
   and fused_sat =
     saturation_rate (List.map (fun c -> (c.rate, c.fused_mean)) cells)
   in
-  let speedup = if off_sat > 0.0 then fused_sat /. off_sat else 0.0 in
+  let speedup =
+    if coalesced_sat > 0.0 then fused_sat /. coalesced_sat else 0.0
+  in
   Printf.printf
-    "saturation (mean staleness <= %gs): per-message %g/s, fused %g/s — \
+    "saturation (mean staleness <= %gs): coalesced %g/s, fused %g/s — \
      %.1fx further\n"
-    saturation_threshold off_sat fused_sat speedup;
+    saturation_threshold coalesced_sat fused_sat speedup;
   Printf.printf
-    "expected shape: per-message merging cliffs once 5 messages x 2ms per \
+    "expected shape: coalesced merging cliffs once 5 messages x 2ms per \
      update exceed the\nservice rate (~100/s); the fused path charges one \
      service sample per backlog and commits\neach ready run as one BWT, so \
      staleness stays near the pipeline floor until the next\nserver binds. \
@@ -163,23 +153,23 @@ let run () =
   let oc = open_out "BENCH_merge.json" in
   let cell_json c =
     Printf.sprintf
-      "    { \"rate\": %g, \"off_mean_staleness_s\": %.6f, \
-       \"off_p95_staleness_s\": %.6f, \"fused_mean_staleness_s\": %.6f, \
-       \"fused_p95_staleness_s\": %.6f, \"fused_batch_mean\": %.2f, \
+      "    { \"rate\": %g, \"coalesced_mean_staleness_s\": %.6f, \
+       \"coalesced_p95_staleness_s\": %.6f, \"fused_mean_staleness_s\": \
+       %.6f, \"fused_p95_staleness_s\": %.6f, \"fused_batch_mean\": %.2f, \
        \"fused_batch_max\": %g, \"fused_commits\": %d }"
-      c.rate c.off_mean c.off_p95 c.fused_mean c.fused_p95 c.fused_batch_mean
-      c.fused_batch_max c.fused_commits
+      c.rate c.coalesced_mean c.coalesced_p95 c.fused_mean c.fused_p95
+      c.fused_batch_mean c.fused_batch_max c.fused_commits
   in
   Printf.fprintf oc
     "{\n\
     \  \"schema_version\": 1,\n\
     \  \"generated_by\": \"bench/main.exe merge\",\n\
     \  \"quick\": %b,\n\
-    \  \"note\": \"merge fast path: per-message merging vs fused run \
-     release on the PR 9 star cliff (merge 2ms, compute 1ms, seed 17); \
+    \  \"note\": \"merge fast path: coalesced merging vs fused run \
+     release on the star cliff (merge 2ms, compute 1ms, seed 17); \
      saturation = highest swept rate with mean staleness <= %gs\",\n\
     \  \"sweep\": [\n%s\n  ],\n\
-    \  \"saturation_rate_off\": %g,\n\
+    \  \"saturation_rate_coalesced\": %g,\n\
     \  \"saturation_rate_fused\": %g,\n\
     \  \"merge_saturation_speedup\": %.4f,\n\
     \  \"coalesce_cancel_ratio\": %.4f,\n\
@@ -187,72 +177,15 @@ let run () =
      }\n"
     (quick ()) saturation_threshold
     (String.concat ",\n" (List.map cell_json cells))
-    off_sat fused_sat speedup
-    (Metrics.coalesce_cancel_ratio id_on.metrics)
-    (Atomic.get id_on.metrics.Metrics.coalesce_fallbacks);
+    coalesced_sat fused_sat speedup
+    (Metrics.coalesce_cancel_ratio probe)
+    (Atomic.get probe.Metrics.coalesce_fallbacks);
   close_out oc;
   Printf.printf "wrote BENCH_merge.json\n%!"
 
-(* ---- @merge-smoke ---- *)
+(* ---- @diff-smoke row ---- *)
 
-let trace ~batch ~domains scen =
-  System.run
-    { (System.default scen) with
-      merge_batch = batch;
-      arrival = System.Uniform 0.02;
-      reads = Some System.default_reads;
-      parallel =
-        { Parallel.Config.domains; shards = domains; model_overlap = false };
-      seed = 9 }
-
-let check scen =
-  let results =
-    List.map
-      (fun domains ->
-        let on = trace ~batch:System.Coalesced ~domains scen
-        and off = trace ~batch:System.Per_message ~domains scen in
-        let ok =
-          Parallel_bench.signatures_equal
-            (Parallel_bench.signature on)
-            (Parallel_bench.signature off)
-          && Parallel_bench.read_signature on
-             = Parallel_bench.read_signature off
-          && System.verdict on = System.verdict off
-        in
-        Printf.printf "merge-smoke %-14s domains %d: %s\n%!"
-          scen.Workload.Scenarios.name domains
-          (if ok then "identical" else "DIVERGED");
-        ok)
-      [ 1; 4 ]
-  in
-  (* The fused policy is the behavioral knob: no trace identity, but the
-     recorded batches must re-check exactly and the run must stay
-     strongly consistent (the paper's batching level). Reads stay off so
-     the verdict sees Keep_all history alone. *)
-  let fused =
-    System.run
-      { (System.default scen) with
-        merge_batch = System.Fused;
-        arrival = System.Uniform 0.02;
-        seed = 9 }
-  in
-  let cert = System.fused_certificate fused in
-  let v = System.verdict fused in
-  let fused_ok =
-    Consistency.Checker.certified_fused cert
-    && Consistency.Checker.at_least Consistency.Checker.Strong v
-  in
-  Printf.printf "merge-smoke %-14s fused: %s (%s, %s)\n%!"
-    scen.Workload.Scenarios.name
-    (if fused_ok then "certified" else "FAILED")
-    cert.Consistency.Checker.fc_detail
-    (Consistency.Checker.level_name (Consistency.Checker.level v));
-  List.for_all Fun.id results && fused_ok
-
-let mergesmoke () =
-  Tables.section
-    "merge-smoke: the coalesced fast path must be trace-identical to \
-     per-message merging; fused runs must certify";
+let diff_rows =
   let generated =
     Workload.Generator.generate
       { Workload.Generator.default with
@@ -262,16 +195,26 @@ let mergesmoke () =
         n_transactions = 12;
         initial_tuples = 6 }
   in
-  let scens = Workload.Scenarios.all @ [ generated ] in
-  let results = List.map check scens in
-  if List.for_all Fun.id results then
-    Printf.printf
-      "merge-smoke OK: %d scenarios identical on/off, all fused runs \
-       certified\n%!"
-      (List.length scens)
-  else begin
-    Printf.printf
-      "merge-smoke FAILED: fast path diverged or a fused run failed \
-       certification\n%!";
-    exit 1
-  end
+  (* The fused policy is the behavioral knob: no trace identity, but the
+     recorded batches must re-check exactly and the run must stay
+     strongly consistent (the paper's batching level). Reads stay off so
+     the verdict sees Keep_all history alone. *)
+  let fused scen _ =
+    let r =
+      System.run
+        { (Diffsmoke.base ~domains:1 scen) with merge_batch = System.Fused }
+    in
+    let cert = System.fused_certificate r in
+    let v = System.verdict r in
+    [ ( Printf.sprintf "fused certified (%s, %s)"
+          cert.Consistency.Checker.fc_detail
+          (Consistency.Checker.level_name (Consistency.Checker.level v)),
+        Consistency.Checker.certified_fused cert
+        && Consistency.Checker.at_least Consistency.Checker.Strong v ) ]
+  in
+  [ { Diffsmoke.name = "merge: coalesced";
+      scenarios = Workload.Scenarios.all @ [ generated ];
+      domains = [ 1; 4 ];
+      left = (fun cfg -> { cfg with System.reads = Some System.default_reads });
+      right = None;
+      extra = fused } ]

@@ -240,14 +240,14 @@ let test_delta_via_aux =
           in
           ignore (Query.Delta.eval ~pre:aux_db aux_changes over_aux)))
 
-(* Naive-vs-hash kernel ablation (the compiled positional hash kernel
-   against the interpreted nested-loop reference). The headline pair is the
-   join-delta kernel at 10k-row relations: a 32-update source batch against
-   V = R |><| S, i.e. the work a batching view manager does per action
-   list. The naive rule joins the 10k-row pre-state against the 32-row
-   delta pairwise (320k Tuple.join calls, each re-resolving the shared
-   attribute by name); the hash rule builds on the 32-row side and probes
-   the 10k side positionally. *)
+(* Naive-vs-compiled kernel ablation (the compiled columnar kernels
+   against the interpreted nested-loop reference). The headline pair is
+   the join-delta kernel at 10k-row relations: a 32-update source batch
+   against V = R |><| S, i.e. the work a batching view manager does per
+   action list. The naive rule joins the 10k-row pre-state against the
+   32-row delta pairwise (320k Tuple.join calls, each re-resolving the
+   shared attribute by name); the compiled rule probes the 10k side's
+   memoized index with the 32 delta rows. *)
 
 let delta_kernel_setup n =
   let range = 2 * n in
@@ -265,35 +265,11 @@ let delta_kernel_setup n =
   in
   (db, expr, changes)
 
-(* Force the columnar switch around one measured thunk: the historical
-   "hash" kernels keep measuring the boxed positional path they were
-   named for, with the columnar path measured by its own kernels. *)
-let with_columnar flag f =
-  let saved = !Columnar.enabled in
-  Columnar.enabled := flag;
-  Fun.protect ~finally:(fun () -> Columnar.enabled := saved) f
-
-let test_delta_join_10k_hash =
-  Test.make ~name:"kernel:delta-join-10k/hash"
-    (Staged.stage
-       (let db, expr, changes = delta_kernel_setup 10_000 in
-        fun () ->
-          with_columnar false (fun () ->
-              ignore (Query.Delta.eval ~pre:db changes expr))))
-
 let test_delta_join_10k_naive =
   Test.make ~name:"kernel:delta-join-10k/naive"
     (Staged.stage
        (let db, expr, changes = delta_kernel_setup 10_000 in
         fun () -> ignore (Query.Delta.eval ~naive:true ~pre:db changes expr)))
-
-let test_eval_join_1k_hash =
-  Test.make ~name:"kernel:eval-join-1k/hash"
-    (Staged.stage
-       (let db = join_db_wide 1000 ~range:1000 in
-        let expr = Query.Algebra.(join (base "R") (base "S")) in
-        fun () ->
-          with_columnar false (fun () -> ignore (Query.Eval.eval_bag db expr))))
 
 let test_eval_join_1k_naive =
   Test.make ~name:"kernel:eval-join-1k/naive"
@@ -308,33 +284,21 @@ let test_eval_join_1k_naive =
    chunks and int-keyed indexes (the setup does that eagerly); each
    measured run then probes the cached pre-state index with the 32
    delta rows — O(|delta|) — instead of scanning and re-indexing the
-   10k-row side as the boxed kernel does. *)
+   10k-row side. *)
 let test_maintain_10k_columnar =
   Test.make ~name:"kernel:maintain-view-10k/columnar"
     (Staged.stage
        (let db, expr, changes = delta_kernel_setup 10_000 in
-        with_columnar true (fun () ->
-            ignore (Query.Delta.eval ~pre:db changes expr));
-        fun () ->
-          with_columnar true (fun () ->
-              ignore (Query.Delta.eval ~pre:db changes expr))))
-
-let test_maintain_10k_boxed =
-  Test.make ~name:"kernel:maintain-view-10k/boxed"
-    (Staged.stage
-       (let db, expr, changes = delta_kernel_setup 10_000 in
-        fun () ->
-          with_columnar false (fun () ->
-              ignore (Query.Delta.eval ~pre:db changes expr))))
+        ignore (Query.Delta.eval ~pre:db changes expr);
+        fun () -> ignore (Query.Delta.eval ~pre:db changes expr)))
 
 let test_eval_join_1k_columnar =
   Test.make ~name:"kernel:eval-join-1k/columnar"
     (Staged.stage
        (let db = join_db_wide 1000 ~range:1000 in
         let expr = Query.Algebra.(join (base "R") (base "S")) in
-        with_columnar true (fun () -> ignore (Query.Eval.eval_bag db expr));
-        fun () ->
-          with_columnar true (fun () -> ignore (Query.Eval.eval_bag db expr))))
+        ignore (Query.Eval.eval_bag db expr);
+        fun () -> ignore (Query.Eval.eval_bag db expr)))
 
 let test_vut_guards_indexed =
   Test.make ~name:"kernel:vut-next-red-1k/hash"
@@ -361,31 +325,26 @@ let test_vut_guards_scan =
             (Mvc.Vut.earlier_with vut ~row:1025 ~view:"V" (fun e ->
                  e.Mvc.Vut.color = Mvc.Vut.Red))))
 
-(* Ablation pairs reported in BENCH_kernel.json: (kernel, slow, fast) —
-   naive vs hash for the historical pairs, boxed vs columnar for the
-   columnar kernels. *)
+(* Ablation pairs reported in BENCH_kernel.json: (kernel, naive, fast).
+   The 10k-row delta pair times the same workload as the headline. *)
 let ablation_pairs =
-  [ ( "maintain-view-10k",
-      "kernel:maintain-view-10k/boxed",
+  [ ( "delta-join-10k",
+      "kernel:delta-join-10k/naive",
       "kernel:maintain-view-10k/columnar" );
-    ( "eval-join-1k-columnar",
-      "kernel:eval-join-1k/hash",
+    ( "eval-join-1k",
+      "kernel:eval-join-1k/naive",
       "kernel:eval-join-1k/columnar" );
-    ("delta-join-10k", "kernel:delta-join-10k/naive", "kernel:delta-join-10k/hash");
-    ("eval-join-1k", "kernel:eval-join-1k/naive", "kernel:eval-join-1k/hash");
     ("vut-next-red-1k", "kernel:vut-next-red-1k/naive", "kernel:vut-next-red-1k/hash") ]
 
 (* [test_maintain_10k_columnar] leads: its estimate is the
    first_kernel_ns_per_run headline that BENCH_summary.json and the
    regression gate track. *)
 let tests =
-  [ test_maintain_10k_columnar; test_maintain_10k_boxed;
-    test_eval_join_1k_columnar; test_vut_lifecycle; test_vut_next_red;
-    test_spa; test_pa; test_delta_join;
-    test_eval_join; test_bag_union; test_delta_pushdown;
+  [ test_maintain_10k_columnar; test_eval_join_1k_columnar;
+    test_vut_lifecycle; test_vut_next_red; test_spa; test_pa;
+    test_delta_join; test_eval_join; test_bag_union; test_delta_pushdown;
     test_delta_pushdown_only; test_delta_direct_3way; test_delta_via_aux;
-    test_delta_join_10k_hash; test_delta_join_10k_naive;
-    test_eval_join_1k_hash; test_eval_join_1k_naive; test_vut_guards_indexed;
+    test_delta_join_10k_naive; test_eval_join_1k_naive; test_vut_guards_indexed;
     test_vut_guards_scan; test_oracle; test_system ]
 
 let json_escape s =

@@ -19,11 +19,11 @@
    the determinism guarantee (identical commits, reads and verdicts at
    every domain count) is what the real-execution knob buys there.
 
-   [parsmoke] is the fast deterministic variant wired to the `@par-smoke`
-   dune alias: domains 1/2/4 must produce identical warehouse commits,
-   served reads and oracle verdicts, on both the pipelined and the
-   sequential-strawman runtimes and under a partitioned merge. Exits
-   nonzero on any mismatch. *)
+   [diff_rows] are the @diff-smoke rows for the domain knob: domains
+   1/2/4 must produce identical warehouse commits, served reads and
+   oracle verdicts, on both the pipelined and the sequential-strawman
+   runtimes and under a partitioned merge, and [model_overlap] must move
+   timestamps only. *)
 
 open Relational
 open Whips
@@ -159,23 +159,6 @@ let run_system ?merge_groups ?reads ?latencies ~merge ~domains ~shards
       parallel = { Parallel.Config.domains; shards; model_overlap };
       seed = 9 }
 
-(* Everything a domain count could possibly perturb, besides wall time:
-   commit/action counts, the simulated completion instant, and the final
-   contents of every view. *)
-let signature (r : System.result) =
-  let m = r.System.metrics in
-  ( Atomic.get m.Metrics.commits,
-    Atomic.get m.Metrics.actions_applied,
-    m.Metrics.completed_at,
-    List.map
-      (fun v -> System.view_contents r (Query.View.name v))
-      r.System.config.System.scenario.Workload.Scenarios.views )
-
-let signatures_equal (c1, a1, t1, views1) (c2, a2, t2, views2) =
-  c1 = c2 && a1 = a2 && t1 = t2
-  && List.length views1 = List.length views2
-  && List.for_all2 Bag.equal views1 views2
-
 (* ---- end-to-end: wall clock + identity + modeled overlap ---- *)
 
 type e2e_point = {
@@ -201,14 +184,16 @@ let end_to_end () =
       ~model_overlap scen
   in
   let baseline = run ~domains:1 ~model_overlap:false in
-  let base_sig = signature baseline in
+  let base_sig = Diffsmoke.signature baseline in
   let wall =
     List.map
       (fun d ->
         let t0 = Unix.gettimeofday () in
         let r = run ~domains:d ~model_overlap:false in
         let e_wall_s = Unix.gettimeofday () -. t0 in
-        let e_identical = signatures_equal (signature r) base_sig in
+        let e_identical =
+          Diffsmoke.signatures_equal (Diffsmoke.signature r) base_sig
+        in
         if not e_identical then
           failwith (Printf.sprintf "domains=%d diverged from sequential" d);
         { e_domains = d; e_wall_s; e_identical })
@@ -219,7 +204,7 @@ let end_to_end () =
     List.map
       (fun d ->
         let r = run ~domains:d ~model_overlap:true in
-        let _, _, completed, views = signature r in
+        let _, _, completed, views = Diffsmoke.signature r in
         (* The latency model moves timestamps only, never contents. *)
         if not (List.for_all2 Bag.equal views base_views) then
           failwith "model_overlap changed view contents";
@@ -292,13 +277,14 @@ let merge_group_sweep () =
             in
             let g_wall_s = Unix.gettimeofday () -. t0 in
             (match !base with
-            | None -> base := Some (groups, signature r)
+            | None -> base := Some (groups, Diffsmoke.signature r)
             | Some (g, s) when g = groups ->
-              if not (signatures_equal s (signature r)) then
+              if not (Diffsmoke.signatures_equal s (Diffsmoke.signature r))
+              then
                 failwith
                   (Printf.sprintf
                      "merge groups=%d diverged across domain counts" groups)
-            | Some _ -> base := Some (groups, signature r));
+            | Some _ -> base := Some (groups, Diffsmoke.signature r));
             { g_groups = groups;
               g_domains = domains;
               g_completed_s = r.System.metrics.Metrics.completed_at;
@@ -439,44 +425,10 @@ let run () =
   write_json ~path:"BENCH_parallel.json" ~kernel_rows ~e2e ~groups;
   Printf.printf "wrote BENCH_parallel.json\n%!"
 
-(* ---- @par-smoke: the determinism oracle as a build check ---- *)
+(* ---- @diff-smoke rows: domain counts are invisible ---- *)
 
-let read_signature (r : System.result) =
-  match r.System.serving with
-  | None -> []
-  | Some s ->
-    List.map
-      (fun rec_ ->
-        ( rec_.System.read_session,
-          rec_.System.read_version,
-          rec_.System.read_arrived,
-          rec_.System.read_served,
-          rec_.System.read_cache_hit,
-          Bag.to_list rec_.System.read_result ))
-      s.System.reads_served
-
-let check name runs =
-  match runs with
-  | [] | [ _ ] -> true
-  | (d0, r0) :: rest ->
-    let s0 = signature r0
-    and reads0 = read_signature r0
-    and v0 = System.verdict r0 in
-    List.for_all
-      (fun (d, r) ->
-        let ok =
-          signatures_equal (signature r) s0
-          && read_signature r = reads0
-          && System.verdict r = v0
-        in
-        Printf.printf "par-smoke %-28s domains %d vs %d: %s\n%!" name d d0
-          (if ok then "identical" else "DIVERGED");
-        ok)
-      rest
-
-let parsmoke () =
-  Tables.section "par-smoke: determinism across domain counts";
-  let gen_scen =
+let diff_rows =
+  let generated =
     Workload.Generator.generate
       { Workload.Generator.default with
         seed = 11;
@@ -485,40 +437,41 @@ let parsmoke () =
         n_transactions = 20;
         initial_tuples = 6 }
   in
-  let runs mk = List.map (fun d -> (d, mk d)) domain_counts in
-  let ok_pipelined =
-    check "pipelined+reads" @@ runs (fun d ->
-        run_system ~merge:System.Auto ~reads:System.default_reads
-          ~domains:d ~shards:d ~model_overlap:false gen_scen)
+  let sequential cfg = { cfg with System.merge_kind = System.Sequential } in
+  (* model_overlap must move timestamps only: contents stay, and the
+     makespan over 4 lanes beats the strawman's sum. *)
+  let overlap scen runs =
+    let seq = List.hd runs in
+    let ovl =
+      System.run
+        (sequential
+           { (Diffsmoke.base ~domains:4 scen) with
+             parallel =
+               { Parallel.Config.domains = 4; shards = 4; model_overlap = true }
+           })
+    in
+    let _, _, _, seq_views = Diffsmoke.signature seq
+    and _, _, _, ovl_views = Diffsmoke.signature ovl in
+    [ ( "model_overlap: contents identical, makespan < sum",
+        List.for_all2 Bag.equal seq_views ovl_views
+        && seq.System.metrics.Metrics.completed_at
+           > ovl.System.metrics.Metrics.completed_at ) ]
   in
-  let ok_groups =
-    check "partitioned-merge" @@ runs (fun d ->
-        run_system ~merge:System.Auto ~merge_groups:3 ~domains:d ~shards:d
-          ~model_overlap:false (grouped_scenario ~families:4 ~txns:12))
-  in
-  let small = fanout_scenario ~rows:600 ~txns:4 in
-  let ok_sequential =
-    check "sequential-strawman" @@ runs (fun d ->
-        run_system ~merge:System.Sequential ~domains:d ~shards:d
-          ~model_overlap:false small)
-  in
-  (* model_overlap must move timestamps only. *)
-  let seq = run_system ~merge:System.Sequential ~domains:4 ~shards:4
-      ~model_overlap:false small
-  and ovl = run_system ~merge:System.Sequential ~domains:4 ~shards:4
-      ~model_overlap:true small in
-  let _, _, _, seq_views = signature seq and _, _, _, ovl_views = signature ovl in
-  let ok_overlap =
-    List.for_all2 Bag.equal seq_views ovl_views
-    && seq.System.metrics.Metrics.completed_at
-       > ovl.System.metrics.Metrics.completed_at
-  in
-  Printf.printf "par-smoke model-overlap: %s\n%!"
-    (if ok_overlap then "contents identical, makespan < sum"
-     else "VIOLATION");
-  if ok_pipelined && ok_groups && ok_sequential && ok_overlap then
-    Printf.printf "par-smoke: all runs identical across domain counts\n%!"
-  else begin
-    Printf.printf "par-smoke: FAILED\n%!";
-    exit 1
-  end
+  [ { Diffsmoke.name = "domains: pipelined+reads";
+      scenarios = [ generated ];
+      domains = domain_counts;
+      left = (fun cfg -> { cfg with System.reads = Some System.default_reads });
+      right = None;
+      extra = Diffsmoke.no_extra };
+    { name = "domains: partitioned merge";
+      scenarios = [ grouped_scenario ~families:4 ~txns:12 ];
+      domains = domain_counts;
+      left = (fun cfg -> { cfg with System.merge_groups = Some 3 });
+      right = None;
+      extra = Diffsmoke.no_extra };
+    { name = "domains: sequential";
+      scenarios = [ fanout_scenario ~rows:600 ~txns:4 ];
+      domains = domain_counts;
+      left = sequential;
+      right = None;
+      extra = overlap } ]

@@ -387,12 +387,12 @@ let faultsoak () =
 
 (* ---- deterministic crash smoke for `dune build @crash-smoke` ---- *)
 
-(* Each stateful singleton process is crashed mid-run, with the columnar
-   kernels forced on and off and at 1 and 4 domains; the recovered run
-   must not be stuck, must end in a final warehouse state byte-identical
-   to a crash-free twin of the same configuration, and must pass the
-   recovery certificate (nothing committed lost, nothing applied twice,
-   served versions monotonic). Exits nonzero on any divergence. *)
+(* Each stateful singleton process is crashed mid-run at 1 and 4
+   domains; the recovered run must not be stuck, must end in a final
+   warehouse state byte-identical to a crash-free twin of the same
+   configuration, and must pass the recovery certificate (nothing
+   committed lost, nothing applied twice, served versions monotonic).
+   Exits nonzero on any divergence. *)
 let crashsmoke () =
   Tables.section
     "crash-smoke: process crashes must recover to the crash-free state";
@@ -408,50 +408,42 @@ let crashsmoke () =
   List.iter
     (fun (fname, fault) ->
       List.iter
-        (fun columnar ->
-          List.iter
-            (fun domains ->
-              let run faults =
-                Colsmoke.with_columnar columnar (fun () ->
-                    System.run
-                      { (System.default Workload.Scenarios.paper_views) with
-                        faults;
-                        reliability = acked;
-                        arrival = System.Poisson 60.0;
-                        parallel =
-                          { Parallel.Config.domains;
-                            shards = domains;
-                            model_overlap = false };
-                        seed = 1 })
-              in
-              let crash = run [ fault ] and clean = run [] in
-              let identical =
-                Relational.Database.equal
-                  (Warehouse.Store.snapshot crash.System.store)
-                  (Warehouse.Store.snapshot clean.System.store)
-                && Warehouse.Store.commit_count crash.System.store
-                   = Warehouse.Store.commit_count clean.System.store
-              in
-              let recovered =
-                (not crash.System.stuck)
-                && Atomic.get crash.System.metrics.Metrics.recoveries >= 1
-              in
-              let certified =
-                Consistency.Checker.certified
-                  (System.recovery_certificate crash)
-              in
-              let ok = identical && recovered && certified in
-              if not ok then incr failures;
-              Printf.printf
-                "crash-smoke %-10s columnar %-5s domains %d: %s\n%!" fname
-                (if columnar then "on" else "off")
-                domains
-                (if ok then "recovered identical"
-                 else
-                   Printf.sprintf "FAILED (recovered %b identical %b cert %b)"
-                     recovered identical certified))
-            [ 1; 4 ])
-        [ false; true ])
+        (fun domains ->
+          let run faults =
+            System.run
+              { (System.default Workload.Scenarios.paper_views) with
+                faults;
+                reliability = acked;
+                arrival = System.Poisson 60.0;
+                parallel =
+                  { Parallel.Config.domains;
+                    shards = domains;
+                    model_overlap = false };
+                seed = 1 }
+          in
+          let crash = run [ fault ] and clean = run [] in
+          let identical =
+            Relational.Database.equal
+              (Warehouse.Store.snapshot crash.System.store)
+              (Warehouse.Store.snapshot clean.System.store)
+            && Warehouse.Store.commit_count crash.System.store
+               = Warehouse.Store.commit_count clean.System.store
+          in
+          let recovered =
+            (not crash.System.stuck)
+            && Atomic.get crash.System.metrics.Metrics.recoveries >= 1
+          in
+          let certified =
+            Consistency.Checker.certified (System.recovery_certificate crash)
+          in
+          let ok = identical && recovered && certified in
+          if not ok then incr failures;
+          Printf.printf "crash-smoke %-10s domains %d: %s\n%!" fname domains
+            (if ok then "recovered identical"
+             else
+               Printf.sprintf "FAILED (recovered %b identical %b cert %b)"
+                 recovered identical certified))
+        [ 1; 4 ])
     pinned;
   if !failures > 0 then begin
     Printf.printf "CRASH SMOKE FAILED: %d configurations diverged\n" !failures;

@@ -1,5 +1,5 @@
 (* Self-maintenance study: warehouse-local auxiliary data vs source
-   compensation round trips, and the @selfmaint-smoke equivalence gate.
+   compensation round trips, and its @diff-smoke row.
 
    [run] sweeps update rate over a star workload whose every update
    touches every view. The Strobe manager pays a source query round
@@ -12,13 +12,10 @@
    [roundtrips_per_update] (source queries per source transaction on
    the selfmaint runs, pinned at 0).
 
-   [selfmaintsmoke] backs the @selfmaint-smoke alias: every pinned
-   paper scenario (plus one generated workload) runs under Selfmaint_vm
-   and Complete_vm at 1 and 4 domains, and the traces must be
-   byte-identical — commits, action counts, the simulated completion
-   instant, final view contents, every served read and the consistency
-   verdict — with zero source queries on the selfmaint side. Exits
-   nonzero on any divergence. *)
+   [diff_rows] is the @diff-smoke row: every pinned paper scenario (plus
+   one generated workload) runs under Selfmaint_vm and Complete_vm at 1
+   and 4 domains, and the traces must be byte-identical, with zero
+   source queries on the selfmaint side. *)
 
 open Relational
 open Whips
@@ -261,48 +258,9 @@ let run () =
   close_out oc;
   Printf.printf "wrote BENCH_selfmaint.json\n%!"
 
-(* ---- @selfmaint-smoke ---- *)
+(* ---- @diff-smoke row ---- *)
 
-let trace ~vm ~domains scen =
-  System.run
-    { (System.default scen) with
-      vm_kind = vm;
-      arrival = System.Uniform 0.02;
-      reads = Some System.default_reads;
-      parallel =
-        { Parallel.Config.domains; shards = domains; model_overlap = false };
-      seed = 9 }
-
-let check scen =
-  let results =
-    List.map
-      (fun domains ->
-        let self = trace ~vm:System.Selfmaint_vm ~domains scen
-        and complete = trace ~vm:System.Complete_vm ~domains scen in
-        let queries = Atomic.get self.metrics.Metrics.source_queries in
-        let ok =
-          Parallel_bench.signatures_equal
-            (Parallel_bench.signature self)
-            (Parallel_bench.signature complete)
-          && Parallel_bench.read_signature self
-             = Parallel_bench.read_signature complete
-          && System.verdict self = System.verdict complete
-          && queries = 0
-        in
-        Printf.printf "selfmaint-smoke %-14s domains %d: %s%s\n%!"
-          scen.Workload.Scenarios.name domains
-          (if ok then "identical" else "DIVERGED")
-          (if queries = 0 then ""
-           else Printf.sprintf " (%d source queries!)" queries);
-        ok)
-      [ 1; 4 ]
-  in
-  List.for_all Fun.id results
-
-let selfmaintsmoke () =
-  Tables.section
-    "selfmaint-smoke: self-maintaining managers must be trace-identical \
-     to Complete_vm with zero source queries";
+let diff_rows =
   let generated =
     Workload.Generator.generate
       { Workload.Generator.default with
@@ -312,15 +270,19 @@ let selfmaintsmoke () =
         n_transactions = 12;
         initial_tuples = 6 }
   in
-  let scens = Workload.Scenarios.all @ [ generated ] in
-  let results = List.map check scens in
-  if List.for_all Fun.id results then
-    Printf.printf
-      "selfmaint-smoke OK: %d scenarios identical, zero source round \
-       trips\n%!"
-      (List.length scens)
-  else begin
-    Printf.printf
-      "selfmaint-smoke FAILED: selfmaint and complete traces diverged\n%!";
-    exit 1
-  end
+  let reads cfg = { cfg with System.reads = Some System.default_reads } in
+  let no_source_queries _ runs =
+    let queries =
+      List.fold_left
+        (fun acc r -> acc + Atomic.get r.System.metrics.Metrics.source_queries)
+        0 runs
+    in
+    [ (Printf.sprintf "%d source queries (want 0)" queries, queries = 0) ]
+  in
+  [ { Diffsmoke.name = "selfmaint == complete";
+      scenarios = Workload.Scenarios.all @ [ generated ];
+      domains = [ 1; 4 ];
+      left = reads;
+      right =
+        Some (fun cfg -> { (reads cfg) with vm_kind = System.Selfmaint_vm });
+      extra = no_source_queries } ]

@@ -26,11 +26,10 @@
      deltas through the cached query's delta plan, keeping entries
      valid across commits). Hit ratio and mean read latency per mode.
 
-   [sharedsmoke] is the fast deterministic variant wired to the
-   `@shared-smoke` dune alias: sharing on must produce byte-identical
-   commits, states and verdicts on both runtimes and across domain
-   counts, must cut kernel rows by >= 2x at overlap degree 3, and the
-   refresh path must actually refresh. Exits nonzero on any failure. *)
+   [diff_rows] are the @diff-smoke rows for the sharing knob: sharing
+   on must produce byte-identical commits, states, reads and verdicts on
+   both runtimes and across domain counts, must cut kernel rows by >= 2x
+   at overlap degree 3, and the refresh path must actually refresh. *)
 
 open Relational
 open Whips
@@ -176,8 +175,8 @@ let overlap_point ~family ~keys ~degree ~rows ~txns =
   let pairs = timed_pairs scen in
   let setup = timed_pairs { scen with Workload.Scenarios.script = [] } in
   let p_identical =
-    Parallel_bench.signatures_equal (Parallel_bench.signature off)
-      (Parallel_bench.signature on)
+    Diffsmoke.signatures_equal (Diffsmoke.signature off)
+      (Diffsmoke.signature on)
   in
   if not p_identical then
     failwith
@@ -412,70 +411,40 @@ let run () =
   write_json ~path:"BENCH_shared.json" ~overlap ~refresh;
   Printf.printf "wrote BENCH_shared.json\n%!"
 
-(* ---- @shared-smoke: semantics, determinism and the 2x floor ---- *)
+(* ---- @diff-smoke rows: sharing is invisible and >= 2x cheaper ---- *)
 
-let sharedsmoke () =
-  Tables.section "shared-smoke: sharing is invisible and >= 2x cheaper";
-  let failures = ref [] in
-  let check name ok =
-    Printf.printf "shared-smoke %-34s %s\n%!" name
-      (if ok then "ok" else "FAILED");
-    if not ok then failures := name :: !failures
-  in
-  (* Sequential runtime: sharing on/off identical, >= 2x fewer rows. *)
+let diff_rows =
   let scen = overlap_scenario ~degree:3 ~rows:600 ~txns:6 () in
-  let off, rows_off = delta_rows ~shared:false scen in
-  let on, rows_on = delta_rows ~shared:true scen in
-  check "sequential: identical trace"
-    (Parallel_bench.signatures_equal (Parallel_bench.signature off)
-       (Parallel_bench.signature on));
-  check
-    (Printf.sprintf "kernel rows %d -> %d (>= 2x)" rows_off rows_on)
-    (rows_on * 2 <= rows_off);
-  (* Sharing on must stay deterministic across domain counts. *)
-  let base = Parallel_bench.signature on in
-  check "sequential: domains 1/2/4 identical"
-    (List.for_all
-       (fun d ->
-         Parallel_bench.signatures_equal base
-           (Parallel_bench.signature (run_overlap ~shared:true ~domains:d scen)))
-       [ 2; 4 ]);
-  (* Pipelined runtime: complete managers share one slot table. *)
-  let run_pipe ~shared ~domains =
-    System.run
-      { (System.default scen) with
-        merge_kind = System.Auto;
-        arrival = System.Uniform 0.02;
-        parallel =
-          { Parallel.Config.domains; shards = domains; model_overlap = false };
-        shared_plans = shared;
-        seed = 9 }
+  let shared cfg = { cfg with System.shared_plans = true } in
+  let sequential cfg = { cfg with System.merge_kind = System.Sequential } in
+  let kernel_rows scen _ =
+    let _, rows_off = delta_rows ~shared:false scen in
+    let _, rows_on = delta_rows ~shared:true scen in
+    [ ( Printf.sprintf "kernel rows %d -> %d (>= 2x)" rows_off rows_on,
+        rows_on * 2 <= rows_off ) ]
   in
-  let pipe_off = run_pipe ~shared:false ~domains:1 in
-  let pipe_on = run_pipe ~shared:true ~domains:1 in
-  check "pipelined: identical trace"
-    (Parallel_bench.signatures_equal (Parallel_bench.signature pipe_off)
-       (Parallel_bench.signature pipe_on));
-  check "pipelined: engine was exercised"
-    (Atomic.get pipe_on.System.metrics.Metrics.shared_hits > 0);
-  check "pipelined: verdict unchanged"
-    (System.verdict pipe_off = System.verdict pipe_on);
-  check "pipelined: domains 1/2/4 identical"
-    (List.for_all
-       (fun d ->
-         Parallel_bench.signatures_equal
-           (Parallel_bench.signature pipe_on)
-           (Parallel_bench.signature (run_pipe ~shared:true ~domains:d)))
-       [ 2; 4 ]);
-  (* Refresh path: entries actually advance in place. *)
-  let refresh =
-    refresh_point ~refresh:true ~n_reads:40 (refresh_scenario ~rows:400 ~txns:6)
+  (* Pipelined runtime: complete managers share one slot table, and the
+     result cache's refresh path advances entries in place. *)
+  let pipelined _ runs =
+    let refresh =
+      refresh_point ~refresh:true ~n_reads:40
+        (refresh_scenario ~rows:400 ~txns:6)
+    in
+    [ ( "slots were used",
+        List.for_all
+          (fun r -> Atomic.get r.System.metrics.Metrics.shared_hits > 0)
+          runs );
+      ("cache refresh: entries advanced", refresh.r_refreshed > 0) ]
   in
-  check "cache refresh: entries advanced" (refresh.r_refreshed > 0);
-  if !failures = [] then
-    Printf.printf "shared-smoke: all checks passed\n%!"
-  else begin
-    Printf.printf "shared-smoke: FAILED (%s)\n%!"
-      (String.concat ", " (List.rev !failures));
-    exit 1
-  end
+  [ { Diffsmoke.name = "shared: sequential";
+      scenarios = [ scen ];
+      domains = [ 1; 2; 4 ];
+      left = sequential;
+      right = Some (fun cfg -> shared (sequential cfg));
+      extra = kernel_rows };
+    { name = "shared: pipelined";
+      scenarios = [ scen ];
+      domains = [ 1; 2; 4 ];
+      left = Fun.id;
+      right = Some shared;
+      extra = pipelined } ]

@@ -436,10 +436,10 @@ let run () =
       Printf.printf "regression gate: no selfmaint round-trip count to check\n%!"
   end;
   (* Merge fast-path headline: how much further the fused path pushes
-     the merge's saturation point past per-message merging. Bigger is
+     the merge's saturation point past coalesced merging. Bigger is
      better — the gate trips when the speedup falls below 1/factor of
      the last recorded run (the fast path stopped amortizing service
-     events, or per-message merging mysteriously sped up). Simulated
+     events, or coalesced merging mysteriously sped up). Simulated
      time, so any move past the factor is structural. *)
   if !check_regression then begin
     let current = List.assoc_opt "merge_saturation_speedup" all_metrics in

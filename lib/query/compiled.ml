@@ -581,8 +581,9 @@ let rec col_pred chunk p : int -> bool =
     fun row -> not (fa row)
 
 (* Columnar join with the same sharding policy (and row accounting) as
-   the boxed kernel: above the threshold, both sides partition by
-   join-key hash and the shards join independently on the pool. *)
+   the boxed [join_counted_pos] the delta rules use: above the
+   threshold, both sides partition by join-key hash and the shards join
+   independently on the pool. *)
 let join_col ~exec ~key_left ~key_right ~right_extra l r =
   let nl = Columnar.length l and nr = Columnar.length r in
   let out_arity = Columnar.arity l + Array.length right_extra in
@@ -607,9 +608,9 @@ let join_col ~exec ~key_left ~key_right ~right_extra l r =
 (* ------------------------------------------------------------------ *)
 (* Full evaluation.                                                   *)
 
-(* Join-bearing plans route through the columnar kernels (conversion
-   overhead amortizes over the join work); join-free plans stay on the
-   boxed bags, whose Base case is a free pointer read. *)
+(* Join-bearing plans run on the columnar kernels (conversion overhead
+   amortizes over the join work); join-free plans stay on the boxed
+   bags, whose Base case is a free pointer read. *)
 let rec plan_joins t =
   match t.node with
   | Base _ -> false
@@ -628,18 +629,13 @@ let rec has_group_by t =
 
 let rec eval_bag ?(exec = Parallel.Exec.sequential) db t =
   match t.node with
-  | (Select _ | Project _ | Join _ | Union _)
-    when !Columnar.enabled && plan_joins t ->
+  | Join _ -> Columnar.to_bag (eval_col ~exec db t)
+  | (Select _ | Project _ | Union _) when plan_joins t ->
     Columnar.to_bag (eval_col ~exec db t)
   | Base name -> Relation.contents (Database.find db name)
   | Select (pred, e) -> Bag.filter (eval_pred pred) (eval_bag ~exec db e)
   | Project (positions, e) ->
     Bag.map (Tuple.project_pos positions) (eval_bag ~exec db e)
-  | Join { left; right; key_left; key_right; right_extra } ->
-    Bag.of_counted_list
-      (join_counted_pos ~exec ~key_left ~key_right ~right_extra
-         (Bag.to_counted_list (eval_bag ~exec db left))
-         (Bag.to_counted_list (eval_bag ~exec db right)))
   | Union (a, b) -> Bag.union (eval_bag ~exec db a) (eval_bag ~exec db b)
   | Group_by { input; key_pos; aggs; slot = _ } ->
     Tuple_map.fold
@@ -739,11 +735,11 @@ let rec delta_with ~state ~exec ~pre_relation ~changes ~eval_pre t =
          becomes a filter on the probe matches. *)
       let indexed side key =
         match side.node with
-        | Base name when !Columnar.enabled ->
+        | Base name ->
           Option.map
             (fun rel -> (Relation.index rel ~key_pos:key, None))
             (pre_relation name)
-        | Select (p, { node = Base name; _ }) when !Columnar.enabled ->
+        | Select (p, { node = Base name; _ }) ->
           Option.map
             (fun rel -> (Relation.index rel ~key_pos:key, Some p))
             (pre_relation name)

@@ -80,8 +80,7 @@ val delta :
     predicate is then applied as a filter on the probe matches. Since
     the index is cached on the relation record itself, a 10k-row
     pre-state costs one index build per version rather than one scan per
-    transaction. Only consulted when columnar kernels are enabled
-    ({!Columnar.enabled}). *)
+    transaction. *)
 
 (** {2 Per-group state} *)
 

@@ -16,15 +16,6 @@ type t = {
   total : int;  (* sum of multiplicities *)
 }
 
-(* Global off-switch for the columnar kernels, read by {!Compiled}: the
-   @col-smoke gate and the qcheck oracles flip it to prove the columnar
-   and boxed paths produce identical results. *)
-let enabled =
-  ref
-    (match Sys.getenv_opt "MVC_COLUMNAR" with
-    | Some ("0" | "false" | "off") -> false
-    | Some _ | None -> true)
-
 (* Chunk snapshots built from boxed bags, process-wide. MVCC retention
    shares chunk pointers across versions; this counter is how tests and
    benches observe that unchanged relations are not re-encoded. *)

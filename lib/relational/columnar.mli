@@ -6,15 +6,10 @@
     builders; no per-row consing) and then only read; MVCC versions that
     retain the same relation share the chunk by pointer. Row order
     inside a chunk carries no meaning: every consumer normalizes through
-    {!Bag}/{!Signed_bag} at operator boundaries, which is what keeps the
-    columnar and boxed kernels trace-identical. *)
+    {!Bag}/{!Signed_bag} at operator boundaries, so no result depends
+    on the order rows were stored in. *)
 
 type t
-
-val enabled : bool ref
-(** Process-wide switch consulted by the compiled kernels; initialized
-    from [MVC_COLUMNAR] ([0]/[false]/[off] disable). The @col-smoke gate
-    and qcheck oracles flip it to compare both paths in one process. *)
 
 val chunk_builds : unit -> int
 (** Chunks encoded from boxed bags since process start (monotone) — the

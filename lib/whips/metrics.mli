@@ -20,7 +20,7 @@ type t = {
   merge_batch_size : Sim.Stats.Summary.t;
       (** Warehouse transactions released per ready run (sampled per
           non-empty drain) — the batch-size histogram of the merge fast
-          path. Per-message merging pins this at 1. *)
+          path. *)
   merge_service_time : Sim.Stats.Summary.t;
       (** Latency charged per merge service event. Under the [Fused]
           policy one service event covers a whole queued batch, so the

@@ -84,15 +84,14 @@ let default_reads =
     serve_retention = Serve.Version_manager.Keep_last 64;
     queries = [] }
 
-(* How a merge's ready run reaches the commit submitter. [Per_message]
-   is the pre-fast-path baseline: one submit per emitted WT.
-   [Coalesced] (the default) hands the run to the submitter as a unit so
-   it can plan the whole run's store work in one coalesced pass — pure
-   CPU batching, byte-identical traces. [Fused] additionally releases
-   the run as one batched warehouse transaction (BWT) after a batched
-   merge service event — the paper's batching consistency level, which
-   changes timing and skips the run's intermediate states. *)
-type merge_batch = Per_message | Coalesced | Fused
+(* How a merge's ready run reaches the commit submitter. [Coalesced]
+   (the default) hands the run to the submitter as a unit so it can plan
+   the whole run's store work in one coalesced pass, while every WT
+   keeps its own commit. [Fused] additionally releases the run as one
+   batched warehouse transaction (BWT) after a batched merge service
+   event — the paper's batching consistency level, which changes timing
+   and skips the run's intermediate states. *)
+type merge_batch = Coalesced | Fused
 
 type config = {
   scenario : Workload.Scenarios.t;
@@ -241,9 +240,13 @@ let auto_algorithm levels =
   in
   List.fold_left weakest Mvc.Merge.Spa levels
 
-let algorithm_for cfg levels =
+let algorithm_for cfg =
   match cfg.merge_kind with
-  | Auto -> auto_algorithm levels
+  | Auto ->
+    auto_algorithm
+      (List.map
+         (fun v -> level_of (kind_of cfg v))
+         cfg.scenario.Workload.Scenarios.views)
   | Force_spa -> Mvc.Merge.Spa
   | Force_pa -> Mvc.Merge.Pa
   | Force_passthrough -> Mvc.Merge.Passthrough
@@ -582,10 +585,6 @@ let view_plans cfg ~initial views =
   else (plans, None)
 
 let run_sequential cfg =
-  if process_crash_faults cfg then
-    invalid_arg
-      "System: process crash faults (merge/integrator/warehouse) need the \
-       pipelined runtime";
   let engine = Sim.Engine.create () in
   let rng = Sim.Rng.create cfg.seed in
   let arrival_rng = Sim.Rng.split rng in
@@ -912,12 +911,6 @@ let run_pipelined cfg =
      appends are gated on [durable_on]. *)
   let process_crashes = process_crash_faults cfg in
   let durable_on = process_crashes || cfg.durable <> None in
-  (* Process-crash recovery accounts for completed work per submitted WT
-     (dup-row guards, submitted-row seeding), so crash runs drain the
-     merge per message; [Fused] is rejected outright below, and
-     [Coalesced] — whose whole point is being observably identical —
-     silently degrades to the per-message path. *)
-  let batch_mode = if process_crashes then Per_message else cfg.merge_batch in
   (* Fused-run records for {!Consistency.Checker.certify_fused}: the
      emission sequence (rows per emitted WT) and each fused batch's
      constituent parts, both accumulated newest-first. *)
@@ -1065,7 +1058,7 @@ let run_pipelined cfg =
            every applied commit is reproducible from checkpoint + WAL. A
            fused run was already logged as one group frame at release
            ({!Durable.Wal.append_group}), part by part. *)
-        if durable_on && batch_mode <> Fused then
+        if durable_on && cfg.merge_batch <> Fused then
           Durable.Wal.append wh_wal (time, wt))
       ~on_commit:(fun wt ->
         record "warehouse commit: rows [%a] -> views {%a}" row_ids
@@ -1126,44 +1119,7 @@ let run_pipelined cfg =
       Mvc.Partition.coarsen ~weight ~max_groups:k
         (Mvc.Partition.groups views)
   in
-  let levels = List.map (fun v -> level_of (kind_of cfg v)) views in
-  let algorithm = algorithm_for cfg levels in
-  (* The crash-recovery protocol leans on invariants only this corner of
-     the configuration space provides: SPA's one-WT-per-row discipline
-     (submitted rows identify completed work), complete managers
-     (re-derivable from the integrator log), direct REL routing (the
-     integrator, not a manager, is the authority re-sending RELs), no
-     semantic filtering (syntactic REL sets are reproducible), and a
-     full commit history (checkpoints re-apply it). *)
-  if process_crashes then begin
-    if cfg.merge_batch = Fused then
-      invalid_arg
-        "System: process crash faults require a non-Fused merge_batch \
-         (recovery identifies completed work by per-row WTs)";
-    if cfg.rel_routing <> Direct then
-      invalid_arg "System: process crash faults require Direct REL routing";
-    if cfg.semantic_filter then
-      invalid_arg
-        "System: process crash faults require semantic_filter = false";
-    if
-      not
-        (List.for_all
-           (fun v ->
-             match kind_of cfg v with
-             | Complete_vm | Selfmaint_vm -> true
-             | _ -> false)
-           views)
-    then
-      invalid_arg
-        "System: process crash faults require Complete_vm or Selfmaint_vm \
-         view managers";
-    if algorithm <> Mvc.Merge.Spa then
-      invalid_arg "System: process crash faults require the SPA merge";
-    if cfg.store_retention <> Warehouse.Store.Keep_all then
-      invalid_arg
-        "System: process crash faults require Keep_all store retention \
-         (checkpoints re-apply the full commit history)"
-  end;
+  let algorithm = algorithm_for cfg in
   let n_groups = List.length groups in
   (* A merge's [emit] fires inside its group's work half, which may be
      running on a pool domain; WTs are buffered group-locally and
@@ -1188,11 +1144,18 @@ let run_pipelined cfg =
   let rel_seen : (int, unit) Hashtbl.t array =
     Array.init n_groups (fun _ -> Hashtbl.create 64)
   in
-  (* Per-message draining: one submit per emitted WT, with the
-     process-crash guards (duplicate-row drop, submitted-row seeding)
-     that recovery's accounting depends on. *)
-  let drain_per_message gi =
+  (* Pop everything the last merge step emitted — the ready run, in
+     emission order — through the warehouse's receive guards, one WT at
+     a time: the crash counter, a down or just-crashed warehouse, and
+     the duplicate-row drop and submitted-row seeding that crash
+     recovery's accounting depends on. A crash loses the whole run: the
+     WTs before it with the submitter queue, the WTs after it with the
+     merge (which clears [emitted]). *)
+  let pop_ready gi =
+    let size = Queue.length emitted.(gi) in
+    let pos = ref 0 and run = ref [] in
     while not (Queue.is_empty emitted.(gi)) do
+      incr pos;
       let wt = Queue.pop emitted.(gi) in
       if !wh_down then
         record "warehouse down: WT for rows [%a] lost" row_ids
@@ -1200,8 +1163,9 @@ let run_pipelined cfg =
       else begin
         note_wh_event ();
         if !wh_down then
-          record "warehouse crashed receiving WT for rows [%a]" row_ids
-            wt.Warehouse.Wt.rows
+          record
+            "warehouse crashed receiving WT %d of a %d-WT run (rows [%a])"
+            !pos size row_ids wt.Warehouse.Wt.rows
         else if
           process_crashes
           && wt.Warehouse.Wt.rows <> []
@@ -1217,49 +1181,31 @@ let run_pipelined cfg =
         end
         else begin
           if process_crashes then note_submitted wt;
-          Warehouse.Submitter.submit submitter wt
+          run := wt :: !run
         end
       end
-    done
-  in
-  (* Pop everything the last merge step emitted — the ready run, in
-     emission order. Only reached with [batch_mode <> Per_message], so
-     [process_crashes] is false and the warehouse can never be down;
-     [note_wh_event] keeps the event counter truthful all the same. *)
-  let pop_ready gi =
-    let run = ref [] in
-    while not (Queue.is_empty emitted.(gi)) do
-      let wt = Queue.pop emitted.(gi) in
-      note_wh_event ();
-      run := wt :: !run
     done;
-    List.rev !run
+    if !wh_down then [] else List.rev !run
   in
   let drain_emitted gi =
-    match batch_mode with
-    | Per_message -> drain_per_message gi
-    | Coalesced -> (
-      (* The whole run reaches the submitter as a unit: the same commit
-         events fire at the same instants as per-message submission (the
-         head entry alone schedules work), but the store plans the run's
-         view timelines in one coalesced pass at the first commit. *)
-      match pop_ready gi with
-      | [] -> ()
-      | wts ->
-        Sim.Stats.Summary.add metrics.Metrics.merge_batch_size
-          (float_of_int (List.length wts));
-        Warehouse.Submitter.submit_run submitter wts)
-    | Fused -> (
-      (* The run is released as one batched warehouse transaction: the
-         store lands on the run's endpoint and skips its intermediate
-         states (batching consistency). The parts and the emission
-         sequence are recorded for {!Consistency.Checker.certify_fused},
-         and the durable layer gets the run as one WAL group frame. *)
-      match pop_ready gi with
-      | [] -> ()
-      | wts ->
-        Sim.Stats.Summary.add metrics.Metrics.merge_batch_size
-          (float_of_int (List.length wts));
+    match pop_ready gi with
+    | [] -> ()
+    | wts -> (
+      Sim.Stats.Summary.add metrics.Metrics.merge_batch_size
+        (float_of_int (List.length wts));
+      match cfg.merge_batch with
+      | Coalesced ->
+        (* The whole run reaches the submitter as a unit: each WT keeps
+           its own commit event and latency draw, but the store plans
+           the run's view timelines in one coalesced pass at the first
+           commit. *)
+        Warehouse.Submitter.submit_run submitter wts
+      | Fused ->
+        (* The run is released as one batched warehouse transaction: the
+           store lands on the run's endpoint and skips its intermediate
+           states (batching consistency). The parts and the emission
+           sequence are recorded for {!Consistency.Checker.certify_fused},
+           and the durable layer gets the run as one WAL group frame. *)
         List.iter
           (fun (wt : Warehouse.Wt.t) ->
             fused_emitted := wt.Warehouse.Wt.rows :: !fused_emitted)
@@ -1286,7 +1232,7 @@ let run_pipelined cfg =
      every view manager's AL channel are handled one at a time. *)
   let merge_servers =
     Array.init n_groups (fun _ ->
-        make_server ~batch:(batch_mode = Fused) engine ~exec
+        make_server ~batch:(cfg.merge_batch = Fused) engine ~exec
           ~latency:(fun () ->
             (* Wrapping the sample changes no RNG draw — the service-time
                summary rides along for free. *)
@@ -2261,14 +2207,25 @@ let run_pipelined cfg =
     timeline = List.rev !timeline; stuck = not ok;
     serving = serving_result serving; durability;
     fused =
-      (if batch_mode = Fused then
+      (if cfg.merge_batch = Fused then
          Some (List.rev !fused_emitted, List.rev !fused_parts)
        else None) }
 
-(* Shared slots advance once per transaction, in id order, on the first
-   referrer's demand. A configuration that breaks that discipline is
-   refused here rather than run unshared. *)
-let check_shared_plans cfg =
+(* Every configuration corner a run cannot serve is refused here, before
+   any engine, WAL or store exists.
+
+   Shared slots advance once per transaction, in id order, on the first
+   referrer's demand; a configuration that breaks that discipline is
+   refused rather than run unshared.
+
+   The crash-recovery protocol leans on invariants only one corner of
+   the configuration space provides: the pipelined runtime's processes,
+   SPA's one-WT-per-row discipline (submitted rows identify completed
+   work), complete managers (re-derivable from the integrator log),
+   direct REL routing (the integrator, not a manager, is the authority
+   re-sending RELs), no semantic filtering (syntactic REL sets are
+   reproducible), and a full commit history (checkpoints re-apply it). *)
+let check_config cfg =
   let refuse why = invalid_arg ("System: shared_plans " ^ why) in
   if cfg.shared_plans then begin
     if not (faultless cfg) then
@@ -2299,10 +2256,39 @@ let check_shared_plans cfg =
           | Strobe_vm | Periodic_vm _ | Convergent_vm | Derived_vm _ ->
             refuse_manager "steps no plan, so nothing would be shared")
         cfg.scenario.Workload.Scenarios.views
+  end;
+  if process_crash_faults cfg then begin
+    let crash_needs what =
+      invalid_arg ("System: process crash faults require " ^ what)
+    in
+    if cfg.merge_kind = Sequential then
+      invalid_arg
+        "System: process crash faults (merge/integrator/warehouse) need the \
+         pipelined runtime";
+    if cfg.merge_batch = Fused then
+      crash_needs
+        "a non-Fused merge_batch (recovery identifies completed work by \
+         per-row WTs)";
+    if cfg.rel_routing <> Direct then crash_needs "Direct REL routing";
+    if cfg.semantic_filter then crash_needs "semantic_filter = false";
+    if
+      not
+        (List.for_all
+           (fun v ->
+             match kind_of cfg v with
+             | Complete_vm | Selfmaint_vm -> true
+             | _ -> false)
+           cfg.scenario.Workload.Scenarios.views)
+    then crash_needs "Complete_vm or Selfmaint_vm view managers";
+    if algorithm_for cfg <> Mvc.Merge.Spa then crash_needs "the SPA merge";
+    if cfg.store_retention <> Warehouse.Store.Keep_all then
+      crash_needs
+        "Keep_all store retention (checkpoints re-apply the full commit \
+         history)"
   end
 
 let run cfg =
-  check_shared_plans cfg;
+  check_config cfg;
   match cfg.merge_kind with
   | Sequential -> run_sequential cfg
   | Auto | Force_spa | Force_pa | Force_passthrough | Force_holdall ->

@@ -228,17 +228,16 @@ val default_durability : durability
     releases together — reaches the commit submitter (the merge fast
     path).
 
-    [Per_message] is the pre-fast-path baseline: every emitted WT is
-    submitted individually and the store applies it in its own pass.
-
     [Coalesced] (the default) hands the run to the submitter as a unit
     ({!Warehouse.Submitter.submit_run}): the store plans the whole run's
     per-view timelines in one pass at the run's first commit, summing
     each view's action-list deltas ({!Relational.Signed_bag.coalesce})
     and fanning the independent per-view walks across the domain pool.
-    Pure CPU batching — the simulated event schedule, every RNG draw,
-    every commit, read and verdict are byte-identical to [Per_message];
-    only real machine time changes.
+    Every WT keeps its own commit event and latency draw, so this is
+    pure CPU batching: each committed state is the one per-item
+    {!Warehouse.Store.apply} would reach. In process-crash runs each WT
+    of the run first passes the warehouse's receive guards; a crash
+    inside the run loses the whole run, and recovery re-derives it.
 
     [Fused] is the opt-in behavioral change: each merge service event
     covers the whole queued backlog for one latency sample, and the
@@ -247,10 +246,8 @@ val default_durability : durability
     skips the run's intermediate warehouse states and therefore trades
     completeness for throughput. Certified by {!fused_certificate};
     rejected in process-crash runs (recovery accounts for completed
-    work per-row). Process-crash runs silently degrade [Coalesced] to
-    the per-message path for the same reason — an observably identical
-    downgrade. *)
-type merge_batch = Per_message | Coalesced | Fused
+    work per-row). *)
+type merge_batch = Coalesced | Fused
 
 type config = {
   scenario : Workload.Scenarios.t;
@@ -413,9 +410,12 @@ exception Stuck of string
 (** The system failed to drain without an injected fault — always a bug. *)
 
 val run : config -> result
-(** @raise Invalid_argument, before anything runs, on a configuration
-    [shared_plans] cannot serve (see the field), and on the other
-    combinations the runtimes refuse. *)
+(** @raise Invalid_argument, before any engine, WAL or store is built,
+    on a configuration [shared_plans] cannot serve (see the field), and
+    on a process-crash fault outside the corner recovery supports: the
+    pipelined runtime with the SPA merge, [Coalesced] merging, [Direct]
+    REL routing, no [semantic_filter], [Complete_vm] or [Selfmaint_vm]
+    managers and [Keep_all] store retention. *)
 
 val verdict : result -> Consistency.Checker.verdict
 (** Run the consistency oracle on the recorded source and warehouse state

@@ -25,14 +25,6 @@ let rel schema lists = Relation.of_tuples schema (List.map ints lists)
 
 let case name f = Alcotest.test_case name `Quick f
 
-(* Run [f] with the columnar kernels forced on or off, restoring the
-   switch afterwards — the columnar-vs-boxed oracles compare both paths
-   in one process. *)
-let with_columnar flag f =
-  let saved = !Columnar.enabled in
-  Columnar.enabled := flag;
-  Fun.protect ~finally:(fun () -> Columnar.enabled := saved) f
-
 (* Words allocated by [f ()]: [Gc.minor_words] (exact, unlike the
    counters, which only catch up at a minor collection) plus the words
    allocated directly on the major heap — the large blocks, such as a

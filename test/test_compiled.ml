@@ -181,6 +181,8 @@ let tests =
         Signed_bag.equal
           (Signed_bag.of_list (Eval.join_counted ls rs l r))
           (Signed_bag.of_list (Eval.join_counted_naive ls rs l r)));
+    (* Join-bearing plans evaluate and maintain on the columnar kernels,
+       so these two oracles cover them against the interpreter. *)
     qcheck "compiled eval == interpreted eval" eval_case_gen
       (fun (db, expr) ->
         Bag.equal (Eval.eval_bag db expr) (Eval.eval_bag ~naive:true db expr));
@@ -193,23 +195,6 @@ let tests =
           (Delta.eval ~naive:true ~pre changes expr));
     qcheck "vut indexes == linear scan" Vut_gen.events
       (fun evs -> vut_indexes_agree (Vut_gen.replay evs));
-    (* Columnar-vs-boxed oracles: the same plan evaluated with the
-       columnar kernels forced on and forced off must be bag-identical
-       (the boxed path is itself oracle-tested against the interpreted
-       evaluator above). *)
-    qcheck "columnar eval == boxed eval" eval_case_gen
-      (fun (db, expr) ->
-        Bag.equal
-          (Helpers.with_columnar true (fun () -> Eval.eval_bag db expr))
-          (Helpers.with_columnar false (fun () -> Eval.eval_bag db expr)));
-    qcheck "columnar delta == boxed delta" delta_case_gen
-      (fun (pre, updates, expr) ->
-        let txn = Update.Transaction.make ~id:1 ~source:"s" updates in
-        let changes = Delta.of_transaction txn in
-        Signed_bag.equal
-          (Helpers.with_columnar true (fun () -> Delta.eval ~pre changes expr))
-          (Helpers.with_columnar false (fun () ->
-               Delta.eval ~pre changes expr)));
     qcheck "columnar join kernel == boxed join kernel" Join_gen.t
       (fun (ls, rs, l, r) ->
         let shared = Schema.common ls rs in

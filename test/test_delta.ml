@@ -115,8 +115,7 @@ let tests =
           (Signed_bag.apply batch_delta (Eval.eval_bag pre expr))
           (Signed_bag.apply step_delta (Eval.eval_bag pre expr)));
     (* The columnar probe path (relation-cached indexes) against the
-       interpreted delta rules directly — not just against the boxed
-       compiled path. *)
+       interpreted delta rules. *)
     Helpers.qcheck ~count:300 "columnar delta == naive delta"
       QCheck2.Gen.(
         Helpers.Delta_domain.db_gen >>= fun db ->
@@ -127,5 +126,5 @@ let tests =
         let txn = Update.Transaction.make ~id:1 ~source:"s" updates in
         let changes = Delta.of_transaction txn in
         Signed_bag.equal
-          (Helpers.with_columnar true (fun () -> Delta.eval ~pre changes expr))
+          (Delta.eval ~pre changes expr)
           (Delta.eval ~naive:true ~pre changes expr)) ]

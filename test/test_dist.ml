@@ -271,34 +271,34 @@ let tests =
         in
         Alcotest.(check bool) "time travel caught" false
           c.Consistency.Checker.cut_monotonic);
-    Helpers.qcheck ~count:12 "qcheck: N-shard union == N=1 oracle, columnar x faults"
+    Helpers.qcheck ~count:12
+      "qcheck: N-shard union == N=1 oracle, with and without faults"
       QCheck2.Gen.(
-        tup5 (int_range 0 1000) (int_range 2 6) (int_range 2 5) bool bool)
-      (fun (seed, tenants, shards, columnar, faulty) ->
-        Helpers.with_columnar columnar (fun () ->
-            let w = workload ~tenants ~n_transactions:16 ~seed () in
-            let base = { (config ~shards w) with seed = seed + 1 } in
-            let cfg =
-              if faulty then
-                { base with
-                  fault_plan =
-                    Workload.Fault_plan.random ~drop:0.1 ~duplicate:0.05
-                      "integ->shard*";
-                  reliability =
-                    Whips.System.Acked Sim.Reliable.default_params }
-              else base
-            in
-            let r = Dist.System.run cfg in
-            let r1 = Dist.System.run { cfg with shards = 1 } in
-            (not r.Dist.System.stuck)
-            && Consistency.Checker.certified_distributed
-                 (Dist.System.certificate r)
-            && List.for_all
-                 (fun (u : Dist.Union_view.t) ->
-                   let name = u.Dist.Union_view.name in
-                   Bag.equal
-                     (Dist.System.union_contents r name)
-                     (Dist.System.union_contents r1 name)
-                   && Bag.equal (Dist.System.union_contents r name)
-                        (expected_union r u))
-                 r.Dist.System.unions)) ]
+        tup4 (int_range 0 1000) (int_range 2 6) (int_range 2 5) bool)
+      (fun (seed, tenants, shards, faulty) ->
+        let w = workload ~tenants ~n_transactions:16 ~seed () in
+        let base = { (config ~shards w) with seed = seed + 1 } in
+        let cfg =
+          if faulty then
+            { base with
+              fault_plan =
+                Workload.Fault_plan.random ~drop:0.1 ~duplicate:0.05
+                  "integ->shard*";
+              reliability =
+                Whips.System.Acked Sim.Reliable.default_params }
+          else base
+        in
+        let r = Dist.System.run cfg in
+        let r1 = Dist.System.run { cfg with shards = 1 } in
+        (not r.Dist.System.stuck)
+        && Consistency.Checker.certified_distributed
+             (Dist.System.certificate r)
+        && List.for_all
+             (fun (u : Dist.Union_view.t) ->
+               let name = u.Dist.Union_view.name in
+               Bag.equal
+                 (Dist.System.union_contents r name)
+                 (Dist.System.union_contents r1 name)
+               && Bag.equal (Dist.System.union_contents r name)
+                    (expected_union r u))
+             r.Dist.System.unions) ]

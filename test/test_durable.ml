@@ -258,6 +258,10 @@ let validation_tests =
       "System: process crash faults (merge/integrator/warehouse) need the \
        pipelined runtime"
       { base with merge_kind = System.Sequential };
+    rejects "process crashes need a non-Fused merge_batch"
+      "System: process crash faults require a non-Fused merge_batch \
+       (recovery identifies completed work by per-row WTs)"
+      { base with merge_batch = System.Fused };
     rejects "process crashes need Direct REL routing"
       "System: process crash faults require Direct REL routing"
       { base with rel_routing = System.Via_manager };

@@ -1,7 +1,7 @@
 (* Merge fast path: coalesced batch application must be invisible — the
-   summed per-view deltas, the planned run, and the system-level
-   [Coalesced] policy all have to reproduce the per-row baseline exactly
-   (same store version sequence, same served reads) — and the fused
+   summed per-view deltas, the planned run and the run submitter all
+   have to reproduce per-item {!Warehouse.Store.apply} exactly (same
+   store version sequence, same commit schedule) — and the fused
    certificate must catch a tampered coalesced sum. *)
 
 open Relational
@@ -252,7 +252,7 @@ let carried_ok ~pre post =
          (Signed_bag.apply d (Relation.contents pre))
          (Relation.contents post)
 
-type run_mode = Per_message | Coalesced | Fused
+type run_mode = Per_item | Coalesced | Fused
 
 (* A random warehouse history over views A and B: transactions of one to
    three action lists (deltas that may clamp, now and then a refresh),
@@ -270,14 +270,14 @@ let history_gen =
   in
   let wt_gen = map (Warehouse.Wt.make ~rows:[ 0 ]) (list_size (int_range 1 3) al_gen) in
   list_size (int_range 1 6)
-    (pair (oneofl [ Per_message; Coalesced; Fused ]) (list_size (int_range 1 4) wt_gen))
+    (pair (oneofl [ Per_item; Coalesced; Fused ]) (list_size (int_range 1 4) wt_gen))
 
 let commit_history runs =
   let s = store () in
   List.iter
     (fun (mode, wts) ->
       match mode with
-      | Per_message -> List.iter (fun wt -> Warehouse.Store.apply s wt) wts
+      | Per_item -> List.iter (fun wt -> Warehouse.Store.apply s wt) wts
       | Coalesced -> ignore (Warehouse.Store.commit_run s wts)
       | Fused -> ignore (Warehouse.Store.commit_run s [ Warehouse.Wt.batch wts ]))
     runs;
@@ -460,8 +460,6 @@ let metrics_tests =
         Alcotest.(check (float 1e-9)) "quarter" 0.25
           (Whips.Metrics.coalesce_cancel_ratio m)) ]
 
-(* ---- System law: Coalesced == Per_message, end to end ---- *)
-
 let gen_scenario seed =
   Workload.Generator.generate
     { Workload.Generator.default with
@@ -471,64 +469,12 @@ let gen_scenario seed =
       n_transactions = 8;
       initial_tuples = 4 }
 
-let sys_run ~batch ~domains scen =
+let sys_run ~batch scen =
   Whips.System.run
     { (Whips.System.default scen) with
       merge_batch = batch;
       arrival = Whips.System.Uniform 0.02;
-      reads = Some Whips.System.default_reads;
-      parallel =
-        { Parallel.Config.domains; shards = domains; model_overlap = false };
       seed = 9 }
-
-let signature (r : Whips.System.result) =
-  ( Atomic.get r.Whips.System.metrics.Whips.Metrics.commits,
-    Atomic.get r.Whips.System.metrics.Whips.Metrics.actions_applied,
-    r.Whips.System.metrics.Whips.Metrics.completed_at,
-    List.map
-      (fun v -> Whips.System.view_contents r (Query.View.name v))
-      r.Whips.System.config.Whips.System.scenario.Workload.Scenarios.views )
-
-let signatures_equal (c1, a1, t1, v1) (c2, a2, t2, v2) =
-  c1 = c2 && a1 = a2 && t1 = t2
-  && List.length v1 = List.length v2
-  && List.for_all2 Bag.equal v1 v2
-
-let read_signature (r : Whips.System.result) =
-  match r.Whips.System.serving with
-  | None -> []
-  | Some s ->
-    List.map
-      (fun rd ->
-        ( rd.Whips.System.read_session,
-          rd.Whips.System.read_version,
-          rd.Whips.System.read_served,
-          Bag.to_list rd.Whips.System.read_result ))
-      s.Whips.System.reads_served
-
-let system_tests =
-  [ Helpers.qcheck ~count:5
-      "coalesced run == per-row run (states, trace, reads; columnar x domains)"
-      (QCheck2.Gen.int_range 0 999)
-      (fun seed ->
-        let scen = gen_scenario seed in
-        List.for_all
-          (fun columnar ->
-            Helpers.with_columnar columnar (fun () ->
-                List.for_all
-                  (fun domains ->
-                    let on = sys_run ~batch:Whips.System.Coalesced ~domains scen
-                    and off =
-                      sys_run ~batch:Whips.System.Per_message ~domains scen
-                    in
-                    signatures_equal (signature on) (signature off)
-                    && states_equal
-                         (Warehouse.Store.states on.Whips.System.store)
-                         (Warehouse.Store.states off.Whips.System.store)
-                    && read_signature on = read_signature off
-                    && Whips.System.verdict on = Whips.System.verdict off)
-                  [ 1; 4 ]))
-          [ false; true ]) ]
 
 (* ---- Fused certificate: catches a tampered coalesced sum ---- *)
 
@@ -574,14 +520,7 @@ let fused_tests =
           (Consistency.Checker.certified_fused tampered));
     case "a fused system run certifies; tampering its parts breaks it"
       (fun () ->
-        let scen = gen_scenario 31 in
-        let r =
-          Whips.System.run
-            { (Whips.System.default scen) with
-              merge_batch = Whips.System.Fused;
-              arrival = Whips.System.Uniform 0.02;
-              seed = 9 }
-        in
+        let r = sys_run ~batch:Whips.System.Fused (gen_scenario 31) in
         let cert = Whips.System.fused_certificate r in
         Alcotest.(check bool) "certified" true
           (Consistency.Checker.certified_fused cert);
@@ -604,7 +543,7 @@ let fused_tests =
           Alcotest.(check bool) "tampering detected" false
             (Consistency.Checker.certified_fused cert'));
     case "fused_certificate rejects non-fused runs" (fun () ->
-        let r = sys_run ~batch:Whips.System.Coalesced ~domains:1 (gen_scenario 31) in
+        let r = sys_run ~batch:Whips.System.Coalesced (gen_scenario 31) in
         Alcotest.(check bool) "invalid_arg" true
           (match Whips.System.fused_certificate r with
           | exception Invalid_argument _ -> true
@@ -613,4 +552,4 @@ let fused_tests =
 let tests =
   coalesce_tests @ vut_tests @ store_tests @ provenance_tests @ submitter_tests
   @ wal_tests
-  @ index_tests @ metrics_tests @ system_tests @ fused_tests
+  @ index_tests @ metrics_tests @ fused_tests

@@ -1,9 +1,9 @@
 (* Self-maintaining view managers: derived auxiliary projections must be
    an invisible storage choice. The derivation unit tests pin the demand
    analysis; the oracle runs whole systems under Selfmaint_vm,
-   Complete_vm and the sequential strawman across seeds, columnar
-   kernels on/off and domain counts, and requires identical traces; the
-   tamper test shows the checker catches corrupted auxiliary state. *)
+   Complete_vm and the sequential strawman across seeds and domain
+   counts, and requires identical traces; the tamper test shows the
+   checker catches corrupted auxiliary state. *)
 
 open Relational
 open Query
@@ -160,9 +160,8 @@ let al_tests =
    completion instant and every view's final contents must be identical
    (the managers emit the same action lists with the same timing) — and
    under the sequential strawman, whose final contents are the naive
-   ground truth. The grid crosses columnar kernels off/on with domain
-   counts 1 and 4. Selfmaint runs must also report zero source
-   queries. *)
+   ground truth, at domain counts 1 and 4. Selfmaint runs must also
+   report zero source queries. *)
 
 let final_views (r : System.result) =
   List.map
@@ -197,53 +196,37 @@ let oracle_run seed =
       seed = run_seed }
   in
   List.iter
-    (fun columnar ->
-      Helpers.with_columnar columnar (fun () ->
-          List.iter
-            (fun domains ->
-              let self =
-                System.run (cfg System.Selfmaint_vm System.Auto domains)
-              in
-              let complete =
-                System.run (cfg System.Complete_vm System.Auto domains)
-              in
-              let naive =
-                System.run (cfg System.Selfmaint_vm System.Sequential domains)
-              in
-              if
-                Atomic.get self.metrics.Metrics.source_queries <> 0
-              then
-                QCheck2.Test.fail_reportf
-                  "seed %d: selfmaint issued source queries" seed;
-              let c1, a1, t1, v1 = signature self
-              and c2, a2, t2, v2 = signature complete in
-              if
-                not
-                  (c1 = c2 && a1 = a2 && t1 = t2
-                  && List.for_all2 Bag.equal v1 v2)
-              then
-                QCheck2.Test.fail_reportf
-                  "seed %d (columnar=%b domains=%d): selfmaint trace \
-                   diverged from Complete_vm"
-                  seed columnar domains;
-              if not (List.for_all2 Bag.equal v1 (final_views naive)) then
-                QCheck2.Test.fail_reportf
-                  "seed %d (columnar=%b domains=%d): diverged from the \
-                   sequential strawman"
-                  seed columnar domains;
-              let v = System.verdict self in
-              if not v.complete then
-                QCheck2.Test.fail_reportf
-                  "seed %d (columnar=%b domains=%d): selfmaint run not \
-                   complete"
-                  seed columnar domains)
-            [ 1; 4 ]))
-    [ false; true ];
+    (fun domains ->
+      let self = System.run (cfg System.Selfmaint_vm System.Auto domains) in
+      let complete = System.run (cfg System.Complete_vm System.Auto domains) in
+      let naive =
+        System.run (cfg System.Selfmaint_vm System.Sequential domains)
+      in
+      if Atomic.get self.metrics.Metrics.source_queries <> 0 then
+        QCheck2.Test.fail_reportf "seed %d: selfmaint issued source queries"
+          seed;
+      let c1, a1, t1, v1 = signature self
+      and c2, a2, t2, v2 = signature complete in
+      if
+        not (c1 = c2 && a1 = a2 && t1 = t2 && List.for_all2 Bag.equal v1 v2)
+      then
+        QCheck2.Test.fail_reportf
+          "seed %d (domains=%d): selfmaint trace diverged from Complete_vm"
+          seed domains;
+      if not (List.for_all2 Bag.equal v1 (final_views naive)) then
+        QCheck2.Test.fail_reportf
+          "seed %d (domains=%d): diverged from the sequential strawman" seed
+          domains;
+      let v = System.verdict self in
+      if not v.complete then
+        QCheck2.Test.fail_reportf
+          "seed %d (domains=%d): selfmaint run not complete" seed domains)
+    [ 1; 4 ];
   true
 
 let oracle_tests =
   [ Helpers.qcheck ~count:12
-      "oracle: selfmaint == complete == naive across kernels and domains"
+      "oracle: selfmaint == complete == naive across domains"
       QCheck2.Gen.(int_range 0 1_000_000)
       oracle_run ]
 
