@@ -1,7 +1,9 @@
 (* Property tests for the performance kernel: the hash-partitioned join
    against the nested-loop reference, the compiled positional evaluator
    against the interpreted one, the hash delta rules against the naive
-   delta rules, and the VUT color indexes against a linear scan. Each
+   delta rules, plans over memoized or derived columnar chunks and
+   indexes against the interpreter over memo-free bags, and the VUT
+   color indexes against a linear scan. Each
    suite runs >= 500 random cases; the naive paths are the oracles. *)
 
 open Relational
@@ -64,6 +66,16 @@ let delta_case_gen =
     Helpers.Delta_domain.db_gen >>= fun db ->
     Helpers.Delta_domain.changes_gen db >>= fun updates ->
     expr_gen >>= fun expr -> return (db, updates, expr))
+
+(* Two chained transactions: the second is generated against the state
+   the first leaves, so both apply exactly. *)
+let derived_delta_case_gen =
+  QCheck2.Gen.(
+    Helpers.Delta_domain.db_gen >>= fun db ->
+    Helpers.Delta_domain.changes_gen db >>= fun updates1 ->
+    let mid = List.fold_left Database.apply_update db updates1 in
+    Helpers.Delta_domain.changes_gen mid >>= fun updates2 ->
+    expr_gen >>= fun expr -> return (db, updates1, updates2, expr))
 
 (* Random VUT event sequences. Events reference live rows by index so any
    generated sequence is valid; queries are then compared against the
@@ -195,6 +207,43 @@ let tests =
           (Delta.eval ~naive:true ~pre changes expr));
     qcheck "vut indexes == linear scan" Vut_gen.events
       (fun evs -> vut_indexes_agree (Vut_gen.replay evs));
+    (* Memoized-columnar vs boxed oracles: a plan run over relations
+       whose chunks and indexes are already memoized — reused by
+       pointer, or carried across a version by [Relation.derive] — must
+       agree with the interpreter over memo-free copies of the same
+       bags. *)
+    qcheck "columnar eval == boxed eval" eval_case_gen
+      (fun (db, expr) ->
+        let boxed = Database.map Relation.contents_only db in
+        let first = Eval.eval_bag db expr in
+        (* The second run reads the chunks the first one encoded. *)
+        let memoized = Eval.eval_bag db expr in
+        let want = Eval.eval_bag ~naive:true boxed expr in
+        Bag.equal first want && Bag.equal memoized want);
+    qcheck "columnar delta == boxed delta" derived_delta_case_gen
+      (fun (pre, updates1, updates2, expr) ->
+        let changes updates id =
+          Delta.of_transaction
+            (Update.Transaction.make ~id ~source:"s" updates)
+        in
+        let c1 = changes updates1 1 and c2 = changes updates2 2 in
+        (* Warm [pre]'s indexes, then advance it the way a view
+           manager's cache does, carrying them into the next version. *)
+        ignore (Delta.eval ~pre c1 expr : Signed_bag.t);
+        let derived =
+          List.fold_left
+            (fun db name ->
+              Database.add name
+                (Relation.derive (Delta.change_for c1 name)
+                   (Database.find db name))
+                db)
+            pre (Database.names pre)
+        in
+        let boxed = Database.map Relation.contents_only (Delta.apply pre c1) in
+        Database.equal derived boxed
+        && Signed_bag.equal
+             (Delta.eval ~pre:derived c2 expr)
+             (Delta.eval ~naive:true ~pre:boxed c2 expr));
     qcheck "columnar join kernel == boxed join kernel" Join_gen.t
       (fun (ls, rs, l, r) ->
         let shared = Schema.common ls rs in
