@@ -7,13 +7,17 @@ exception Protocol_error of string
 module Int_map = Map.Make (Int)
 module Int_set = Set.Make (Int)
 
-type cell = { mutable color : color; mutable state : int }
+type cell = { col : int; mutable color : color; mutable state : int }
 
-(* Each live row also carries completion counters — how many of its cells
-   are currently white / red — so the per-row guards the merge algorithms
-   ask on every message ("does this row still wait for a list", "is this
-   row fully received") are O(1) instead of a scan across the columns. *)
-type row = { cells : cell array; mutable n_white : int; mutable n_red : int }
+(* A row stores cells only for the columns its REL created (and any
+   column set since), ascending by column; an absent column reads as
+   Black with state 0. Black cells never change in SPA or PA, so a row
+   costs O(|REL_i|) to build, walk and purge, however many views the
+   table has. Each live row also carries completion counters — how many
+   of its cells are currently white / red — so the per-row guards the
+   merge algorithms ask on every message ("does this row still wait for
+   a list", "is this row fully received") are O(1). *)
+type row = { mutable cells : cell array; mutable n_white : int; mutable n_red : int }
 
 (* Besides the row-major table the VUT keeps, per column (view), the sorted
    sets of row numbers currently white and currently red. Every merge guard
@@ -75,20 +79,25 @@ let bump r old_color new_color =
 let add_row t ~row ~rel =
   if Int_map.mem row t.table then protocol_error "row %d already exists" row;
   let cells =
-    Array.map (fun _ -> { color = Black; state = 0 }) t.view_order
+    Array.map
+      (fun v -> { col = index t v; color = White; state = 0 })
+      (Array.of_list rel)
   in
-  List.iter
-    (fun v ->
-      let col = index t v in
-      cells.(col) <- { color = White; state = 0 };
-      track_color t ~row ~col Black White)
-    rel;
-  let n_white =
-    Array.fold_left
-      (fun acc c -> if c.color = White then acc + 1 else acc)
-      0 cells
+  (* The integrator's REL is in view order already; sort (and drop
+     duplicates) only when a caller's is not. *)
+  let ascending = ref true in
+  for i = 1 to Array.length cells - 1 do
+    if cells.(i - 1).col >= cells.(i).col then ascending := false
+  done;
+  let cells =
+    if !ascending then cells
+    else
+      Array.of_list
+        (List.sort_uniq (fun a b -> Int.compare a.col b.col) (Array.to_list cells))
   in
-  t.table <- Int_map.add row { cells; n_white; n_red = 0 } t.table
+  Array.iter (fun c -> track_color t ~row ~col:c.col Black White) cells;
+  t.table <-
+    Int_map.add row { cells; n_white = Array.length cells; n_red = 0 } t.table
 
 let has_row t row = Int_map.mem row t.table
 
@@ -101,49 +110,82 @@ let find_row t row =
   | None -> protocol_error "row %d is not in the VUT" row
   | Some r -> r
 
-let cell t ~row ~view = (find_row t row).cells.(index t view)
+(* First position in [cells.(lo) .. cells.(hi - 1)] whose column is
+   >= [col]; the cells ascend by column. *)
+let rec lower_bound cells col lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if cells.(mid).col < col then lower_bound cells col (mid + 1) hi
+    else lower_bound cells col lo mid
+
+(* Position of column [col] among the row's stored cells, or -1. *)
+let slot r col =
+  let n = Array.length r.cells in
+  let i = lower_bound r.cells col 0 n in
+  if i < n && r.cells.(i).col = col then i else -1
+
+(* Insert a Black, state-0 cell for the absent column [col]. *)
+let insert r col =
+  let c = { col; color = Black; state = 0 } in
+  let n = Array.length r.cells in
+  let i = lower_bound r.cells col 0 n in
+  r.cells <-
+    Array.concat [ Array.sub r.cells 0 i; [| c |]; Array.sub r.cells i (n - i) ];
+  c
+
+let absent : entry = { color = Black; state = 0 }
+
+let entry_of (c : cell) : entry = { color = c.color; state = c.state }
+
+let entry_at r col =
+  match slot r col with -1 -> absent | i -> entry_of r.cells.(i)
 
 let entry t ~row ~view =
-  let c = cell t ~row ~view in
-  ({ color = c.color; state = c.state } : entry)
+  let col = index t view in
+  entry_at (find_row t row) col
 
 let set_color t ~row ~view color =
   let col = index t view in
   let r = find_row t row in
-  let c = r.cells.(col) in
-  if c.color <> color then begin
-    track_color t ~row ~col c.color color;
-    bump r c.color color;
-    c.color <- color
-  end
+  match slot r col with
+  | -1 when color = Black -> ()
+  | i ->
+    let c = if i < 0 then insert r col else r.cells.(i) in
+    if c.color <> color then begin
+      track_color t ~row ~col c.color color;
+      bump r c.color color;
+      c.color <- color
+    end
 
-let set_state t ~row ~view state = (cell t ~row ~view).state <- state
+let set_state t ~row ~view state =
+  let col = index t view in
+  let r = find_row t row in
+  match slot r col with
+  | -1 when state = 0 -> ()
+  | -1 -> (insert r col).state <- state
+  | i -> r.cells.(i).state <- state
 
 let white_count t ~row = (find_row t row).n_white
 
 let red_count t ~row = (find_row t row).n_red
 
+(* An entry the row walks skip: Black with state 0, what an absent
+   column reads as. *)
+let is_default (c : cell) = c.color = Black && c.state = 0
+
 let exists_in_row t ~row f =
-  let cells = (find_row t row).cells in
-  let n = Array.length cells in
-  let rec loop i =
-    i < n
-    && (f t.view_order.(i)
-          ({ color = cells.(i).color; state = cells.(i).state } : entry)
-       || loop (i + 1))
-  in
-  loop 0
+  Array.exists
+    (fun c -> (not (is_default c)) && f t.view_order.(c.col) (entry_of c))
+    (find_row t row).cells
 
 let fold_row t ~row f init =
-  let cells = (find_row t row).cells in
-  let acc = ref init in
-  Array.iteri
-    (fun i c ->
-      acc := f t.view_order.(i) ({ color = c.color; state = c.state } : entry) !acc)
-    cells;
-  !acc
+  Array.fold_left
+    (fun acc c ->
+      if is_default c then acc else f t.view_order.(c.col) (entry_of c) acc)
+    init (find_row t row).cells
 
-(* Row walks: one row lookup, then the cells by column — the per-row
+(* Row walks: one row lookup, then the stored cells by column — the per-row
    loops of SPA and PA, without a row lookup and a view-name hash per
    cell. *)
 
@@ -160,44 +202,32 @@ let next_red_at t ~col row =
 let has_blocked_red t ~row =
   let r = find_row t row in
   r.n_red > 0
-  &&
-  let n = Array.length r.cells in
-  let rec loop col =
-    col < n
-    && ((r.cells.(col).color = Red && red_before t ~col row) || loop (col + 1))
-  in
-  loop 0
+  && Array.exists (fun c -> c.color = Red && red_before t ~col:c.col row) r.cells
 
 let gray_reds t ~row =
   let r = find_row t row in
-  Array.iteri
-    (fun col c ->
+  Array.iter
+    (fun c ->
       if c.color = Red then begin
-        track_color t ~row ~col Red Gray;
+        track_color t ~row ~col:c.col Red Gray;
         bump r Red Gray;
         c.color <- Gray
       end)
     r.cells
 
 let iter_gray_next_reds t ~row f =
-  let r = find_row t row in
-  Array.iteri
-    (fun col c ->
+  Array.iter
+    (fun c ->
       if c.color = Gray then begin
-        let next = next_red_at t ~col row in
+        let next = next_red_at t ~col:c.col row in
         if next <> 0 then f next
       end)
-    r.cells
+    (find_row t row).cells
 
 let for_all_reds t ~row f =
-  let r = find_row t row in
-  let n = Array.length r.cells in
-  let rec loop col =
-    col >= n
-    || ((r.cells.(col).color <> Red || f ~col ~state:r.cells.(col).state)
-       && loop (col + 1))
-  in
-  loop 0
+  Array.for_all
+    (fun c -> c.color <> Red || f ~col:c.col ~state:c.state)
+    (find_row t row).cells
 
 let earlier_reds_at t ~col ~row =
   let below, _, _ = Int_set.split row t.reds.(col) in
@@ -206,11 +236,7 @@ let earlier_reds_at t ~col ~row =
 let earlier_with t ~row ~view pred =
   let col = index t view in
   Int_map.fold
-    (fun i r acc ->
-      if i < row
-         && pred ({ color = r.cells.(col).color; state = r.cells.(col).state } : entry)
-      then i :: acc
-      else acc)
+    (fun i r acc -> if i < row && pred (entry_at r col) then i :: acc else acc)
     t.table []
   |> List.rev
 
@@ -230,7 +256,7 @@ let purge_row t row =
   (match Int_map.find_opt row t.table with
   | None -> ()
   | Some r ->
-    Array.iteri (fun col c -> track_color t ~row ~col c.color Black) r.cells);
+    Array.iter (fun c -> track_color t ~row ~col:c.col c.color Black) r.cells);
   t.table <- Int_map.remove row t.table
 
 let purgeable t ~row =
@@ -249,15 +275,15 @@ let color_letter = function
   | Black -> "b"
 
 let render_row t ?(show_state = false) row =
-  let cells = (find_row t row).cells in
-  let render_cell i c =
+  let r = find_row t row in
+  let render_cell i view =
+    let e = entry_at r i in
     if show_state then
-      Printf.sprintf "%s=(%s,%d)" t.view_order.(i) (color_letter c.color)
-        c.state
-    else Printf.sprintf "%s=%s" t.view_order.(i) (color_letter c.color)
+      Printf.sprintf "%s=(%s,%d)" view (color_letter e.color) e.state
+    else Printf.sprintf "%s=%s" view (color_letter e.color)
   in
   Printf.sprintf "U%d: %s" row
-    (String.concat " " (Array.to_list (Array.mapi render_cell cells)))
+    (String.concat " " (Array.to_list (Array.mapi render_cell t.view_order)))
 
 let render ?show_state t =
   String.concat "\n" (List.map (render_row t ?show_state) (rows t))

@@ -16,7 +16,14 @@
 
     Rows are created when [REL_i] arrives and purged once fully applied, so
     the live table stays small (the paper's observation at the end of
-    Example 3). *)
+    Example 3).
+
+    Rows are sparse: a row stores cells only for [REL_i]'s columns (and
+    any column later set to a non-default entry); every other column
+    reads as [Black] with state 0. {!add_row}, {!purge_row} and the row
+    walks cost O(|REL_i|), not O(number of views); {!entry} and
+    {!set_color} cost O(log |REL_i|) after the row and view lookups.
+    Only {!render} and {!render_row} visit every column. *)
 
 type color = White | Red | Gray | Black
 
@@ -64,8 +71,13 @@ val red_count : t -> row:int -> int
     @raise Protocol_error if the row is absent. *)
 
 val exists_in_row : t -> row:int -> (string -> entry -> bool) -> bool
+(** Whether [f view entry] holds for some entry of the row, in column
+    order. Entries that are [Black] with state 0 — every column outside
+    the row's REL — are skipped. *)
 
 val fold_row : t -> row:int -> (string -> entry -> 'a -> 'a) -> 'a -> 'a
+(** Fold over the row's entries in column order, skipping entries that
+    are [Black] with state 0, as {!exists_in_row} does. *)
 
 val earlier_with : t -> row:int -> view:string -> (entry -> bool) -> int list
 (** Live rows strictly before [row] whose entry in [view] satisfies the
@@ -90,9 +102,10 @@ val next_red : t -> row:int -> view:string -> int
 
 (** {2 Row walks}
 
-    One row lookup, then the row's cells in column order: the per-row
-    loops of SPA and PA, without a row lookup and a view-name lookup
-    per cell. Each raises {!Protocol_error} if the row is absent. *)
+    One row lookup, then the row's stored cells in column order: the
+    per-row loops of SPA and PA, without a row lookup and a view-name
+    lookup per cell, and without visiting the row's absent (black)
+    columns. Each raises {!Protocol_error} if the row is absent. *)
 
 val has_blocked_red : t -> row:int -> bool
 (** Some red cell of the row has a red cell in an earlier live row of

@@ -4,6 +4,9 @@ type t = {
   semantic_filter : bool;
   schemas : string -> Schema.t;
   views : Query.View.t list;
+  by_relation : (string, (int * Query.View.t) list) Hashtbl.t;
+      (* base relation -> the views that use it, with their position in
+         [views], ascending *)
   mutable next_id : int;
   retain_log : bool;
   mutable log : (Update.Transaction.t * string list) list;
@@ -11,29 +14,52 @@ type t = {
 }
 
 let create ?(semantic_filter = false) ?(retain_log = false) ~schemas views =
-  { semantic_filter; schemas; views; next_id = 1; retain_log; log = [] }
+  let by_relation = Hashtbl.create 16 in
+  List.iteri
+    (fun i v ->
+      List.iter
+        (fun r ->
+          let users = Option.value ~default:[] (Hashtbl.find_opt by_relation r) in
+          Hashtbl.replace by_relation r ((i, v) :: users))
+        (Query.View.base_relations v))
+    views;
+  Hashtbl.filter_map_inplace (fun _ users -> Some (List.rev users)) by_relation;
+  { semantic_filter; schemas; views; by_relation; next_id = 1; retain_log;
+    log = [] }
 
 let views t = t.views
 
 let view_names t = List.map Query.View.name t.views
 
+(* Merge two position-ascending candidate lists, dropping duplicates. *)
+let rec merge_users a b =
+  match (a, b) with
+  | [], l | l, [] -> l
+  | ((i, _) as x) :: a', ((j, _) as y) :: b' ->
+    if i < j then x :: merge_users a' b
+    else if j < i then y :: merge_users a b'
+    else x :: merge_users a' b'
+
 let rel_set t txn =
-  let touched = Update.Transaction.relations txn in
-  let syntactic (v : Query.View.t) =
-    List.exists (fun r -> Query.View.uses v r) touched
+  let candidates =
+    List.fold_left
+      (fun acc r ->
+        match Hashtbl.find_opt t.by_relation r with
+        | Some users -> merge_users acc users
+        | None -> acc)
+      [] (Update.Transaction.relations txn)
   in
-  let relevant v =
-    syntactic v
-    && (not t.semantic_filter
-       ||
-       let changes = Query.Delta.of_transaction txn in
-       not
-         (Query.Irrelevance.provably_irrelevant ~schemas:t.schemas ~changes
-            v.Query.View.def))
-  in
-  List.filter_map
-    (fun v -> if relevant v then Some (Query.View.name v) else None)
-    t.views
+  let names = List.map (fun (_, v) -> Query.View.name v) in
+  if not t.semantic_filter then names candidates
+  else
+    let changes = Query.Delta.of_transaction txn in
+    names
+      (List.filter
+         (fun (_, (v : Query.View.t)) ->
+           not
+             (Query.Irrelevance.provably_irrelevant ~schemas:t.schemas ~changes
+                v.Query.View.def))
+         candidates)
 
 let ingest t txn =
   let stamped = { txn with Update.Transaction.id = t.next_id } in

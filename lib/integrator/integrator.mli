@@ -11,7 +11,12 @@
     channels. [REL] defaults to the syntactic test (views whose definition
     mentions an updated base relation); with [semantic_filter] the
     integrator additionally rules out updates that selection conditions
-    prove irrelevant (the refinement of reference [7] the paper mentions). *)
+    prove irrelevant (the refinement of reference [7] the paper mentions).
+
+    Per-update cost follows the update, not the view count: {!create}
+    indexes the views by base relation once, and [REL_i] is the merge of
+    the touched relations' view lists — O(|REL_i| + touched relations),
+    plus the semantic test on those candidates only. *)
 
 open Relational
 
@@ -39,7 +44,8 @@ val ingest : t -> Update.Transaction.t -> Update.Transaction.t * string list
     affects no view and needs no warehouse work). *)
 
 val rel_set : t -> Update.Transaction.t -> string list
-(** The relevant view set, without numbering side effects. *)
+(** The relevant view set, in view order, without numbering side
+    effects. *)
 
 val ingested : t -> int
 (** How many transactions have been numbered. *)

@@ -36,14 +36,14 @@ let rename mapping e = Rename (mapping, e)
 let group_by ~keys ~aggregates input = Group_by { keys; aggregates; input }
 
 let base_relations t =
-  let add seen name = if List.mem name seen then seen else seen @ [ name ] in
+  let add seen name = if List.mem name seen then seen else name :: seen in
   let rec loop seen = function
     | Base name -> add seen name
     | Select (_, e) | Project (_, e) | Rename (_, e) -> loop seen e
     | Group_by { input; _ } -> loop seen input
     | Join (a, b) | Union (a, b) -> loop (loop seen a) b
   in
-  loop [] t
+  List.rev (loop [] t)
 
 let rec schema_of lookup = function
   | Base name -> lookup name

@@ -6,18 +6,22 @@
 
 open Relational
 
-type t = { name : string; def : Algebra.t }
+type t = private { name : string; def : Algebra.t; bases : string list }
+(** [bases] is [Algebra.base_relations def], computed once by {!make}. *)
 
 val make : string -> Algebra.t -> t
 
 val name : t -> string
 
 val base_relations : t -> string list
+(** The base relations of the definition, in first-occurrence order. O(1):
+    stored by {!make}. *)
 
 val schema : (string -> Schema.t) -> t -> Schema.t
 
 val uses : t -> string -> bool
-(** [uses v r] is true when base relation [r] appears in [v]'s definition. *)
+(** [uses v r] is true when base relation [r] appears in [v]'s definition.
+    A scan of {!base_relations}, not of the definition. *)
 
 val materialize : Database.t -> t -> Relation.t
 (** Evaluate the view definition over a database state. *)

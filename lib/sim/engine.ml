@@ -32,29 +32,32 @@ let schedule_after t delay thunk =
 
 let pending t = Queue_map.cardinal t.queue
 
+let dispatch t key time thunk =
+  t.queue <- Queue_map.remove key t.queue;
+  t.clock <- time;
+  t.processed <- t.processed + 1;
+  thunk ()
+
 let step t =
   match Queue_map.min_binding_opt t.queue with
   | None -> false
   | Some (((time, _) as key), thunk) ->
-    t.queue <- Queue_map.remove key t.queue;
-    t.clock <- time;
-    t.processed <- t.processed + 1;
-    thunk ();
+    dispatch t key time thunk;
     true
 
+(* One queue-minimum lookup per dispatched event: the binding that passes
+   the [until] test is the one dispatched. *)
 let run ?until t =
-  let continue () =
+  let rec loop () =
     match Queue_map.min_binding_opt t.queue with
-    | None -> false
-    | Some ((time, _), _) -> (
-      match until with None -> true | Some limit -> time <= limit)
+    | Some (((time, _) as key), thunk)
+      when match until with None -> true | Some limit -> time <= limit ->
+      dispatch t key time thunk;
+      loop ()
+    | Some _ | None -> ()
   in
-  while continue () do
-    ignore (step t)
-  done;
+  loop ();
   match until with
-  | Some limit when t.clock < limit && Queue_map.is_empty t.queue ->
-    t.clock <- limit
   | Some limit when t.clock < limit -> t.clock <- limit
   | Some _ | None -> ()
 

@@ -1788,7 +1788,6 @@ let run_pipelined cfg =
   in
   let vm_links = List.map make_vm views in
   let vms = List.map fst vm_links in
-  let vm_chans = vm_links in
   (* Hand one group REL to a merge server — shared by live channel
      delivery and the restart-time state transfer (which bypasses the
      channel: FIFO server queues then guarantee the transferred RELs
@@ -1803,7 +1802,8 @@ let run_pipelined cfg =
           sample_merge_metrics () )
   in
   let rel_chans =
-    List.mapi
+    Array.of_list
+    @@ List.mapi
       (fun gi _ ->
         let link =
           make_link ~name:"integ->merge" (fun (row, rel) ->
@@ -1840,9 +1840,9 @@ let run_pipelined cfg =
         link)
       groups
   in
-  let group_names =
-    List.map (fun group -> List.map Query.View.name group) groups
-  in
+  (* REL_i split by owning merge group: ascending group id, REL order
+     within a group, groups with no relevant view absent. *)
+  let split_rel rel = Integrator.route_shards ~assignment:merge_of_view rel in
   let group_last_routed = Array.make (List.length groups) 0 in
   (* REL_i to the merge(s) owning affected views: either directly
      (Figure 1) or carried by a relevant view manager (the Section 3.2
@@ -1850,31 +1850,39 @@ let run_pipelined cfg =
      managers' action lists). Factored out of ingest because integrator
      recovery re-routes the unsubmitted suffix of the restored log. *)
   let route_rels (stamped : Update.Transaction.t) rel =
-    List.iteri
-      (fun gi names ->
-        let rel_group = List.filter (fun v -> List.mem v names) rel in
-        if rel_group <> [] then
-          match cfg.rel_routing with
-          | Direct ->
-            (List.nth rel_chans gi).send
-              (stamped.Update.Transaction.id, rel_group)
-          | Via_manager ->
-            let carrier = List.hd rel_group in
-            Queue.push
-              ( stamped.Update.Transaction.id,
-                rel_group,
-                group_last_routed.(gi) )
-              (forwards_of carrier);
-            group_last_routed.(gi) <- stamped.Update.Transaction.id)
-      group_names
+    List.iter
+      (fun (gi, rel_group) ->
+        match cfg.rel_routing with
+        | Direct ->
+          rel_chans.(gi).send (stamped.Update.Transaction.id, rel_group)
+        | Via_manager ->
+          let carrier = List.hd rel_group in
+          Queue.push
+            (stamped.Update.Transaction.id, rel_group, group_last_routed.(gi))
+            (forwards_of carrier);
+          group_last_routed.(gi) <- stamped.Update.Transaction.id)
+      (split_rel rel)
   in
-  (* U_i to the relevant view managers (and tick-hungry ones). *)
+  (* U_i to the relevant view managers (and tick-hungry ones), in
+     manager order: REL_i's managers are found by name, so routing costs
+     O(|REL_i|), not a pass over every manager. *)
+  let vm_arr = Array.of_list vm_links in
+  let vm_position = Hashtbl.create 16 in
+  Array.iteri
+    (fun i (vm, _) -> Hashtbl.replace vm_position (Viewmgr.Vm.name vm) i)
+    vm_arr;
+  let tick_hungry =
+    List.filter
+      (fun i -> (fst vm_arr.(i)).Viewmgr.Vm.needs_ticks)
+      (List.init (Array.length vm_arr) Fun.id)
+  in
   let route_updates (stamped : Update.Transaction.t) rel =
     List.iter
-      (fun (vm, link) ->
-        if vm.Viewmgr.Vm.needs_ticks || List.mem (Viewmgr.Vm.name vm) rel
-        then link.send stamped)
-      vm_chans
+      (fun i -> (snd vm_arr.(i)).send stamped)
+      (List.sort_uniq Int.compare
+         (List.rev_append
+            (List.filter_map (Hashtbl.find_opt vm_position) rel)
+            tick_hungry))
   in
   let process_ingest txn =
     let stamped, rel = Integrator.ingest integ txn in
@@ -1965,17 +1973,15 @@ let run_pipelined cfg =
       (fun ((stamped : Update.Transaction.t), rel) ->
         let row = stamped.Update.Transaction.id in
         if not (Hashtbl.mem submitted_rows row) then
-          List.iteri
-            (fun gi names ->
-              let rel_group = List.filter (fun v -> List.mem v names) rel in
-              if rel_group <> [] && not (Hashtbl.mem rel_seen.(gi) row)
-              then begin
+          List.iter
+            (fun (gi, rel_group) ->
+              if not (Hashtbl.mem rel_seen.(gi) row) then begin
                 Hashtbl.replace rel_seen.(gi) row ();
                 record "merge restart: REL_%d transferred from integrator log"
                   row;
                 deliver_rel gi row rel_group
               end)
-            group_names)
+            (split_rel rel))
       (Integrator.retained_log integ);
     List.iter (fun send -> send Resync_demand) !vm_ctrls
   in

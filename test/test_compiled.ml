@@ -80,7 +80,9 @@ let derived_delta_case_gen =
 (* Random VUT event sequences. Events reference live rows by index so any
    generated sequence is valid; queries are then compared against the
    linear-scan reference ([earlier_with] / [rows]) for every view and a
-   set of probe rows straddling the live rows. *)
+   set of probe rows straddling the live rows, and every entry and row
+   walk against a dense model that stores all three columns of every
+   row. *)
 module Vut_gen = struct
   open QCheck2.Gen
 
@@ -89,6 +91,7 @@ module Vut_gen = struct
   type event =
     | Add of bool * bool * bool  (* which views are in REL_i *)
     | Set of int * int * Mvc.Vut.color  (* live-row index, view index *)
+    | State of int * int * int  (* live-row index, view index, state *)
     | Purge of int  (* live-row index *)
 
   let color = oneofl [ Mvc.Vut.White; Mvc.Vut.Red; Mvc.Vut.Gray; Mvc.Vut.Black ]
@@ -97,39 +100,58 @@ module Vut_gen = struct
     oneof
       [ map3 (fun a b c -> Add (a, b, c)) bool bool bool;
         map3 (fun i v c -> Set (i, v, c)) (int_range 0 50) (int_range 0 2) color;
+        map3 (fun i v s -> State (i, v, s)) (int_range 0 50) (int_range 0 2)
+          (int_range 0 3);
         map (fun i -> Purge i) (int_range 0 50) ]
 
   let events = list_size (int_range 0 40) event
 
+  (* The table and its dense model: live rows ascending, each with one
+     entry per view. *)
   let replay evs =
     let vut = Mvc.Vut.create ~views in
+    let dense = ref [] in
     let next = ref 1 in
     let live_row i =
-      match Mvc.Vut.rows vut with
+      match !dense with
       | [] -> None
       | rows -> Some (List.nth rows (i mod List.length rows))
     in
+    let black : Mvc.Vut.entry = { color = Black; state = 0 } in
     List.iter
       (function
         | Add (a, b, c) ->
+          let cells =
+            Array.map
+              (fun x -> if x then { black with color = White } else black)
+              [| a; b; c |]
+          in
           let rel =
-            List.concat
-              [ (if a then [ "V1" ] else []);
-                (if b then [ "V2" ] else []);
-                (if c then [ "V3" ] else []) ]
+            List.filteri (fun i _ -> cells.(i).color = White) views
           in
           Mvc.Vut.add_row vut ~row:!next ~rel;
+          dense := !dense @ [ (!next, cells) ];
           incr next
         | Set (i, v, color) -> (
           match live_row i with
-          | Some row -> Mvc.Vut.set_color vut ~row ~view:(List.nth views v) color
+          | Some (row, cells) ->
+            Mvc.Vut.set_color vut ~row ~view:(List.nth views v) color;
+            cells.(v) <- { (cells.(v)) with color }
+          | None -> ())
+        | State (i, v, state) -> (
+          match live_row i with
+          | Some (row, cells) ->
+            Mvc.Vut.set_state vut ~row ~view:(List.nth views v) state;
+            cells.(v) <- { (cells.(v)) with state }
           | None -> ())
         | Purge i -> (
           match live_row i with
-          | Some row -> Mvc.Vut.purge_row vut row
+          | Some (row, _) ->
+            Mvc.Vut.purge_row vut row;
+            dense := List.filter (fun (r, _) -> r <> row) !dense
           | None -> ()))
       evs;
-    vut
+    (vut, !dense)
 end
 
 let vut_indexes_agree vut =
@@ -187,6 +209,85 @@ let vut_indexes_agree vut =
               Vut_gen.views)
        rows
 
+(* Every entry, counter, row walk and rendering of the sparse table
+   against the dense model. *)
+let vut_matches_dense vut dense =
+  let open Mvc.Vut in
+  let cols = List.mapi (fun col view -> (col, view)) Vut_gen.views in
+  let count cells c =
+    Array.fold_left (fun n (e : entry) -> if e.color = c then n + 1 else n) 0 cells
+  in
+  (* Live rows, ascending, that [from] admits and that are red in [col]. *)
+  let red_rows col ~from =
+    List.filter_map
+      (fun (r, (cells : entry array)) ->
+        if from r && cells.(col).color = Red then Some r else None)
+      dense
+  in
+  let letter = function White -> "w" | Red -> "r" | Gray -> "g" | Black -> "b" in
+  let dense_render show_state =
+    String.concat "\n"
+      (List.map
+         (fun (row, cells) ->
+           Printf.sprintf "U%d: %s" row
+             (String.concat " "
+                (List.map
+                   (fun (col, view) ->
+                     let e : entry = cells.(col) in
+                     if show_state then
+                       Printf.sprintf "%s=(%s,%d)" view (letter e.color) e.state
+                     else Printf.sprintf "%s=%s" view (letter e.color))
+                   cols)))
+         dense)
+  in
+  rows vut = List.map fst dense
+  && render vut = dense_render false
+  && render ~show_state:true vut = dense_render true
+  && List.for_all
+       (fun (row, (cells : entry array)) ->
+         let shown =
+           List.filter_map
+             (fun (col, view) ->
+               let e = cells.(col) in
+               if e.color = Black && e.state = 0 then None else Some (view, e))
+             cols
+         in
+         let with_color c = List.filter (fun (col, _) -> cells.(col).color = c) cols in
+         let visited = ref [] and gray_nexts = ref [] and reds = ref [] in
+         ignore
+           (exists_in_row vut ~row (fun view e ->
+                visited := (view, e) :: !visited;
+                false));
+         iter_gray_next_reds vut ~row (fun n -> gray_nexts := n :: !gray_nexts);
+         ignore
+           (for_all_reds vut ~row (fun ~col ~state ->
+                reds := (col, state) :: !reds;
+                true));
+         List.for_all
+           (fun (col, view) -> entry vut ~row ~view = cells.(col))
+           cols
+         && white_count vut ~row = count cells White
+         && red_count vut ~row = count cells Red
+         && purgeable vut ~row = (count cells White = 0 && count cells Red = 0)
+         && List.rev !visited = shown
+         && List.rev (fold_row vut ~row (fun v e acc -> (v, e) :: acc) []) = shown
+         && has_blocked_red vut ~row
+            = List.exists
+                (fun (col, _) -> red_rows col ~from:(fun r -> r < row) <> [])
+                (with_color Red)
+         && List.rev !gray_nexts
+            = List.filter_map
+                (fun (col, _) ->
+                  match red_rows col ~from:(fun r -> r > row) with
+                  | [] -> None
+                  | n :: _ -> Some n)
+                (with_color Gray)
+         && List.rev !reds
+            = List.map (fun (col, _) -> (col, cells.(col).state)) (with_color Red)
+         && for_all_reds vut ~row (fun ~col:_ ~state:_ -> false)
+            = (with_color Red = []))
+       dense
+
 let tests =
   [ qcheck "hash join == nested-loop join" Join_gen.t
       (fun (ls, rs, l, r) ->
@@ -206,7 +307,21 @@ let tests =
           (Delta.eval ~pre changes expr)
           (Delta.eval ~naive:true ~pre changes expr));
     qcheck "vut indexes == linear scan" Vut_gen.events
-      (fun evs -> vut_indexes_agree (Vut_gen.replay evs));
+      (fun evs ->
+        let vut, dense = Vut_gen.replay evs in
+        vut_indexes_agree vut
+        && vut_matches_dense vut dense
+        &&
+        (* [gray_reds] on every row, mirrored in the model. *)
+        (List.iter
+           (fun (row, cells) ->
+             Mvc.Vut.gray_reds vut ~row;
+             Array.iteri
+               (fun i (e : Mvc.Vut.entry) ->
+                 if e.color = Red then cells.(i) <- { e with color = Gray })
+               cells)
+           dense;
+         vut_matches_dense vut dense && vut_indexes_agree vut));
     (* Memoized-columnar vs boxed oracles: a plan run over relations
        whose chunks and indexes are already memoized — reused by
        pointer, or carried across a version by [Relation.derive] — must
