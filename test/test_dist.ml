@@ -58,6 +58,44 @@ let check_run ?(faulty = false) (r : Dist.System.result) =
     r.Dist.System.unions;
   if faulty then ()
 
+(* One line per shard (committed row sequence, merge events, emitted
+   WTs, WAL appends) plus one per union read (its cut vector): the
+   record the distributed golden pins. *)
+let golden_lines (r : Dist.System.result) =
+  List.map
+    (fun (sh : Dist.System.shard_result) ->
+      Fmt.str "shard %d rows [%a] events %d wts %d wal %d" sh.Dist.System.sh_id
+        Fmt.(list ~sep:(any ";") (list ~sep:(any ",") int))
+        (List.map
+           (fun (c : Warehouse.Store.commit) ->
+             c.Warehouse.Store.transaction.Warehouse.Wt.rows)
+           (Warehouse.Store.commits sh.Dist.System.sh_store))
+        sh.Dist.System.sh_merge_events sh.Dist.System.sh_wts
+        sh.Dist.System.sh_wal_appends)
+    r.Dist.System.shards
+  @ List.map
+      (fun (c : Consistency.Checker.cut_read) ->
+        Fmt.str "read %d cut [%a]" c.Consistency.Checker.cr_session
+          Fmt.(list ~sep:(any ";") (pair ~sep:(any ":") int int))
+          c.Consistency.Checker.cr_vector)
+      r.Dist.System.reads
+  @ [ Fmt.str "dropped %d retransmits %d"
+        (Atomic.get r.Dist.System.metrics.Whips.Metrics.msgs_dropped)
+        (Atomic.get r.Dist.System.metrics.Whips.Metrics.retransmits) ]
+
+(* Seed 42, acked links under a random fault plan, durable shards. *)
+let golden_run shards =
+  let plan =
+    Workload.Fault_plan.union
+      [ Workload.Fault_plan.random ~drop:0.15 ~duplicate:0.1 "integ->shard*";
+        Workload.Fault_plan.random ~drop:0.15 "*->merge*" ]
+  in
+  Dist.System.run
+    { (config ~shards ~seed:42 (workload ~tenants:6 ~n_transactions:24 ())) with
+      fault_plan = plan;
+      reliability = Whips.System.Acked Sim.Reliable.default_params;
+      durable = true }
+
 let tests =
   [ case "router assigns by tenant mod shards" (fun () ->
         let router = Dist.Router.create ~shards:2 ~tenant_of:tenant_of_name in
@@ -155,6 +193,36 @@ let tests =
                 (fun s' -> Alcotest.check Helpers.schema "same schema" s s')
                 rest)
           w.Workload.Tenants.unions);
+    case "golden: seed 42 under acked links, faults and WAL, 2 and 4 shards"
+      (fun () ->
+        let expect shards lines =
+          Alcotest.(check (list string))
+            (Printf.sprintf "%d shards" shards)
+            lines
+            (golden_lines (golden_run shards))
+        in
+        expect 2
+          [ "shard 0 rows [1;2;4;3;5;6;7;8;10;11;12;13;14;16;17;18;19;20;22] \
+             events 50 wts 19 wal 19";
+            "shard 1 rows [9;15;21;23;24] events 12 wts 5 wal 5";
+            "read 0 cut [0:2;1:0]"; "read 1 cut [0:3;1:0]";
+            "read 0 cut [0:7;1:0]"; "read 1 cut [0:9;1:1]";
+            "read 0 cut [0:11;1:1]"; "read 1 cut [0:13;1:2]";
+            "read 0 cut [0:16;1:2]"; "read 1 cut [0:18;1:2]";
+            "read 0 cut [0:19;1:5]"; "read 1 cut [0:19;1:5]";
+            "dropped 6 retransmits 4" ];
+        expect 4
+          [ "shard 0 rows [2;4;5;6;7;8;10;11;12;13;14;16;18;20;22] events 38 \
+             wts 15 wal 15";
+            "shard 1 rows [9;15;21;24] events 9 wts 4 wal 4";
+            "shard 2 rows [1;3;17;19] events 12 wts 4 wal 4";
+            "shard 3 rows [23] events 3 wts 1 wal 1";
+            "read 0 cut [0:1;1:0;2:1;3:0]"; "read 1 cut [0:2;1:0;2:2;3:0]";
+            "read 0 cut [0:5;1:0;2:2;3:0]"; "read 1 cut [0:7;1:1;2:2;3:0]";
+            "read 0 cut [0:9;1:1;2:2;3:0]"; "read 1 cut [0:11;1:2;2:2;3:0]";
+            "read 0 cut [0:13;1:2;2:3;3:0]"; "read 1 cut [0:14;1:2;2:4;3:0]";
+            "read 0 cut [0:15;1:4;2:4;3:1]"; "read 1 cut [0:15;1:4;2:4;3:1]";
+            "dropped 6 retransmits 4" ]);
     case "two shards: certified, complete per shard, oracle-exact" (fun () ->
         check_run (Dist.System.run (config ~shards:2 (workload ()))));
     case "four shards with skew: certified and oracle-exact" (fun () ->
