@@ -17,38 +17,26 @@
 type t
 
 val create :
-  engine:Sim.Engine.t ->
+  Whips.Vm_host.env ->
+  links:Whips.Link.factory ->
   id:int ->
   views:Query.View.t list ->
-  initial:Relational.Database.t ->
-  compute_latency:(unit -> float) ->
-  merge_latency:(unit -> float) ->
-  commit_latency:(unit -> float) ->
   durable:bool ->
   vm_kind:Whips.System.vm_kind ->
-  al_link:
-    (view:string ->
-    deliver:(Query.Action_list.t -> unit) ->
-    Query.Action_list.t -> unit) ->
-  ?on_merge_event:(held:int -> live:int -> unit) ->
-  ?on_commit:(Warehouse.Wt.t -> unit) ->
-  unit ->
   t
-(** [initial] is the full source state [ss_0] (managers cache the base
-    relations they need from it). [vm_kind] must be a complete
-    plan-driven kind ([Complete_vm] or [Selfmaint_vm]; the shard merge
-    runs SPA): managers are built from its {!Whips.System.plan_shape},
-    exactly as the whips pipeline builds them. Both kinds emit identical
-    action lists, so the downstream shard pipeline is the same; a
-    self-maintaining shard stores keyed projections instead of full
-    replicas.
-    [al_link ~view ~deliver] must return a
-    send function for the view manager's action-list channel whose far
-    end invokes [deliver] — the system assembly supplies it so every
-    manager->merge hop is a named, fault-injectable simulator link.
-    [on_merge_event] fires after each merge-server event with the
-    merge's held-list and live-VUT-row gauges; [on_commit] fires after a
-    commit is applied and its version published. *)
+(** One instance of the whips process components: an SPA
+    {!Whips.Merge_proc} over the shard's views, one {!Whips.Vm_host} per
+    view and a {!Whips.Warehouse_proc} whose commits publish to the
+    shard's version manager. [env] carries the run context, latencies
+    and the full source state [ss_0] (managers cache the base relations
+    they need from it). [vm_kind] must be a complete plan-driven kind
+    ([Complete_vm] or [Selfmaint_vm]); both emit identical action lists,
+    so the downstream shard pipeline is the same, and a self-maintaining
+    shard stores keyed projections instead of full replicas. Each
+    manager's action-list link is built from [links] under the name
+    [<view>->merge<id>], so fault plans can target it. [durable] gives
+    the warehouse a write-ahead log recording each WT before its store
+    applies it. *)
 
 val id : t -> int
 

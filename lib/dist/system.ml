@@ -42,8 +42,6 @@ type result = {
   stuck : bool;
 }
 
-type 'a link = { send : 'a -> unit }
-
 let run (cfg : config) =
   if cfg.shards < 1 then invalid_arg "Dist.System: shards < 1";
   if cfg.read_sessions < 1 then invalid_arg "Dist.System: read_sessions < 1";
@@ -57,82 +55,50 @@ let run (cfg : config) =
     if mean <= 0.0 then 0.0 else Sim.Rng.exponential latency_rng ~mean
   in
   let metrics = Whips.Metrics.create () in
+  let ctx =
+    Whips.Proc.context ~record_timeline:false engine
+      ~exec:Parallel.Exec.sequential ~metrics ~sample
+  in
   let scenario = cfg.workload.Workload.Tenants.scenario in
   let sources = Workload.Scenarios.sources scenario in
   let schemas = Source.Sources.schema_lookup sources in
   let views = scenario.Workload.Scenarios.views in
-  let initial_db = Source.Sources.initial sources in
   let router =
     Router.create ~shards:cfg.shards
       ~tenant_of:(Workload.Tenants.tenant_of cfg.workload)
   in
   let integ = Integrator.create ~schemas views in
-  (* Link plumbing: every warehouse-internal hop is a named simulator
-     channel the fault plan can target, optionally wrapped in the ARQ
-     layer. The sources->integ feed stays outside the plan's reach. *)
-  let quiescence : (unit -> bool) list ref = ref [] in
-  let link_stats : (unit -> Sim.Reliable.stats) list ref = ref [] in
-  let drop_counts : (unit -> int) list ref = ref [] in
-  let register ~faultable chan =
-    if faultable && not (Workload.Fault_plan.is_empty cfg.fault_plan) then
-      Workload.Fault_plan.attach cfg.fault_plan ~rng:fault_rng chan;
-    drop_counts := (fun () -> Sim.Channel.dropped chan) :: !drop_counts
+  (* Every warehouse-internal hop is a named simulator link the fault
+     plan can target; the sources->integ feed stays outside its reach. *)
+  let links =
+    Whips.Link.factory engine ~reliability:cfg.reliability ~plan:cfg.fault_plan
+      ~fault_rng ~link_rng
+      ~latency:(fun () -> sample cfg.latencies.Whips.System.message)
+      ~on_give_up:(fun _ -> Atomic.incr metrics.Whips.Metrics.gave_up)
   in
-  let make_link ?(faultable = true) ~name deliver =
-    match cfg.reliability with
-    | Whips.System.Off ->
-      let ch =
-        Sim.Channel.create engine ~name
-          ~latency:(fun () -> sample cfg.latencies.Whips.System.message)
-          deliver
-      in
-      register ~faultable ch;
-      { send = (fun m -> Sim.Channel.send ch m) }
-    | Whips.System.Acked params ->
-      let rl =
-        Sim.Reliable.create engine ~name ~params ~rng:(Sim.Rng.split link_rng)
-          ~on_give_up:(fun () -> Atomic.incr metrics.Whips.Metrics.gave_up)
-          ~latency:(fun () -> sample cfg.latencies.Whips.System.message)
-          deliver
-      in
-      register ~faultable (Sim.Reliable.data_channel rl);
-      register ~faultable (Sim.Reliable.ctrl_channel rl);
-      quiescence := (fun () -> Sim.Reliable.quiescent rl) :: !quiescence;
-      link_stats := (fun () -> Sim.Reliable.stats rl) :: !link_stats;
-      { send = (fun m -> Sim.Reliable.send rl m) }
+  let env =
+    { Whips.Vm_host.ctx; latencies = cfg.latencies;
+      reliability = cfg.reliability; initial = Source.Sources.initial sources;
+      integ; sources;
+      aux_durability = None; dedup_all = false }
   in
-  (* Shards, each with fault-injectable manager->merge links. *)
   let shards_arr =
     Array.init cfg.shards (fun s ->
-        Shard.create ~engine ~id:s
+        Shard.create env ~links ~id:s
           ~views:(Router.views_of_shard router views s)
-          ~initial:initial_db
-          ~compute_latency:(fun () -> sample cfg.latencies.Whips.System.compute)
-          ~merge_latency:(fun () -> sample cfg.latencies.Whips.System.merge)
-          ~commit_latency:(fun () -> sample cfg.latencies.Whips.System.commit)
           ~durable:cfg.durable
           ~vm_kind:
             (if cfg.selfmaint then Whips.System.Selfmaint_vm
-             else Whips.System.Complete_vm)
-          ~al_link:(fun ~view ~deliver ->
-            (make_link ~name:(Printf.sprintf "%s->merge%d" view s) deliver)
-              .send)
-          ~on_merge_event:(fun ~held ~live ->
-            Sim.Stats.Summary.add metrics.Whips.Metrics.merge_held
-              (float_of_int held);
-            Sim.Stats.Summary.add metrics.Whips.Metrics.merge_live_rows
-              (float_of_int live))
-          ())
+             else Whips.System.Complete_vm))
   in
   let arrival_times : (int, float) Hashtbl.t = Hashtbl.create 64 in
   let shard_links =
-    Array.to_list
-      (Array.init cfg.shards (fun s ->
-           make_link ~name:(Printf.sprintf "integ->shard%d" s)
-             (fun (txn, rel) -> Shard.receive shards_arr.(s) (txn, rel))))
+    Array.init cfg.shards (fun s ->
+        Whips.Link.make links ~name:(Printf.sprintf "integ->shard%d" s)
+          (Shard.receive shards_arr.(s)))
   in
   let integrator_link =
-    make_link ~faultable:false ~name:"sources->integ" (fun txn ->
+    Whips.Link.make links ~faultable:false ~name:"sources->integ" (fun txn ->
         let stamped, rel = Integrator.ingest integ txn in
         Hashtbl.replace arrival_times stamped.Update.Transaction.id
           (Sim.Engine.now engine);
@@ -141,7 +107,7 @@ let run (cfg : config) =
           Sim.Stats.Summary.add metrics.Whips.Metrics.routed_shards
             (float_of_int (List.length fanned));
         List.iter
-          (fun (s, rel_s) -> (List.nth shard_links s).send (stamped, rel_s))
+          (fun (s, rel_s) -> shard_links.(s).Whips.Link.send (stamped, rel_s))
           fanned)
   in
   (* Serving: a global cut over every shard's serving layer. *)
@@ -178,49 +144,32 @@ let run (cfg : config) =
         Sim.Stats.Summary.add metrics.Whips.Metrics.union_read_latency
           (Sim.Engine.now engine -. t0))
   in
-  (* Schedule the update script along the arrival process, tracking the
-     horizon so mid-run reads can spread over it. *)
-  let clock = ref 0.0 in
-  let horizon = ref 0.0 in
-  List.iter
-    (fun updates ->
-      let at =
-        match cfg.arrival with
-        | Whips.System.All_at_once -> 0.0
-        | Whips.System.Uniform gap ->
-          clock := !clock +. gap;
-          !clock
-        | Whips.System.Poisson rate ->
-          clock := !clock +. Sim.Rng.exponential arrival_rng ~mean:(1.0 /. rate);
-          !clock
-      in
-      horizon := Float.max !horizon at;
-      Sim.Engine.schedule_at engine at (fun () ->
-          let txn = Source.Sources.execute sources updates in
-          Atomic.incr metrics.Whips.Metrics.transactions;
-          integrator_link.send txn))
-    scenario.Workload.Scenarios.script;
+  (* Schedule the update script along the arrival process; mid-run
+     reads spread over its horizon. *)
+  let horizon =
+    Whips.System.schedule_script engine arrival_rng cfg.arrival
+      scenario.Workload.Scenarios.script ~execute:(fun updates ->
+        let txn = Source.Sources.execute sources updates in
+        Atomic.incr metrics.Whips.Metrics.transactions;
+        integrator_link.Whips.Link.send txn)
+  in
   if cfg.union_reads > 0 && unions <> [] then begin
     let n = cfg.union_reads in
     for i = 1 to n do
-      let at = !horizon *. float_of_int i /. float_of_int (n + 1) in
+      let at = horizon *. float_of_int i /. float_of_int (n + 1) in
       let u = List.nth unions ((i - 1) mod List.length unions) in
       Sim.Engine.schedule_at engine at (fun () -> serve_union u)
     done
   end;
-  (* Drain: run, flush, re-run until every link is quiescent and every
-     shard has no queued, pending, emitted or outstanding work. *)
-  let drained () =
-    List.for_all (fun q -> q ()) !quiescence
-    && Array.for_all Shard.quiescent shards_arr
+  (* Drain until every link is quiescent and every shard has no queued,
+     pending, emitted or outstanding work. *)
+  let ok =
+    Whips.System.drain engine
+      ~flushes:
+        (Array.to_list (Array.map (fun sh () -> Shard.flush sh) shards_arr))
+      ~drained:(fun () ->
+        Whips.Link.quiescent links && Array.for_all Shard.quiescent shards_arr)
   in
-  let rec drain guard =
-    Sim.Engine.run engine;
-    Array.iter Shard.flush shards_arr;
-    Sim.Engine.run engine;
-    if drained () then true else if guard = 0 then false else drain (guard - 1)
-  in
-  let ok = drain 1000 in
   (* Final reads: one per union view, against the drained warehouse —
      the deterministic record the smoke equivalence asserts on. *)
   List.iter serve_union unions;
@@ -246,19 +195,7 @@ let run (cfg : config) =
             c.Warehouse.Store.transaction.Warehouse.Wt.rows)
         (Warehouse.Store.commits store))
     shards_arr;
-  List.iter
-    (fun stats ->
-      let s = stats () in
-      Whips.Metrics.add metrics.Whips.Metrics.retransmits
-        s.Sim.Reliable.retransmits;
-      Whips.Metrics.add metrics.Whips.Metrics.acks s.Sim.Reliable.acks_sent;
-      Whips.Metrics.add metrics.Whips.Metrics.nacks s.Sim.Reliable.nacks_sent;
-      Whips.Metrics.add metrics.Whips.Metrics.dup_frames_dropped
-        s.Sim.Reliable.dups_dropped)
-    !link_stats;
-  List.iter
-    (fun dropped -> Whips.Metrics.add metrics.Whips.Metrics.msgs_dropped (dropped ()))
-    !drop_counts;
+  Whips.Link.fold_stats links metrics;
   { config = cfg; sources; transactions = Source.Sources.transactions sources;
     shards =
       Array.to_list

@@ -15,7 +15,7 @@
     serializable source schedule coincides with the integrator's update
     numbering. *)
 
-type vm_kind =
+type vm_kind = Config.vm_kind =
   | Complete_vm
   | Selfmaint_vm
       (** Complete, self-maintaining: the manager derives warehouse-local
@@ -49,7 +49,7 @@ val plan_shape :
     [Complete_n_vm n] a replica drained [Exactly n].
     @raise Invalid_argument for the other kinds. *)
 
-type merge_kind =
+type merge_kind = Config.merge_kind =
   | Auto
       (** Choose per Section 6.3 from the weakest view-manager level:
           all complete -> SPA; any strongly-consistent/complete-N -> PA;
@@ -72,14 +72,14 @@ type merge_kind =
     integrator, or carried by a relevant view manager and forwarded with
     its action lists — fewer messages, but RELs can trail other managers'
     lists, exercising the merge's buffering. *)
-type rel_routing = Direct | Via_manager
+type rel_routing = Config.rel_routing = Direct | Via_manager
 
-type arrival =
+type arrival = Config.arrival =
   | All_at_once  (** Execute the whole script at time 0 (drain test). *)
   | Uniform of float  (** Fixed inter-arrival gap. *)
   | Poisson of float  (** Rate (transactions per simulated second). *)
 
-type latencies = {
+type latencies = Config.latencies = {
   message : float;  (** Mean channel latency (exponential). *)
   compute : float;  (** Mean per-update view-manager delta computation. *)
   commit : float;  (** Mean warehouse commit latency. *)
@@ -101,7 +101,7 @@ val default_latencies : latencies
     their reads, and the serving policy knobs. Reads are scheduled
     independently of the update script, so read:write ratio sweeps just
     vary [n_reads] / [read_arrival] against the scenario. *)
-type read_profile = {
+type read_profile = Config.read_profile = {
   sessions : (Serve.Session.guarantee * int) list;
       (** Population: how many sessions per guarantee. Each session is
           one client connection; its reads are served one at a time. *)
@@ -183,7 +183,7 @@ val default_reads : read_profile
     SPA merge, [Complete_vm] managers, [Direct] REL routing, no semantic
     filter, [Keep_all] store retention. The durable layer (WALs and
     checkpoints, see {!durability}) is forced on. *)
-type fault =
+type fault = Config.fault =
   | Drop_action_list of { view : string; nth : int }
   | Crash_vm of { view : string; at_event : int; restart_after : float }
   | Crash_merge of { at_event : int; restart_after : float }
@@ -196,14 +196,14 @@ type fault =
     {!Sim.Reliable} ARQ layer (sequence numbers, dedup, cumulative acks,
     NACK-on-gap, timeout retransmit with capped jittered backoff), which
     restores the MVC guarantees under message loss and duplication. *)
-type reliability = Off | Acked of Sim.Reliable.params
+type reliability = Config.reliability = Off | Acked of Sim.Reliable.params
 
 (** Tuning for the durable layer (write-ahead logs + checkpoints) behind
     the warehouse and the integrator. The warehouse WAL records every WT
     immediately before the store applies it and syncs per append (the
     write-ahead discipline); the integrator WAL records every stamped
     transaction with its REL set under group commit. *)
-type durability = {
+type durability = Config.durability = {
   checkpoint_every : int;
       (** Warehouse checkpoint cadence, in commits. Each checkpoint
           atomically replaces the checkpoint slot with the full commit
@@ -247,9 +247,9 @@ val default_durability : durability
     completeness for throughput. Certified by {!fused_certificate};
     rejected in process-crash runs (recovery accounts for completed
     work per-row). *)
-type merge_batch = Coalesced | Fused
+type merge_batch = Config.merge_batch = Coalesced | Fused
 
-type config = {
+type config = Config.config = {
   scenario : Workload.Scenarios.t;
   vm_kind : vm_kind;
   vm_overrides : (string * vm_kind) list;
@@ -333,7 +333,7 @@ val default : Workload.Scenarios.t -> config
     evaluator to cross-check the compiled/cached read path, and feed the
     deduplicated states to {!Consistency.Checker} to prove every served
     snapshot is consistent. *)
-type read_record = {
+type read_record = Config.read_record = {
   read_session : int;
   read_guarantee : Serve.Session.guarantee;
   read_query : Query.Algebra.t;
@@ -349,7 +349,7 @@ type read_record = {
   read_result : Relational.Bag.t;
 }
 
-type serving = {
+type serving = Config.serving = {
   version_manager : Serve.Version_manager.t;  (** Post-run state. *)
   result_cache : Serve.Result_cache.t option;
   reads_served : read_record list;
@@ -359,7 +359,7 @@ type serving = {
 
 (** What the durable layer did during the run — both WALs summed, plus
     the recovery counters. *)
-type durability_report = {
+type durability_report = Config.durability_report = {
   wal_appends : int;
   wal_syncs : int;
   wal_bytes : int;  (** Bytes made durable (the WAL-overhead headline). *)
@@ -379,7 +379,7 @@ type durability_report = {
           recoveries. *)
 }
 
-type result = {
+type result = Config.result = {
   config : config;
   store : Warehouse.Store.t;
   sources : Source.Sources.t;
@@ -408,6 +408,23 @@ type result = {
 
 exception Stuck of string
 (** The system failed to drain without an injected fault — always a bug. *)
+
+val schedule_script :
+  Sim.Engine.t ->
+  Sim.Rng.t ->
+  arrival ->
+  Relational.Update.t list list ->
+  execute:(Relational.Update.t list -> unit) ->
+  float
+(** Schedule each script entry at the next instant of the arrival
+    process (drawn from the given RNG); returns the horizon, the last
+    arrival instant. *)
+
+val drain :
+  Sim.Engine.t -> flushes:(unit -> unit) list -> drained:(unit -> bool) -> bool
+(** Run the engine, flush, run again, until [drained ()] holds; false
+    when it still does not after 1000 rounds (the run cannot make
+    progress). *)
 
 val run : config -> result
 (** @raise Invalid_argument, before any engine, WAL or store is built,
