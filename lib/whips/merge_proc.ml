@@ -154,6 +154,7 @@ type t = {
   dedup : bool;
   trigger : Proc.trigger;
   mutable down : bool;
+  mutable incarnation : int;  (* bumped by every crash *)
   mutable ports : Link.port list;
       (* the links whose receiving half the merge owns *)
   mutable ctrls : ctrl_msg Link.t list;  (* merge -> manager, newest first *)
@@ -161,22 +162,27 @@ type t = {
   mutable jobs : int;
 }
 
+(* A fresh merge for group [gi], emitting into a fresh queue. The work
+   half of a job fenced by a crash still runs when it is joined — under a
+   sequential exec that is at its completion event, after the wipe — and
+   its emissions must land in the dead incarnation's queue, which nobody
+   reads any more. *)
+let incarnate algorithm emitted gi views =
+  let queue = Queue.create () in
+  emitted.(gi) <- queue;
+  Mvc.Merge.create algorithm ~views ~emit:(fun wt -> Queue.push wt queue)
+
 let create (ctx : Proc.ctx) ~algorithm ~groups ~batch ~latency ~dedup
     ~crash_at ~wh =
   let groups = Array.of_list (List.map (List.map Query.View.name) groups) in
   let n = Array.length groups in
-  let emitted = Array.init n (fun _ -> Queue.create ()) in
+  let emitted = Array.make n (Queue.create ()) in
   let group_of = Hashtbl.create 16 in
   Array.iteri
     (fun gi g -> List.iter (fun v -> Hashtbl.replace group_of v gi) g)
     groups;
   { ctx; algorithm; groups; group_of;
-    merges =
-      Array.mapi
-        (fun gi views ->
-          Mvc.Merge.create algorithm ~views ~emit:(fun wt ->
-              Queue.push wt emitted.(gi)))
-        groups;
+    merges = Array.mapi (incarnate algorithm emitted) groups;
     emitted;
     servers =
       Array.init n (fun _ ->
@@ -191,7 +197,8 @@ let create (ctx : Proc.ctx) ~algorithm ~groups ~batch ~latency ~dedup
     rel_seen = Array.init n (fun _ -> Hashtbl.create 64);
     watermarks = Hashtbl.create 16; awaiting_resync = Hashtbl.create 16;
     held = Array.make n 0; live = Array.make n 0; dedup;
-    trigger = Proc.trigger crash_at; down = false; ports = []; ctrls = []; wh;
+    trigger = Proc.trigger crash_at; down = false; incarnation = 0;
+    ports = []; ctrls = []; wh;
     jobs = 0 }
 
 let group_of t view = Hashtbl.find t.group_of view
@@ -329,6 +336,7 @@ let quiescent t =
    lost. *)
 let wipe t =
   t.down <- true;
+  t.incarnation <- t.incarnation + 1;
   List.iter (fun p -> p.Link.rx_down true) t.ports;
   Array.iter (fun s -> s.reset ()) t.servers;
   Array.iter Queue.clear t.emitted;
@@ -342,10 +350,7 @@ let wipe t =
 let restart t =
   let wh = t.wh in
   Array.iteri
-    (fun gi views ->
-      t.merges.(gi) <-
-        Mvc.Merge.create t.algorithm ~views ~emit:(fun wt ->
-            Queue.push wt t.emitted.(gi)))
+    (fun gi views -> t.merges.(gi) <- incarnate t.algorithm t.emitted gi views)
     t.groups;
   Array.iteri
     (fun gi seen ->
@@ -389,10 +394,15 @@ let transfer t integ =
   List.iter (fun (l : ctrl_msg Link.t) -> l.send Resync_demand) t.ctrls
 
 (* A restarted merge reads the integrator log one query round trip
-   later. *)
+   later — unless it crashed again meanwhile: like a manager's resync
+   fenced by its epoch, a transfer scheduled by a dead incarnation would
+   enqueue RELs into wiped (or down) servers that the next incarnation's
+   own transfer delivers again. *)
 let schedule_transfer t integ ~latency =
+  let inc = t.incarnation in
   Sim.Engine.schedule_after t.ctx.engine (t.ctx.sample latency) (fun () ->
-      transfer t integ)
+      if inc = t.incarnation && not t.down then transfer t integ
+      else t.ctx.record "merge: state transfer of a dead incarnation dropped")
 
 let crash t ~reliability ~spec ~integ ~latency =
   let ctx = t.ctx in

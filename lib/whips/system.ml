@@ -544,7 +544,7 @@ let run_pipelined cfg =
        else None) }
 
 (* Every configuration corner a run cannot serve is refused here, before
-   any engine, WAL or store exists.
+   any engine, WAL or store exists — nothing is silently downgraded.
 
    Shared slots advance once per transaction, in id order, on the first
    referrer's demand; a configuration that breaks that discipline is
@@ -618,29 +618,37 @@ let check_config cfg =
         "Keep_all store retention (checkpoints re-apply the full commit \
          history)"
   end;
+  (* The strawman has no messaging, recovery or durable layer, so it
+     would run such a configuration as if the knob were off. *)
+  if cfg.merge_kind = Sequential then begin
+    let refuse what =
+      invalid_arg ("System: the Sequential baseline cannot honour " ^ what)
+    in
+    if cfg.faults <> [] then refuse "faults";
+    if not (Workload.Fault_plan.is_empty cfg.fault_plan) then
+      refuse "a fault_plan";
+    if cfg.reliability <> Off then refuse "reliability = Acked";
+    if cfg.durable <> None then refuse "durable"
+  end;
   (match cfg.reads with
   | Some rp when List.for_all (fun (_, n) -> n <= 0) rp.sessions ->
     invalid_arg "System: cfg.reads needs at least one session"
   | _ -> ());
-  if cfg.merge_kind <> Sequential then
-    List.iter
-      (function
-        | Crash_vm { view; _ } -> (
-          match
-            List.find_opt
-              (fun v -> Query.View.name v = view)
-              cfg.scenario.Workload.Scenarios.views
-          with
-          | Some v -> (
-            match kind_of cfg v with
-            | Complete_vm | Selfmaint_vm | Batching_vm -> ()
-            | _ ->
-              invalid_arg
-                "System: Crash_vm faults support Complete_vm, Selfmaint_vm and \
-                 Batching_vm managers (log-replay recovery)")
-          | None -> ())
-        | _ -> ())
-      cfg.faults
+  List.iter
+    (function
+      | Crash_vm { view; _ } ->
+        List.iter
+          (fun v ->
+            if Query.View.name v = view then
+              match kind_of cfg v with
+              | Complete_vm | Selfmaint_vm | Batching_vm -> ()
+              | _ ->
+                invalid_arg
+                  "System: Crash_vm faults support Complete_vm, Selfmaint_vm \
+                   and Batching_vm managers (log-replay recovery)")
+          cfg.scenario.Workload.Scenarios.views
+      | _ -> ())
+    cfg.faults
 
 let run cfg =
   check_config cfg;

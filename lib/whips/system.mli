@@ -432,7 +432,11 @@ val run : config -> result
     on a process-crash fault outside the corner recovery supports: the
     pipelined runtime with the SPA merge, [Coalesced] merging, [Direct]
     REL routing, no [semantic_filter], [Complete_vm] or [Selfmaint_vm]
-    managers and [Keep_all] store retention. *)
+    managers and [Keep_all] store retention. Also refused: [Sequential]
+    with faults, a fault plan, [Acked] reliability or [durable] (the
+    strawman has none of those layers); a [Crash_vm] on a manager other
+    than [Complete_vm], [Selfmaint_vm] or [Batching_vm]; and [reads]
+    without a session. *)
 
 val verdict : result -> Consistency.Checker.verdict
 (** Run the consistency oracle on the recorded source and warehouse state

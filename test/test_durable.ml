@@ -173,8 +173,33 @@ let check_recovers fault =
     Alcotest.(check bool) "the WAL saw traffic" true (d.System.wal_appends > 0);
     d
 
+(* Every pair of merge and warehouse crash points on one scenario. A
+   restart's state transfer is fenced by the merge incarnation that
+   scheduled it, and a crashed job's late emissions die with it. *)
+let double_crash_grid () =
+  let merge m = System.Crash_merge { at_event = m; restart_after = 0.05 } in
+  let warehouse w = System.Crash_warehouse { at_event = w; restart_after = 0.05 } in
+  for seed = 1 to 20 do
+    let base = crash_cfg ~seed (merge 1) in
+    let twin = System.run { base with faults = [] } in
+    for m = 1 to 6 do
+      for w = 1 to 8 do
+        let label = Printf.sprintf "seed %d, merge %d, warehouse %d" seed m w in
+        let r = System.run { base with faults = [ merge m; warehouse w ] } in
+        Alcotest.(check bool) (label ^ ": drained") false r.stuck;
+        Alcotest.check db (label ^ ": final state matches the twin")
+          (Warehouse.Store.snapshot twin.store)
+          (Warehouse.Store.snapshot r.store);
+        Alcotest.(check bool) (label ^ ": certified") true
+          (Consistency.Checker.certified (System.recovery_certificate r))
+      done
+    done
+  done
+
 let crash_tests =
-  [ case "crashed merge recovers: state transfer + VM resync" (fun () ->
+  [ case "merge x warehouse double crashes recover (960 runs)"
+      double_crash_grid;
+    case "crashed merge recovers: state transfer + VM resync" (fun () ->
         let d =
           check_recovers
             (System.Crash_merge { at_event = 3; restart_after = 0.05 })
@@ -254,6 +279,9 @@ let rejects name expected cfg =
 let validation_tests =
   let fault = System.Crash_merge { at_event = 1; restart_after = 0.05 } in
   let base = crash_cfg fault in
+  let plain = System.default Workload.Scenarios.paper_views in
+  let seq = { plain with merge_kind = System.Sequential } in
+  let strawman what = "System: the Sequential baseline cannot honour " ^ what in
   [ rejects "process crashes need the pipelined runtime"
       "System: process crash faults (merge/integrator/warehouse) need the \
        pipelined runtime"
@@ -278,7 +306,28 @@ let validation_tests =
     rejects "process crashes need Keep_all store retention"
       "System: process crash faults require Keep_all store retention \
        (checkpoints re-apply the full commit history)"
-      { base with store_retention = Warehouse.Store.Keep_last 4 } ]
+      { base with store_retention = Warehouse.Store.Keep_last 4 };
+    rejects "the strawman refuses faults" (strawman "faults")
+      { seq with
+        faults = [ System.Drop_action_list { view = "V1"; nth = 1 } ] };
+    rejects "the strawman refuses a fault plan" (strawman "a fault_plan")
+      { seq with fault_plan = Workload.Fault_plan.random ~drop:0.1 "*" };
+    rejects "the strawman refuses acked links"
+      (strawman "reliability = Acked")
+      { seq with reliability = acked };
+    rejects "the strawman refuses the durable layer" (strawman "durable")
+      { seq with durable = Some System.default_durability };
+    rejects "Crash_vm needs a log-replay manager"
+      "System: Crash_vm faults support Complete_vm, Selfmaint_vm and \
+       Batching_vm managers (log-replay recovery)"
+      { plain with
+        vm_kind = System.Strobe_vm;
+        reliability = acked;
+        faults =
+          [ System.Crash_vm { view = "V1"; at_event = 1; restart_after = 0.05 } ]
+      };
+    rejects "reads need a session" "System: cfg.reads needs at least one session"
+      { plain with reads = Some { System.default_reads with sessions = [] } } ]
 
 (* ---- give-up is an event, not a post-mortem ---- *)
 
