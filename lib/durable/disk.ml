@@ -20,7 +20,8 @@ type t = {
   mutable image : Buffer.t;
   mutable tail : bytes list; (* payloads, newest first; framed at sync *)
   mutable synced : bytes list; (* synced payloads, newest first *)
-  mutable ck_segments : segment list; (* checkpoint segments, oldest first *)
+  mutable ck_segments : segment list;
+      (* checkpoint segments, newest first: adding one is O(1) *)
   mutable image_records : int; (* complete frames synced into [image] *)
   stats : stats;
 }
@@ -125,7 +126,7 @@ let write_checkpoint t payload =
    checkpoint, not to total history — the difference between O(n) and
    O(n^2) marshaling over the life of the process. *)
 let add_checkpoint t payload =
-  t.ck_segments <- t.ck_segments @ [ Snapshot (Bytes.copy payload) ];
+  t.ck_segments <- Snapshot (Bytes.copy payload) :: t.ck_segments;
   truncate_log t
 
 (* Zero-copy incremental checkpoint: sync, then adopt the synced
@@ -135,7 +136,7 @@ let add_checkpoint t payload =
 let seal_checkpoint t =
   sync t;
   if t.synced <> [] then
-    t.ck_segments <- t.ck_segments @ [ Sealed (List.rev t.synced) ];
+    t.ck_segments <- Sealed (List.rev t.synced) :: t.ck_segments;
   truncate_log t
 
 let recover t =
@@ -152,6 +153,6 @@ let recover t =
   t.image_records <- List.length records;
   t.synced <- List.rev records;
   t.tail <- [];
-  (t.ck_segments, records)
+  (List.rev t.ck_segments, records)
 
 let stats t = t.stats

@@ -130,7 +130,25 @@ let wal_tests =
         Durable.Wal.seal w;
         let ck, _ = Durable.Wal.recover_sealed w in
         Alcotest.(check (list int)) "empty seal adds no segment"
-          [ 1; 2; 3; 4; 5 ] ck) ]
+          [ 1; 2; 3; 4; 5 ] ck);
+    case "many seals and segments recover oldest first" (fun () ->
+        let w : (unit, int) Durable.Wal.t = Durable.Wal.create () in
+        for i = 1 to 300 do
+          Durable.Wal.append w i;
+          if i mod (1 + (i mod 3)) = 0 then Durable.Wal.seal w
+        done;
+        let ck, tail = Durable.Wal.recover_sealed w in
+        Alcotest.(check (list int)) "every record, in append order"
+          (List.init 300 (fun i -> i + 1))
+          (ck @ tail);
+        let w : (int, int) Durable.Wal.t = Durable.Wal.create () in
+        for i = 1 to 100 do
+          Durable.Wal.checkpoint_add w i
+        done;
+        let cks, _ = Durable.Wal.recover_segments w in
+        Alcotest.(check (list int)) "segments in checkpoint order"
+          (List.init 100 (fun i -> i + 1))
+          cks) ]
 
 (* ---- pinned process-crash recovery ---- *)
 
