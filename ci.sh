@@ -32,3 +32,5 @@ MVC_DOMAINS=4 dune runtest --force
 # Code size, the figure ROADMAP's "same behaviour from less code" aim
 # tracks: lines of lib/ .ml and .mli.
 echo "lib/ lines: $(find lib \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l)"
+# The pipeline and its distributed instance: lib/whips + lib/dist.
+echo "lib/whips + lib/dist lines: $(find lib/whips lib/dist \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l)"

@@ -24,7 +24,7 @@ let create (env : Vm_host.env) ~links ~id ~views ~durable ~vm_kind =
     Warehouse_proc.create ctx ~policy:Warehouse.Submitter.Serial
       ~commit_latency:latencies.commit ~store
       ~durable:(if durable then Some Config.default_durability else None)
-      ~fused:false ~track:false ~crash_at:None
+      ~fused:false ~track:false ~crash:(Proc.trigger Config.Off None)
       ~on_commit:(fun wt ->
         ignore
           (Serve.Version_manager.publish versions ~time:(Proc.now ctx)
@@ -33,7 +33,8 @@ let create (env : Vm_host.env) ~links ~id ~views ~durable ~vm_kind =
   in
   let merge =
     Merge_proc.create ctx ~algorithm:Mvc.Merge.Spa ~groups:[ views ]
-      ~batch:false ~latency:latencies.merge ~dedup:false ~crash_at:None ~wh
+      ~batch:false ~latency:latencies.merge ~dedup:false
+      ~crash:(Proc.trigger Config.Off None) ~wh
   in
   let managers =
     List.map
@@ -44,7 +45,8 @@ let create (env : Vm_host.env) ~links ~id ~views ~durable ~vm_kind =
             (Merge_proc.receive_vm merge ~view:name ~reply:ignore)
         in
         let host =
-          Vm_host.create env ~kind:vm_kind ~view ~crash:None ~shared:None ~al
+          Vm_host.create env ~kind:vm_kind ~view
+            ~crash:(Proc.trigger Config.Off None) ~shared:None ~al
         in
         (name, (host, Vm_host.vm host)))
       views

@@ -78,8 +78,7 @@ let run (cfg : config) =
   in
   let env =
     { Whips.Vm_host.ctx; latencies = cfg.latencies;
-      reliability = cfg.reliability; initial = Source.Sources.initial sources;
-      integ; sources;
+      initial = Source.Sources.initial sources; integ; sources;
       aux_durability = None; dedup_all = false }
   in
   let shards_arr =

@@ -27,7 +27,7 @@ type t = {
 }
 
 let create (ctx : Proc.ctx) ~integ ~durable ~routing ~rel_links ~hosts ~vm_links
-    ~group_of ~crash_at =
+    ~group_of ~crash =
   let vms = Array.map Vm_host.vm hosts in
   let position = Hashtbl.create 16 in
   Array.iteri (fun i vm -> Hashtbl.replace position (Viewmgr.Vm.name vm) i) vms;
@@ -38,7 +38,7 @@ let create (ctx : Proc.ctx) ~integ ~durable ~routing ~rel_links ~hosts ~vm_links
       List.filter (fun i -> vms.(i).Viewmgr.Vm.needs_ticks)
         (List.init (Array.length vms) Fun.id);
     group_of; last_routed = Array.make (Array.length rel_links) 0;
-    trigger = Proc.trigger crash_at; down = false; feed = Link.no_port }
+    trigger = crash; down = false; feed = Link.no_port }
 
 (* REL_i to the merge(s) owning affected views, split by group
    (ascending group id, REL order within a group): either directly
@@ -143,7 +143,7 @@ let catch_up t ~sources ~latency ~crashed_at =
       ctx.record "integrator recovered (%d source transactions re-fetched)"
         (List.length missed))
 
-let crash t ~reliability ~spec ~replay_latency ~latency ~sources ~submitted =
+let crash t ~replay_latency ~latency ~sources ~submitted =
   let ctx = t.ctx in
   let crashed_at = Proc.now ctx in
   t.down <- true;
@@ -151,7 +151,7 @@ let crash t ~reliability ~spec ~replay_latency ~latency ~sources ~submitted =
   ctx.record "integrator crashed (losing numbering and log)";
   Durable.Wal.crash t.wal;
   t.feed.rx_down true;
-  Proc.restart ctx reliability spec (fun () ->
+  Proc.restart ctx t.trigger (fun () ->
       let ck_log, tail = Durable.Wal.recover_sealed t.wal in
       let log = ck_log @ tail in
       (* Every ingest is logged before it routes, so the numbering

@@ -4,15 +4,12 @@
    crash helpers below do nothing on [Off] links. *)
 type 'a t = { send : 'a -> unit; reliable : 'a Sim.Reliable.t option }
 
-(* The halves of a link a crash touches, with the payload type erased so
-   a process can keep every link it owns in one list. *)
-type port = {
-  rx_down : bool -> unit;
-  rx_reset : unit -> unit;
-  tx_bump : unit -> unit;
-}
+(* The receiving half of a link, which a crash of its receiver touches,
+   with the payload type erased so a process can keep every link it
+   listens on in one list. *)
+type port = { rx_down : bool -> unit; rx_reset : unit -> unit }
 
-let no_port = { rx_down = ignore; rx_reset = ignore; tx_bump = ignore }
+let no_port = { rx_down = ignore; rx_reset = ignore }
 
 let receiver_down l d =
   Option.iter (fun rl -> Sim.Reliable.set_receiver_down rl d) l.reliable
@@ -27,9 +24,7 @@ let bump_epoch l ~otherwise =
   | None -> otherwise
 
 let port l =
-  { rx_down = receiver_down l;
-    rx_reset = (fun () -> reset_receiver l);
-    tx_bump = (fun () -> ignore (bump_epoch l ~otherwise:0)) }
+  { rx_down = receiver_down l; rx_reset = (fun () -> reset_receiver l) }
 
 (* Every link of a run is built here, so the quiescence, stats and drop
    registries cover all of them. Each [Acked] link splits [link_rng] and

@@ -157,9 +157,11 @@ type t = {
   mutable incarnation : int;  (* bumped by every crash *)
   mutable ports : Link.port list;
       (* the links whose receiving half the merge owns *)
-  mutable ctrls : ctrl_msg Link.t list;  (* merge -> manager, newest first *)
+  mutable ctrls : ctrl_msg Link.t list;
+      (* merge -> manager, newest first: resync demands go out in this
+         order, and each send draws a latency *)
   wh : Warehouse_proc.t;  (* where ready runs go *)
-  mutable jobs : int;
+  mutable jobs : int;  (* jobs finished: a shard's merge events *)
 }
 
 (* A fresh merge for group [gi], emitting into a fresh queue. The work
@@ -173,7 +175,7 @@ let incarnate algorithm emitted gi views =
   Mvc.Merge.create algorithm ~views ~emit:(fun wt -> Queue.push wt queue)
 
 let create (ctx : Proc.ctx) ~algorithm ~groups ~batch ~latency ~dedup
-    ~crash_at ~wh =
+    ~crash ~wh =
   let groups = Array.of_list (List.map (List.map Query.View.name) groups) in
   let n = Array.length groups in
   let emitted = Array.make n (Queue.create ()) in
@@ -197,7 +199,7 @@ let create (ctx : Proc.ctx) ~algorithm ~groups ~batch ~latency ~dedup
     rel_seen = Array.init n (fun _ -> Hashtbl.create 64);
     watermarks = Hashtbl.create 16; awaiting_resync = Hashtbl.create 16;
     held = Array.make n 0; live = Array.make n 0; dedup;
-    trigger = Proc.trigger crash_at; down = false; incarnation = 0;
+    trigger = crash; down = false; incarnation = 0;
     ports = []; ctrls = []; wh;
     jobs = 0 }
 
@@ -239,8 +241,8 @@ let deliver_rel t gi row rel =
 (* A process event at the merge: false when the merge is down or crashes
    on this very event (the message is the casualty). *)
 let alive t =
-  (not t.down)
-  && begin
+  if t.down then false
+  else begin
     Proc.note t.trigger;
     not t.down
   end
@@ -404,13 +406,13 @@ let schedule_transfer t integ ~latency =
       if inc = t.incarnation && not t.down then transfer t integ
       else t.ctx.record "merge: state transfer of a dead incarnation dropped")
 
-let crash t ~reliability ~spec ~integ ~latency =
+let crash t ~integ ~latency =
   let ctx = t.ctx in
   let crashed_at = Proc.now ctx in
   Atomic.incr ctx.metrics.Metrics.crashes;
   ctx.record "merge crashed (losing VUT, reorderers and queued work)";
   wipe t;
-  Proc.restart ctx reliability spec (fun () ->
+  Proc.restart ctx t.trigger (fun () ->
       restart t;
       Proc.recovered ctx ~crashed_at;
       ctx.record "merge restarted; reading integrator log for transfer";

@@ -39,34 +39,34 @@ let names = Fmt.(list ~sep:(any ", ") string)
 
 let row_ids = Fmt.(list ~sep:(any ", ") int)
 
-(* A crash spec fires once, on the nth event its process handles; the
-   crash body is tied in once the process it wipes exists. The message
-   carrying the triggering event is the casualty. *)
+(* A crash spec (at_event, restart_after) fires once, on the nth event
+   its process handles; the crash body is tied in once the process it
+   wipes exists. The message carrying the triggering event is the
+   casualty. Without the reliability layer there is no resync protocol:
+   the process never restarts and stays dead (stuck-but-safe). *)
 type trigger = {
   at : int option;
+  restart_after : float option;
   mutable events : int;
-  mutable armed : bool;
   mutable fire : unit -> unit;
 }
 
-let trigger at = { at; events = 0; armed = at <> None; fire = ignore }
+let trigger (reliability : Config.reliability) spec =
+  { at = Option.map fst spec;
+    restart_after =
+      (match reliability with
+      | Config.Off -> None
+      | Config.Acked _ -> Option.map snd spec);
+    events = 0; fire = ignore }
 
 let note t =
   t.events <- t.events + 1;
-  match t.at with
-  | Some n when t.armed && t.events = n ->
-    t.armed <- false;
-    t.fire ()
-  | _ -> ()
+  if t.at = Some t.events then t.fire ()
 
-(* Run [k] [restart_after] seconds after a crash, when the crash spec
-   and the reliability layer allow a restart at all: under [Off] there
-   is no resync protocol and the process stays dead (stuck-but-safe). *)
-let restart ctx (reliability : Config.reliability) spec k =
-  match (reliability, spec) with
-  | Config.Off, _ | _, None -> ()
-  | Config.Acked _, Some (_, restart_after) ->
-    Sim.Engine.schedule_after ctx.engine restart_after k
+let restart ctx t k =
+  Option.iter
+    (fun after -> Sim.Engine.schedule_after ctx.engine after k)
+    t.restart_after
 
 (* The next instant of an arrival process whose last arrival was at
    [!clock] (advanced in place). *)

@@ -8,11 +8,9 @@ let kind_of cfg view =
   | Some kind -> kind
   | None -> cfg.vm_kind
 
-let plan_shape = Vm_host.plan_shape
-
 let level_of = function
   | (Complete_vm | Selfmaint_vm | Batching_vm | Complete_n_vm _) as kind ->
-    Viewmgr.Plan_vm.level (snd (plan_shape kind))
+    Viewmgr.Plan_vm.level (snd (Vm_host.plan_shape kind))
   | Derived_vm _ -> Viewmgr.Vm.Complete
   | Strobe_vm | Periodic_vm _ -> Viewmgr.Vm.Strongly_consistent
   | Convergent_vm -> Viewmgr.Vm.Convergent
@@ -261,10 +259,10 @@ let fault_plan cfg =
              None)
          cfg.faults)
 
-(* The (at_event, restart_after) of each process's crash fault: merge,
+(* The crash trigger of each process, from its crash fault: merge,
    integrator, warehouse, and per view its manager's. *)
-let crash_specs cfg =
-  let find f = List.find_map f cfg.faults in
+let crash_triggers cfg =
+  let find f = Proc.trigger cfg.reliability (List.find_map f cfg.faults) in
   ( find (function
       | Crash_merge { at_event; restart_after } ->
         Some (at_event, restart_after)
@@ -328,7 +326,8 @@ let host_view cfg env links mp ~crash_of ~shared view =
   in
   Merge_proc.connect mp ~al ~ctrl;
   let host =
-    Vm_host.create env ~kind:(kind_of cfg view) ~view ~crash:(crash_of name)
+    Vm_host.create env ~kind:(kind_of cfg view) ~view
+      ~crash:(crash_of name)
       ~shared:(List.assoc_opt name shared) ~al
   in
   let feed = Link.make links ~name:("integ->" ^ name) (Vm_host.receive host) in
@@ -416,12 +415,12 @@ let run_pipelined cfg =
     else None
   in
   let dur = Option.value ~default:default_durability durable in
-  let merge_crash, integ_crash, wh_crash, vm_crash = crash_specs cfg in
+  let merge_crash, integ_crash, wh_crash, vm_crash = crash_triggers cfg in
   let wh =
     Warehouse_proc.create ctx ~policy:cfg.submit
       ~commit_latency:cfg.latencies.commit ~store ~durable
       ~fused:(cfg.merge_batch = Fused) ~track:process_crashes
-      ~crash_at:(Option.map fst wh_crash)
+      ~crash:wh_crash
       ~on_commit:(on_commit ctx ~store ~serving ~arrival_times)
   in
   let algorithm = algorithm_for cfg in
@@ -429,7 +428,7 @@ let run_pipelined cfg =
     Merge_proc.create ctx ~algorithm
       ~groups:(Merge_proc.partition ~initial views cfg.merge_groups)
       ~batch:(cfg.merge_batch = Fused) ~latency:cfg.latencies.merge
-      ~dedup:process_crashes ~crash_at:(Option.map fst merge_crash) ~wh
+      ~dedup:process_crashes ~crash:merge_crash ~wh
   in
   (* Crash recovery of a manager replays the integrator's retained log. *)
   let retain_log =
@@ -441,9 +440,8 @@ let run_pipelined cfg =
       views
   in
   let env =
-    { Vm_host.ctx; latencies = cfg.latencies; reliability = cfg.reliability;
-      initial; integ; sources; aux_durability = durable;
-      dedup_all = process_crashes }
+    { Vm_host.ctx; latencies = cfg.latencies; initial; integ; sources;
+      aux_durability = durable; dedup_all = process_crashes }
   in
   let hosted =
     List.map (host_view cfg env links mp ~crash_of:vm_crash ~shared) views
@@ -463,7 +461,7 @@ let run_pipelined cfg =
       ~rel_links
       ~hosts:(Array.of_list (List.map fst hosted))
       ~vm_links:(Array.of_list (List.map snd hosted))
-      ~group_of:(Merge_proc.group_of mp) ~crash_at:(Option.map fst integ_crash)
+      ~group_of:(Merge_proc.group_of mp) ~crash:integ_crash
   in
   let feed =
     Link.make links ~faultable:false ~name:"sources->integ"
@@ -471,24 +469,20 @@ let run_pipelined cfg =
   in
   ip.feed <- Link.port feed;
   let query_roundtrip = cfg.latencies.query_roundtrip in
-  let reliability = cfg.reliability in
-  mp.trigger.fire <-
+  merge_crash.fire <-
+    (fun () -> Merge_proc.crash mp ~integ ~latency:query_roundtrip);
+  integ_crash.fire <-
     (fun () ->
-      Merge_proc.crash mp ~reliability ~spec:merge_crash ~integ
-        ~latency:query_roundtrip);
-  ip.trigger.fire <-
-    (fun () ->
-      Integrator_proc.crash ip ~reliability ~spec:integ_crash
-        ~replay_latency:dur.replay_latency ~latency:query_roundtrip ~sources
+      Integrator_proc.crash ip ~replay_latency:dur.replay_latency
+        ~latency:query_roundtrip ~sources
         ~submitted:(Warehouse_proc.submitted wh));
   (* Submitted-but-uncommitted WTs die in the submitter queue while the
      merge has already retired their rows, so the merge restarts with the
      warehouse and re-derives them from the integrator log + manager
      replay; sessions resume against the republished version history. *)
-  wh.trigger.fire <-
+  wh_crash.fire <-
     (fun () ->
-      Warehouse_proc.crash wh ~reliability ~spec:wh_crash
-        ~replay_latency:dur.replay_latency
+      Warehouse_proc.crash wh ~replay_latency:dur.replay_latency
         ~on_down:(fun () ->
           Option.iter (fun s -> Serving_proc.freeze s true) serving;
           Merge_proc.wipe mp)

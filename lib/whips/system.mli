@@ -38,17 +38,6 @@ type vm_kind = Config.vm_kind =
       (** Maintain the view through materialized auxiliary views
           (references [12]/[8]; see {!Viewmgr.Derived_vm}). Complete. *)
 
-val plan_shape :
-  vm_kind ->
-  (initial:Relational.Database.t -> Query.View.t -> Selfmaint.Plan.t)
-  * Viewmgr.Plan_vm.drain
-(** The plan and drain policy a plan-driven kind runs on
-    ({!Viewmgr.Plan_vm}): [Complete_vm] a {!Selfmaint.Plan.replica}
-    drained [One]; [Selfmaint_vm] a projected {!Selfmaint.Plan.create}
-    drained [One]; [Batching_vm] a replica drained [Greedy];
-    [Complete_n_vm n] a replica drained [Exactly n].
-    @raise Invalid_argument for the other kinds. *)
-
 type merge_kind = Config.merge_kind =
   | Auto
       (** Choose per Section 6.3 from the weakest view-manager level:

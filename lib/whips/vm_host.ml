@@ -4,21 +4,20 @@
 open Relational
 open Config
 
-(* The kinds the plan-driven manager runs: the plan its cache follows
-   and how many queued transactions one step takes. *)
+(* The kinds the plan-driven manager ({!Viewmgr.Plan_vm}) runs: the plan
+   its cache follows and how many queued transactions one step takes. *)
 let plan_shape = function
   | Complete_vm -> (Selfmaint.Plan.replica, Viewmgr.Plan_vm.One)
   | Selfmaint_vm -> (Selfmaint.Plan.create, Viewmgr.Plan_vm.One)
   | Batching_vm -> (Selfmaint.Plan.replica, Viewmgr.Plan_vm.Greedy)
   | Complete_n_vm n -> (Selfmaint.Plan.replica, Viewmgr.Plan_vm.Exactly n)
   | Strobe_vm | Periodic_vm _ | Convergent_vm | Derived_vm _ ->
-    invalid_arg "System.plan_shape: not a plan-driven manager"
+    invalid_arg "Vm_host.plan_shape: not a plan-driven manager"
 
 (* What a host needs from the rest of the run. *)
 type env = {
   ctx : Proc.ctx;
   latencies : latencies;
-  reliability : reliability;
   initial : Database.t;
   integ : Integrator.t;  (* its retained log is the resync replay source *)
   sources : Source.Sources.t;  (* Strobe managers query them *)
@@ -32,7 +31,6 @@ type t = {
   name : string;
   view : Query.View.t;
   kind : vm_kind;
-  crash_spec : (int * float) option;
   al : vm_msg Link.t;
   mutable feed : Link.port;  (* the integrator -> manager link *)
   mutable ctrl : Link.port;  (* the merge -> manager control link *)
@@ -100,7 +98,7 @@ let crash t =
   (* The auxiliary WAL is a disk: it survives, minus the unsynced tail. *)
   Option.iter Durable.Wal.crash t.aux_wal;
   t.feed.rx_down true;
-  Proc.restart ctx t.env.reliability t.crash_spec (fun () ->
+  Proc.restart ctx t.trigger (fun () ->
       t.down <- false;
       t.recovering <- true;
       t.feed.rx_reset ();
@@ -183,7 +181,7 @@ let receive t txn =
   if t.down then ()
   else if t.recovering then Queue.push txn t.pending_recovery
   else if
-    (t.crash_spec <> None || t.env.dedup_all)
+    (t.trigger.at <> None || t.env.dedup_all)
     && txn.Update.Transaction.id <= t.last_id
   then ()
   else begin
@@ -277,7 +275,7 @@ let control t = function
   | Resync_reply (epoch, w) ->
     if t.recovering && epoch = t.resync_epoch then resync t epoch w
 
-let create env ~kind ~view ~crash:crash_spec ~shared ~al =
+let create env ~kind ~view ~crash:trigger ~shared ~al =
   let name = Query.View.name view in
   let aux_wal =
     match env.aux_durability with
@@ -290,9 +288,9 @@ let create env ~kind ~view ~crash:crash_spec ~shared ~al =
       flush = ignore; needs_ticks = false; pending = (fun () -> 0) }
   in
   let t =
-    { env; name; view; kind; crash_spec; al; feed = Link.no_port;
+    { env; name; view; kind; al; feed = Link.no_port;
       ctrl = Link.no_port; owed = Queue.create ();
-      trigger = Proc.trigger (Option.map fst crash_spec); incarnation = 0;
+      trigger; incarnation = 0;
       down = false; recovering = false; last_id = 0;
       pending_recovery = Queue.create (); resync_epoch = 0; resume = None;
       aux_wal; aux_applies = 0; inner = unbuilt; shared }

@@ -54,7 +54,7 @@ let on_plan (ctx : Proc.ctx) (p : Warehouse.Store.run_plan) =
 (* [durable] turns the WAL on, checkpointed by sealing every
    [checkpoint_every] commits; [on_commit] fires after each commit. *)
 let create (ctx : Proc.ctx) ~policy ~commit_latency ~store ~durable ~fused
-    ~track ~crash_at ~on_commit =
+    ~track ~crash ~on_commit =
   let wal = Durable.Wal.create ~group_commit:1 () in
   let submitter =
     Warehouse.Submitter.create ctx.engine ~policy
@@ -81,7 +81,7 @@ let create (ctx : Proc.ctx) ~policy ~commit_latency ~store ~durable ~fused
   in
   { ctx; store; submitter; wal; durable; fused; track;
     submitted_rows = Hashtbl.create 64; submitted_marks = Hashtbl.create 16;
-    trigger = Proc.trigger crash_at; down = false; fused_emitted = [];
+    trigger = crash; down = false; fused_emitted = [];
     fused_parts = []; dup_wts = 0; commits_restored = 0 }
 
 let note_submitted t (wt : Warehouse.Wt.t) =
@@ -178,7 +178,7 @@ let outstanding t = Warehouse.Submitter.outstanding t.submitter
 (* The crash loses the store and the submitter queue; [on_down] stops
    what depends on a live warehouse, and [on_restored] restarts it once
    checkpoint + WAL replay have rebuilt the store. *)
-let crash t ~reliability ~spec ~replay_latency ~on_down ~on_restored =
+let crash t ~replay_latency ~on_down ~on_restored =
   let ctx = t.ctx in
   let crashed_at = Proc.now ctx in
   t.down <- true;
@@ -189,7 +189,7 @@ let crash t ~reliability ~spec ~replay_latency ~on_down ~on_restored =
   Hashtbl.reset t.submitted_rows;
   Hashtbl.reset t.submitted_marks;
   on_down ();
-  Proc.restart ctx reliability spec (fun () ->
+  Proc.restart ctx t.trigger (fun () ->
       let restored_ck, tail = Durable.Wal.recover_sealed t.wal in
       let commits = restored_ck @ tail in
       let n = List.length commits and replayed = List.length tail in
