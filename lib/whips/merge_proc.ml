@@ -3,7 +3,6 @@
    service queue, the REL reorderers of via-manager routing, the
    delivery-time dedup and resync fencing that crash recovery needs, and
    the crash, restart and state transfer of the whole process. *)
-open Config
 
 (* A single-threaded service queue: the merge process handles one message
    at a time, each costing a sampled latency. This is what lets benchmark
@@ -157,7 +156,7 @@ type t = {
   mutable incarnation : int;  (* bumped by every crash *)
   mutable ports : Link.port list;
       (* the links whose receiving half the merge owns *)
-  mutable ctrls : ctrl_msg Link.t list;
+  mutable ctrls : Proc.ctrl_msg Link.t list;
       (* merge -> manager, newest first: resync demands go out in this
          order, and each send draws a latency *)
   wh : Warehouse_proc.t;  (* where ready runs go *)
@@ -303,7 +302,7 @@ let receive_vm t ~view ~reply msg =
           ( ignore,
             fun () ->
               record "merge <- resync(%s, epoch %d)" view epoch;
-              reply (Resync_reply (epoch, watermark t view)) )
+              reply (Proc.Resync_reply (epoch, watermark t view)) )
       in
       t.servers.(gi).submit (work, fun () -> finish (); settle t gi)
   end
@@ -393,7 +392,7 @@ let transfer t integ =
             end)
           (Integrator.route_shards ~assignment:(group_of t) rel))
     (Integrator.retained_log integ);
-  List.iter (fun (l : ctrl_msg Link.t) -> l.send Resync_demand) t.ctrls
+  List.iter (fun (l : Proc.ctrl_msg Link.t) -> l.send Proc.Resync_demand) t.ctrls
 
 (* A restarted merge reads the integrator log one query round trip
    later — unless it crashed again meanwhile: like a manager's resync

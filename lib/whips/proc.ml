@@ -1,5 +1,24 @@
-(* What every process component of a run shares: the engine, the
-   domain pool, the metrics, the latency sampler and the timeline. *)
+(* What the process components of a run share: the messages manager and
+   merge exchange, the run context, the crash trigger and the arrival
+   process. *)
+
+(* Control traffic merge -> manager. [Resync_reply] answers a restarting
+   manager's handshake with the merge's watermark for its view;
+   [Resync_demand] is the inverse direction of initiative — a restarted
+   merge asking every live manager to re-handshake and replay the action
+   lists the fresh incarnation has not seen. *)
+type ctrl_msg = Resync_reply of int * int | Resync_demand
+
+(* Traffic manager -> merge: action lists, RELs forwarded under
+   [Via_manager] routing (row, REL group, previous row routed to the same
+   merge), and the resync marker opening a manager's fresh epoch. *)
+type vm_msg =
+  [ `Al of Query.Action_list.t
+  | `Rel of int * string list * int
+  | `Resync of int ]
+
+(* The run context: the engine, the domain pool, the metrics, the
+   latency sampler and the timeline. *)
 type recovery = { mutable wal_replayed : int; mutable recovery_time : float }
 
 type ctx = {

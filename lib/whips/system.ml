@@ -3,6 +3,20 @@ include Config
 
 exception Stuck of string
 
+let faultless cfg =
+  cfg.faults = [] && Workload.Fault_plan.is_empty cfg.fault_plan
+
+(* Process-level crash faults (merge / integrator / warehouse): these wipe
+   a whole process's in-memory state and require the durable layer for
+   recovery, unlike message-level faults and Crash_vm (whose recovery is
+   log replay from the live integrator). *)
+let process_crash_faults cfg =
+  List.exists
+    (function
+      | Crash_merge _ | Crash_integrator _ | Crash_warehouse _ -> true
+      | Drop_action_list _ | Crash_vm _ -> false)
+    cfg.faults
+
 let kind_of cfg view =
   match List.assoc_opt (Query.View.name view) cfg.vm_overrides with
   | Some kind -> kind

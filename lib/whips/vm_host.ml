@@ -31,7 +31,7 @@ type t = {
   name : string;
   view : Query.View.t;
   kind : vm_kind;
-  al : vm_msg Link.t;
+  al : Proc.vm_msg Link.t;
   mutable feed : Link.port;  (* the integrator -> manager link *)
   mutable ctrl : Link.port;  (* the merge -> manager control link *)
   (* Pending REL forwards (Section 3.2's alternative scheme: the
@@ -256,7 +256,7 @@ let resync t epoch w =
       end)
 
 let control t = function
-  | Resync_demand ->
+  | Proc.Resync_demand ->
     (* A restarted merge asks for a fresh handshake. The manager is alive
        and its state is intact, but anything in flight or unacked on the
        AL link belongs to a dead merge incarnation: fence the current
