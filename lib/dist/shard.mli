@@ -1,8 +1,9 @@
-(** One warehouse shard: a complete, self-contained MVC pipeline.
+(** One warehouse shard: a complete, self-contained MVC pipeline, built
+    from the whips process components.
 
     A shard owns the views assigned to it and runs its own merge process
-    (SPA over its own VUT), one {!Viewmgr.Complete_vm} per view, a
-    commit submitter over a private {!Warehouse.Store}, a
+    (SPA over its own VUT), one view manager per view, a commit
+    submitter over a private {!Warehouse.Store}, a
     {!Serve.Version_manager} publishing every commit (the shard's leg of
     any cross-shard global cut), and — optionally — a write-ahead log
     recording each WT before the store applies it. This is the paper's

@@ -89,6 +89,14 @@ let aux_on_apply t (txn : Update.Transaction.t) cache =
 let compute_latency t ~batch =
   t.env.ctx.sample (t.env.latencies.compute *. float_of_int (max 1 batch))
 
+(* Open a fresh epoch on the action-list link — voiding anything the old
+   one still carries — and ask the merge for its watermark. *)
+let handshake t ~why =
+  let epoch = Link.bump_epoch t.al ~otherwise:(t.resync_epoch + 1) in
+  t.resync_epoch <- epoch;
+  t.env.ctx.record "%s %s %d" t.name why epoch;
+  t.al.send (`Resync epoch)
+
 let crash t =
   let ctx = t.env.ctx in
   t.down <- true;
@@ -103,10 +111,7 @@ let crash t =
       t.recovering <- true;
       t.feed.rx_reset ();
       t.ctrl.rx_reset ();
-      let epoch = Link.bump_epoch t.al ~otherwise:(t.resync_epoch + 1) in
-      t.resync_epoch <- epoch;
-      ctx.record "%s restarting, resync epoch %d" t.name epoch;
-      t.al.send (`Resync epoch))
+      handshake t ~why:"restarting, resync epoch")
 
 let guarded_emit t inc al =
   if t.incarnation <> inc || t.down then ()
@@ -267,10 +272,7 @@ let control t = function
     if not t.down then begin
       t.recovering <- true;
       t.incarnation <- t.incarnation + 1;
-      let epoch = Link.bump_epoch t.al ~otherwise:(t.resync_epoch + 1) in
-      t.resync_epoch <- epoch;
-      t.env.ctx.record "%s resyncing on merge demand, epoch %d" t.name epoch;
-      t.al.send (`Resync epoch)
+      handshake t ~why:"resyncing on merge demand, epoch"
     end
   | Resync_reply (epoch, w) ->
     if t.recovering && epoch = t.resync_epoch then resync t epoch w
