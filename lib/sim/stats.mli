@@ -3,7 +3,9 @@
 
 module Summary : sig
   (** Scalar sample summary: count, mean (Welford), min/max, stddev, and
-      exact percentiles (samples are retained). *)
+      exact percentiles. Samples are retained unboxed in a growable
+      float array, 8 bytes each; the first {!percentile} after an {!add}
+      sorts a copy. *)
 
   type t
 

@@ -5,8 +5,11 @@
     sequence* [ss_0, ss_1, ..., ss_f] lists the base data after each commit.
     This module owns all base relations, partitions them over named sources,
     executes transactions serially (assigning the global sequence number),
-    and records every source state — the ground truth the consistency
-    oracle compares warehouse states against.
+    and keeps [ss_0] and the transaction log. Every source state — the
+    ground truth the consistency oracle compares warehouse states against —
+    is a function of those two and is replayed on demand ({!states}), so
+    the memory a run keeps grows with the log, not with a snapshot per
+    commit.
 
     In the base model each transaction updates one relation of one source;
     multi-update and multi-source transactions (Section 6.2) are supported
@@ -52,8 +55,8 @@ val initial : t -> Database.t
 
 val execute : t -> ?source:string -> Update.t list -> Update.Transaction.t
 (** Execute a transaction: apply its updates atomically, assign the next
-    global id (ids start at 1), append the new state to the state sequence
-    and return the stamped transaction.
+    global id (ids start at 1), append it to the log (extending the state
+    sequence by one state) and return the stamped transaction.
     When [source] is given, every update must touch a relation of that
     source ({!Ownership_violation} otherwise); when omitted, the
     transaction may span sources and is attributed to the owner of its
@@ -70,10 +73,16 @@ val transactions : t -> Update.Transaction.t list
 (** Committed transactions, oldest first. *)
 
 val states : t -> Database.t list
-(** [ss_0 ... ss_f], oldest first; length is [last_id t + 1]. *)
+(** [ss_0 ... ss_f], oldest first; length is [last_id t + 1]. Rebuilt on
+    each call by folding {!Database.apply_transaction} — the function
+    {!execute} applies — over {!transactions} from [ss_0]: O(f) database
+    updates, and consecutive states share the relations a transaction
+    leaves untouched. *)
 
 val state : t -> int -> Database.t
-(** [state t i] is [ss_i]. @raise Invalid_argument when out of range. *)
+(** [state t i] is [ss_i], replaying the first [i] transactions (O(f) to
+    read the log, O(i) updates); prefer {!states} to walk the sequence.
+    @raise Invalid_argument when out of range. *)
 
 val query : t -> Query.Algebra.t -> Relation.t
 (** Evaluate a query against the *current* source state — the paper's

@@ -31,6 +31,57 @@ let clamp_message tuple =
   Printf.sprintf "Sources.execute: deletes %s from R, which does not hold it"
     tuple
 
+(* Executes a generated scenario's script, keeping [Sources.current]
+   after each commit: the states [execute] itself produced. *)
+let executed_snapshots seed n_transactions =
+  let scen =
+    Workload.Generator.generate
+      { Workload.Generator.default with
+        seed; n_transactions; multi_update_prob = 0.3 }
+  in
+  let s = Workload.Scenarios.sources scen in
+  let rev =
+    List.fold_left
+      (fun rev updates ->
+        ignore (Source.Sources.execute s updates);
+        Source.Sources.current s :: rev)
+      [ Source.Sources.current s ] scen.Workload.Scenarios.script
+  in
+  (s, List.rev rev)
+
+let replay_tests =
+  [ Helpers.qcheck ~count:60 "states replays the states execute produced"
+      QCheck2.Gen.(pair (int_range 0 100_000) (int_range 0 25))
+      (fun (seed, n) ->
+        let s, snapshots = executed_snapshots seed n in
+        let states = Source.Sources.states s in
+        List.length states = List.length snapshots
+        && List.for_all2 Database.equal states snapshots
+        && List.for_all
+             (fun i ->
+               Database.equal (Source.Sources.state s i) (List.nth states i))
+             (List.init (List.length states) Fun.id));
+    case "the log is all a run adds to what sources hold" (fun () ->
+        (* n commits that leave R as it was may cost no more than ss_0,
+           the current state and n log entries; a database snapshot per
+           commit costs about twice a log entry and breaks the bound. *)
+        let s = make () in
+        let words () = Obj.reachable_words (Obj.repr s) in
+        let c0 = 2 * words () and n = 1000 in
+        let last = ref None in
+        for i = 1 to n do
+          let u =
+            if i mod 2 = 1 then Update.insert "R" (Helpers.ints [ 7; i ])
+            else Update.delete "R" (Helpers.ints [ 7; i - 1 ])
+          in
+          last := Some (Source.Sources.execute s [ u ])
+        done;
+        let entry = Obj.reachable_words (Obj.repr [ Option.get !last ]) in
+        let bound = c0 + (n * entry) in
+        if words () > bound then
+          Alcotest.failf "Sources.t holds %d words after %d commits, bound %d"
+            (words ()) n bound) ]
+
 let tests =
   [ case "create exposes names and ownership" (fun () ->
         let s = make () in
@@ -157,3 +208,4 @@ let tests =
         in
         Alcotest.(check int) "a clean delete-then-insert commits" 1
           txn.Update.Transaction.id) ]
+  @ replay_tests
