@@ -5,8 +5,15 @@ type t = { rows : int list; actions : Action_list.t list }
 let make ~rows actions = { rows = List.sort_uniq Int.compare rows; actions }
 
 let views t =
-  let add seen v = if List.mem v seen then seen else seen @ [ v ] in
-  List.fold_left (fun seen (al : Action_list.t) -> add seen al.view) [] t.actions
+  let seen = Hashtbl.create 8 in
+  let add rev (al : Action_list.t) =
+    if Hashtbl.mem seen al.view then rev
+    else begin
+      Hashtbl.add seen al.view ();
+      al.view :: rev
+    end
+  in
+  List.rev (List.fold_left add [] t.actions)
 
 let last_row t = List.fold_left Int.max 0 t.rows
 

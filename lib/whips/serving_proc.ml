@@ -162,10 +162,9 @@ let publish_state t ~time ~changed post =
   | None -> ());
   t.last_state <- post
 
-(* Call after each store commit. *)
-let publish (ctx : Proc.ctx) t store wt =
-  publish_state t ~time:(Proc.now ctx) ~changed:(Warehouse.Wt.views wt)
-    (Warehouse.Store.snapshot store);
+(* Call after each store commit; [changed] is the commit's [Wt.views]. *)
+let publish (ctx : Proc.ctx) t store ~changed =
+  publish_state t ~time:(Proc.now ctx) ~changed (Warehouse.Store.snapshot store);
   Sim.Stats.Summary.add ctx.metrics.Metrics.versions_retained
     (float_of_int (Serve.Version_manager.retained t.vm));
   Sim.Stats.Summary.add ctx.metrics.Metrics.versions_pinned

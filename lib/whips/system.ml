@@ -214,7 +214,10 @@ let run_sequential cfg =
             Atomic.incr metrics.Metrics.commits;
             Metrics.add metrics.Metrics.actions_applied
               (Warehouse.Wt.action_count wt);
-            Option.iter (fun s -> Serving_proc.publish ctx s store wt) serving;
+            Option.iter
+              (fun s ->
+                Serving_proc.publish ctx s store ~changed:(Warehouse.Wt.views wt))
+              serving;
             (match Hashtbl.find_opt arrival_times txn.id with
             | Some t0 ->
               Sim.Stats.Summary.add metrics.Metrics.staleness
@@ -300,12 +303,12 @@ let crash_triggers cfg =
    counters, the published version, the covered updates' staleness and
    the occupancy of every memoized index of the views it touched. *)
 let on_commit (ctx : Proc.ctx) ~store ~serving ~arrival_times wt =
-  let m = ctx.metrics in
+  let m = ctx.metrics and views = Warehouse.Wt.views wt in
   ctx.record "warehouse commit: rows [%a] -> views {%a}" Proc.row_ids
-    wt.Warehouse.Wt.rows Proc.names (Warehouse.Wt.views wt);
+    wt.Warehouse.Wt.rows Proc.names views;
   Atomic.incr m.Metrics.commits;
   Metrics.add m.Metrics.actions_applied (Warehouse.Wt.action_count wt);
-  Option.iter (fun s -> Serving_proc.publish ctx s store wt) serving;
+  Option.iter (fun s -> Serving_proc.publish ctx s store ~changed:views) serving;
   List.iter
     (fun row ->
       Option.iter
@@ -322,7 +325,7 @@ let on_commit (ctx : Proc.ctx) ~store ~serving ~arrival_times wt =
           Sim.Stats.Summary.add m.Metrics.index_live
             (float_of_int o.Bag_index.live))
         (Relation.index_stats (Warehouse.Store.view store v)))
-    (Warehouse.Wt.views wt)
+    views
 
 (* One view manager process with its three links, built in the order
    and under the names the fault plan and [link_rng] expect: control
