@@ -9,6 +9,9 @@ dune build
 dune runtest
 dune build @bench-smoke
 dune build @soak-smoke
+# Both soak runs (fault plans; process crashes) replayed over seeds
+# 0-19,999: every run must drain and keep its guaranteed level.
+dune build @soak-sweep
 dune build @serve-smoke
 # Every knob-invisibility claim through one differential harness:
 # domain counts, shared plans, self-maintenance and the coalesced merge

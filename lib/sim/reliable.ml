@@ -45,7 +45,6 @@ type 'a t = {
   mutable buffer : 'a frame list; (* ascending seq *)
   mutable last_nack : int; (* seq already nacked for; suppress repeats *)
   mutable r_down : bool;
-  mutable adopt_next : bool; (* restarted receiver: resync on next frame *)
 }
 
 let stats t = t.stats
@@ -134,17 +133,6 @@ let rec drain_buffer t =
 let on_data t f =
   if t.r_down then ()
   else begin
-    if t.adopt_next then begin
-      (* Restarted receiver: resume the live stream at whatever arrives
-         first. Anything missed while down is recovered out of band (the
-         view manager replays the integrator's log), and later duplicates
-         are dropped by the application-level id dedup. *)
-      t.adopt_next <- false;
-      t.r_epoch <- f.f_epoch;
-      t.expected <- f.f_seq;
-      t.buffer <- [];
-      t.last_nack <- 0
-    end;
     if f.f_epoch > t.r_epoch then begin
       (* Peer restarted with a new epoch: old expectations are void. *)
       t.r_epoch <- f.f_epoch;
@@ -191,8 +179,7 @@ let create engine ?(name = "rel") ?(params = default_params)
           dups_dropped = 0; gave_up = 0 };
       on_give_up; deliver; data = None; ctrl = None; s_epoch = 0; next_seq = 1;
       unacked = []; timer_gen = 0; retries = 0; sender_gave_up = false;
-      r_epoch = 0; expected = 1; buffer = []; last_nack = 0; r_down = false;
-      adopt_next = false }
+      r_epoch = 0; expected = 1; buffer = []; last_nack = 0; r_down = false }
   in
   let data = Channel.create engine ~name ~latency (fun f -> on_data t f) in
   let ctrl =
@@ -224,10 +211,12 @@ let set_receiver_down t down =
     t.last_nack <- 0
   end
 
-let reset_receiver t =
-  (* Adopt whatever the peer sends next: used when the *receiver* restarts
-     and must not reject the live epoch's in-progress sequence. *)
-  t.adopt_next <- true;
+let rebase_receiver t =
+  (* The restarted receiver and its sender agree on a fresh epoch: the
+     old stream's unacked frames are void, and the new one is taken from
+     sequence 1 in order, so no frame can overtake a dropped one. *)
+  t.r_epoch <- bump_epoch t;
+  t.expected <- 1;
   t.buffer <- [];
   t.last_nack <- 0;
   t.r_down <- false

@@ -10,8 +10,9 @@
 
     Epochs support crash-restart: a restarting *sender* calls
     {!bump_epoch}, which voids the old stream at the receiver; a restarting
-    *receiver* calls {!reset_receiver} and adopts the live stream at the
-    next frame, recovering anything missed out of band. *)
+    *receiver* calls {!rebase_receiver}, which has its sender open a fresh
+    epoch that the receiver takes from sequence 1, and recovers anything
+    sent before out of band. *)
 
 type params = {
   ack_timeout : float;  (** initial retransmit timeout (seconds) *)
@@ -77,9 +78,13 @@ val sender_epoch : 'a t -> int
 val set_receiver_down : 'a t -> bool -> unit
 (** While down, incoming frames are ignored entirely (no acks). *)
 
-val reset_receiver : 'a t -> unit
-(** Restarting receiver: resume the live stream at the next frame to
-    arrive; missed payloads must be recovered out of band. *)
+val rebase_receiver : 'a t -> unit
+(** Restarting receiver whose sender restarts the stream for it: the
+    sender opens a fresh epoch (as {!bump_epoch}, voiding its unacked
+    frames) and the receiver expects that epoch from sequence 1. A frame
+    that overtakes a dropped one is buffered like any gap, so everything
+    sent after the rebase is delivered in order; what was sent before
+    must be recovered out of band. *)
 
 val quiescent : 'a t -> bool
 (** No unacked frames, no buffered out-of-order frames, sender has not

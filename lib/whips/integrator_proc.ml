@@ -137,7 +137,9 @@ let catch_up t ~sources ~latency ~crashed_at =
           (Source.Sources.transactions sources)
       in
       List.iter (ingest t) missed;
-      t.feed.rx_reset ();
+      (* Everything the sources sent before now was just re-fetched; the
+         fresh feed epoch delivers what they send after in order. *)
+      t.feed.rx_rebase ();
       t.down <- false;
       Proc.recovered ctx ~crashed_at;
       ctx.record "integrator recovered (%d source transactions re-fetched)"

@@ -7,14 +7,12 @@ type 'a t = { send : 'a -> unit; reliable : 'a Sim.Reliable.t option }
 (* The receiving half of a link, which a crash of its receiver touches,
    with the payload type erased so a process can keep every link it
    listens on in one list. *)
-type port = { rx_down : bool -> unit; rx_reset : unit -> unit }
+type port = { rx_down : bool -> unit; rx_rebase : unit -> unit }
 
-let no_port = { rx_down = ignore; rx_reset = ignore }
+let no_port = { rx_down = ignore; rx_rebase = ignore }
 
 let receiver_down l d =
   Option.iter (fun rl -> Sim.Reliable.set_receiver_down rl d) l.reliable
-
-let reset_receiver l = Option.iter Sim.Reliable.reset_receiver l.reliable
 
 (* A restarting sender's fresh epoch; [Off] links have no epochs, so the
    caller's own counter advances instead. *)
@@ -23,8 +21,12 @@ let bump_epoch l ~otherwise =
   | Some rl -> Sim.Reliable.bump_epoch rl
   | None -> otherwise
 
+(* A restarted receiver whose sender can start the stream afresh: see
+   {!Sim.Reliable.rebase_receiver}. *)
+let rebase_receiver l = Option.iter Sim.Reliable.rebase_receiver l.reliable
+
 let port l =
-  { rx_down = receiver_down l; rx_reset = (fun () -> reset_receiver l) }
+  { rx_down = receiver_down l; rx_rebase = (fun () -> rebase_receiver l) }
 
 (* Every link of a run is built here, so the quiescence, stats and drop
    registries cover all of them. Each [Acked] link splits [link_rng] and

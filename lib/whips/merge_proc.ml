@@ -364,11 +364,15 @@ let restart t =
   Hashtbl.reset t.watermarks;
   Hashtbl.iter (fun v s -> Hashtbl.replace t.watermarks v s) wh.submitted_marks;
   (* Fence every manager's stream until its fresh-epoch [`Resync] marker
-     arrives — adopted pre-crash frames must not reach SPA. *)
+     arrives: the replay after it re-derives every list past the
+     watermark. *)
   Array.iter
     (List.iter (fun v -> Hashtbl.replace t.awaiting_resync v ()))
     t.groups;
-  List.iter (fun p -> p.Link.rx_reset ()) t.ports;
+  (* Every REL and list sent before now is voided: the transfer reads the
+     integrator log later, and the managers replay. Fresh epochs deliver
+     what is sent after in order. *)
+  List.iter (fun p -> p.Link.rx_rebase ()) t.ports;
   List.iter (fun l -> Link.bump_epoch l ~otherwise:0 |> ignore) t.ctrls;
   t.down <- false
 

@@ -109,8 +109,12 @@ let crash t =
   Proc.restart ctx t.trigger (fun () ->
       t.down <- false;
       t.recovering <- true;
-      t.feed.rx_reset ();
-      t.ctrl.rx_reset ();
+      (* Every transaction sent before now is in the integrator log the
+         resync replays, which it reads later, and the handshake below
+         supersedes any control message sent before now; the fresh
+         epochs deliver what is sent after in order. *)
+      t.feed.rx_rebase ();
+      t.ctrl.rx_rebase ();
       handshake t ~why:"restarting, resync epoch")
 
 let guarded_emit t inc al =
