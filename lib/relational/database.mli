@@ -2,8 +2,9 @@
 
     Used both for source base data (a source state [ss_i] in the paper is
     the database holding every base relation across all sources) and as the
-    local caches kept by view managers. Persistent, so recording a source
-    state sequence for the consistency oracle is a pointer copy. *)
+    local caches kept by view managers. Persistent, so consecutive states
+    of a source state sequence share every relation a transaction leaves
+    untouched. *)
 
 type t
 
