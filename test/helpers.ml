@@ -28,11 +28,14 @@ let case name f = Alcotest.test_case name `Quick f
 (* Words allocated by [f ()]: [Gc.minor_words] (exact, unlike the
    counters, which only catch up at a minor collection) plus the words
    allocated directly on the major heap — the large blocks, such as a
-   chunk's columns. The allocation guards bound it. *)
+   chunk's columns. The allocation guards bound it. The major words
+   come from [Gc.counters], which counts a direct major allocation at
+   once; [Gc.quick_stat] defers it to the next major slice, so a slice
+   that lands inside [f] charges [f] for earlier allocations. *)
 let words_allocated f =
   let direct_major () =
-    let s = Gc.quick_stat () in
-    s.Gc.major_words -. s.Gc.promoted_words
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
   in
   let minor0 = Gc.minor_words () and major0 = direct_major () in
   let r = f () in
