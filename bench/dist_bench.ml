@@ -13,9 +13,12 @@
    shards 1, 2 and 4 serve byte-identical union contents (all equal to
    direct evaluation over the final source state), stay certified under
    a message-dropping fault plan with ARQ links, and keep the scaling
-   ratio under 1.2. Exits nonzero on any divergence. *)
+   ratio under 1.2. Exits nonzero on any divergence.
+
+   [diff_rows] is the @diff-smoke row for the sharding axis itself. *)
 
 open Relational
+open Whips
 
 let quick () = !Micro.quick
 
@@ -34,28 +37,48 @@ type cell = {
   complete : bool;
 }
 
+let config ~shards w =
+  { (System.default w.Workload.Tenants.scenario) with
+    sharding = Some (System.tenant_sharding ~shards w);
+    seed = 43 }
+
+(* Mean merge-server messages per source transaction per non-empty
+   shard: the per-shard merge load as tenants scale. *)
+let merge_events_per_update (r : System.result) =
+  let active =
+    List.filter
+      (fun sh -> sh.System.sh_views <> [])
+      (Option.get r.System.sharded).System.per_shard
+  in
+  let n_active = List.length active in
+  let n_txns = List.length r.System.transactions in
+  if n_active = 0 || n_txns = 0 then 0.0
+  else
+    float_of_int
+      (List.fold_left (fun acc sh -> acc + sh.System.sh_merge_events) 0 active)
+    /. float_of_int n_active /. float_of_int n_txns
+
+let certified (r : System.result) =
+  (not r.System.stuck)
+  && Consistency.Checker.certified_distributed
+       (System.distributed_certificate r)
+
+let complete (r : System.result) =
+  List.for_all
+    (fun (_, v) -> Consistency.Checker.at_least Consistency.Checker.Complete v)
+    (System.shard_verdicts r)
+
 let run_cell ~shards ~tenants ~skew ~n_transactions =
   let w = workload ~tenants ~skew ~n_transactions in
-  let r = Dist.System.run { (Dist.System.default ~shards w) with seed = 43 } in
-  let certified =
-    (not r.Dist.System.stuck)
-    && Consistency.Checker.certified_distributed (Dist.System.certificate r)
-  in
-  let complete =
-    List.for_all
-      (fun (_, v) -> Consistency.Checker.at_least Consistency.Checker.Complete v)
-      (Dist.System.shard_verdicts r)
-  in
+  let r = System.run (config ~shards w) in
   ( { shards;
       tenants;
       skew;
-      events_per_update = Dist.System.merge_events_per_update r;
-      mean_fanout =
-        Sim.Stats.Summary.mean r.Dist.System.metrics.Whips.Metrics.routed_shards;
-      union_reads =
-        Atomic.get r.Dist.System.metrics.Whips.Metrics.union_reads;
-      certified;
-      complete },
+      events_per_update = merge_events_per_update r;
+      mean_fanout = Sim.Stats.Summary.mean r.System.metrics.Metrics.routed_shards;
+      union_reads = Atomic.get r.System.metrics.Metrics.union_reads;
+      certified = certified r;
+      complete = complete r },
     r )
 
 let cell_json c =
@@ -146,15 +169,17 @@ let run () =
 
 let fault_plan =
   Workload.Fault_plan.union
-    [ Workload.Fault_plan.random ~drop:0.1 ~duplicate:0.05 "integ->shard*";
-      Workload.Fault_plan.random ~drop:0.1 "*->merge0" ]
+    [ Workload.Fault_plan.random ~drop:0.1 ~duplicate:0.05 "integ->*";
+      Workload.Fault_plan.random ~drop:0.1 "*->merge" ]
 
 let smoke_run ~shards w =
-  Dist.System.run
-    { (Dist.System.default ~shards w) with
-      seed = 43;
+  System.run
+    { (config ~shards w) with
       fault_plan;
-      reliability = Whips.System.Acked Sim.Reliable.default_params }
+      reliability = System.Acked Sim.Reliable.default_params }
+
+let shard_count (r : System.result) =
+  (Option.get r.System.config.System.sharding).System.shards
 
 let distsmoke () =
   Tables.section "dist-smoke: shards 1/2/4 trace-equivalent";
@@ -169,30 +194,26 @@ let distsmoke () =
   let w = workload ~tenants:6 ~skew:1.0 ~n_transactions:40 in
   let runs = List.map (fun shards -> smoke_run ~shards w) [ 1; 2; 4 ] in
   List.iter
-    (fun (r : Dist.System.result) ->
-      let shards = r.Dist.System.config.Dist.System.shards in
-      if r.Dist.System.stuck then fail "shards=%d: run did not drain" shards;
-      if not (Consistency.Checker.certified_distributed (Dist.System.certificate r))
-      then
+    (fun (r : System.result) ->
+      let shards = shard_count r in
+      if r.System.stuck then fail "shards=%d: run did not drain" shards;
+      if not (certified r) then
         fail "shards=%d: %a" shards
           (fun () c -> Fmt.str "%a" Consistency.Checker.pp_distributed c)
-          (Dist.System.certificate r);
+          (System.distributed_certificate r);
       List.iter
         (fun (s, v) ->
           if not (Consistency.Checker.at_least Consistency.Checker.Complete v)
           then fail "shards=%d: shard %d below Complete" shards s)
-        (Dist.System.shard_verdicts r))
+        (System.shard_verdicts r))
     runs;
   (* Every shard count must serve the same final union contents, and
      those must equal direct evaluation over the final source state. *)
   (match runs with
-  | (r1 : Dist.System.result) :: rest ->
-    let views =
-      r1.Dist.System.config.Dist.System.workload.Workload.Tenants.scenario
-        .Workload.Scenarios.views
-    in
-    let expected (r : Dist.System.result) (u : Dist.Union_view.t) =
-      let final = Source.Sources.current r.Dist.System.sources in
+  | (r1 : System.result) :: rest ->
+    let views = w.Workload.Tenants.scenario.Workload.Scenarios.views in
+    let expected (r : System.result) (u : Dist.Union_view.t) =
+      let final = Source.Sources.current r.System.sources in
       List.fold_left
         (fun acc (_, leg) ->
           let v = List.find (fun v -> Query.View.name v = leg) views in
@@ -202,17 +223,15 @@ let distsmoke () =
     List.iter
       (fun (u : Dist.Union_view.t) ->
         let name = u.Dist.Union_view.name in
-        let reference = Dist.System.union_contents r1 name in
+        let reference = System.union_contents r1 name in
         if not (Bag.equal reference (expected r1 u)) then
           fail "%s: shards=1 diverges from direct evaluation" name;
         List.iter
-          (fun (r : Dist.System.result) ->
-            if not (Bag.equal reference (Dist.System.union_contents r name))
-            then
-              fail "%s: shards=%d diverges from shards=1" name
-                r.Dist.System.config.Dist.System.shards)
+          (fun (r : System.result) ->
+            if not (Bag.equal reference (System.union_contents r name)) then
+              fail "%s: shards=%d diverges from shards=1" name (shard_count r))
           rest)
-      r1.Dist.System.unions
+      (Option.get r1.System.sharded).System.unions
   | [] -> fail "no runs");
   (* The flat-load acceptance bound, deterministically. *)
   let base, _ = run_cell ~shards:4 ~tenants:4 ~skew:1.0 ~n_transactions:32 in
@@ -233,3 +252,33 @@ let distsmoke () =
     Printf.printf "dist-smoke: %d failure(s)\n%!" !failures;
     exit 1
   end
+
+(* ---- @diff-smoke row ---- *)
+
+(* One shard with no union views is the unsharded pipeline: same links,
+   names and RNG draws, so every trace the harness compares — served
+   session reads included — must be identical. *)
+let diff_rows =
+  let generated =
+    Workload.Generator.generate
+      { Workload.Generator.default with
+        seed = 43;
+        n_relations = 4;
+        n_views = 3;
+        n_transactions = 12;
+        initial_tuples = 6 }
+  in
+  let reads cfg = { cfg with System.reads = Some System.default_reads } in
+  [ { Diffsmoke.name = "shards: one shard == unsharded";
+      scenarios = Workload.Scenarios.all @ [ generated ];
+      domains = [ 1; 4 ];
+      left = reads;
+      right =
+        Some
+          (fun cfg ->
+            { (reads cfg) with
+              sharding =
+                Some
+                  { System.shards = 1; tenant_of = (fun _ -> 0);
+                    union_views = []; union_reads = 0; union_sessions = 1 } });
+      extra = Diffsmoke.no_extra } ]

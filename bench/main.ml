@@ -35,7 +35,8 @@ let experiments =
     ( "diffsmoke",
       Diffsmoke.run
         (Parallel_bench.diff_rows @ Shared_bench.diff_rows
-       @ Selfmaint_bench.diff_rows @ Merge_bench.diff_rows) );
+       @ Selfmaint_bench.diff_rows @ Merge_bench.diff_rows
+       @ Dist_bench.diff_rows) );
     ("summary", Summary.run);
     ("micro", Micro.run) ]
 

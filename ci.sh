@@ -21,9 +21,11 @@ dune build @diff-smoke
 # 1/4) must recover — WAL + checkpoint replay plus the resync protocol —
 # to a state byte-identical to a crash-free run.
 dune build @crash-smoke
-# Distributed warehouse: shards 1/2/4 over the same tenant workload
-# (lossy links under ARQ) must serve byte-identical union contents,
-# stay certified, and keep per-shard merge load flat as tenants scale.
+# Distributed warehouse (the pipeline's sharding axis): shards 1/2/4
+# over the same tenant workload, each shard merge groups with their own
+# warehouse, lossy whips links under ARQ, must serve byte-identical
+# union contents, stay certified, and keep per-shard merge load flat as
+# tenants scale.
 dune build @dist-smoke
 # Fold every BENCH_*.json headline into BENCH_summary.json, append this
 # run to BENCH_history.jsonl, and fail if the kernel headline regressed

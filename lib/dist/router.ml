@@ -4,13 +4,4 @@ let create ~shards ~tenant_of =
   if shards < 1 then invalid_arg "Router.create: shards < 1";
   { n_shards = shards; tenant_of }
 
-let shards t = t.n_shards
-
 let shard_of_view t view = t.tenant_of view mod t.n_shards
-
-let assignment t = shard_of_view t
-
-let fan_out t rel = Integrator.route_shards ~assignment:(assignment t) rel
-
-let views_of_shard t views s =
-  List.filter (fun v -> shard_of_view t (Query.View.name v) = s) views

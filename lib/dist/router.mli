@@ -1,13 +1,9 @@
-(** View-to-shard assignment and REL fan-out for the distributed
-    warehouse.
+(** View-to-shard placement for the distributed warehouse.
 
     Views are pinned to warehouse shards by owning tenant ([tenant mod
     shards]), so a tenant's whole view family lives on one shard and a
     single-tenant source transaction touches exactly one shard — the
-    property that keeps per-shard merge load flat as tenants multiply.
-    The router is the integrator-side half of §6.1's multiple cooperating
-    merge processes: each update's relevant-view set is split into
-    per-shard subsets and only the affected shards' merges are woken. *)
+    property that keeps per-shard merge load flat as tenants multiply. *)
 
 type t
 
@@ -15,19 +11,5 @@ val create : shards:int -> tenant_of:(string -> int) -> t
 (** [tenant_of] maps a view name to its owning tenant.
     @raise Invalid_argument if [shards < 1]. *)
 
-val shards : t -> int
-
 val shard_of_view : t -> string -> int
 (** The shard a view is assigned to. *)
-
-val assignment : t -> string -> int
-(** Same as {!shard_of_view}, shaped for
-    {!Integrator.route_shards}. *)
-
-val fan_out : t -> string list -> (int * string list) list
-(** Split a relevant-view set into per-shard subsets, ascending by shard
-    id; shards with no relevant view are absent (their merges never hear
-    about the update). *)
-
-val views_of_shard : t -> Query.View.t list -> int -> Query.View.t list
-(** The views assigned to one shard, keeping input order. *)

@@ -7,9 +7,11 @@
    content-changing operation builds a fresh record with empty memos,
    and an empty delta returns the same record, so MVCC versions that
    retain an unchanged relation share its chunks and indexes by
-   pointer. Concurrent memo fills from pool domains are benign races:
-   both domains compute the same deterministic snapshot and one
-   single-word write wins.
+   pointer. Two pool domains may fill the columnar memo at once: both
+   compute the same deterministic snapshot and one single-word write
+   wins. An index is installed under a lock that re-checks the list, so
+   a key position gets one entry and one counted build; a domain that
+   loses the race uses the winner's index.
 
    A version built by [apply_delta] also remembers where it came from:
    its parent's contents and the delta that produced it, recorded only
@@ -113,6 +115,8 @@ let columnar t =
     t.col <- Some c;
     c
 
+let install_lock = Mutex.create ()
+
 let index t ~key_pos =
   let rec lookup = function
     | [] -> None
@@ -121,10 +125,14 @@ let index t ~key_pos =
   match lookup t.idxs with
   | Some idx -> idx
   | None ->
-    Atomic.incr builds_counter;
     let idx = Bag_index.of_bag ~key_pos t.contents in
-    t.idxs <- (key_pos, idx) :: t.idxs;
-    idx
+    Mutex.protect install_lock (fun () ->
+        match lookup t.idxs with
+        | Some winner -> winner
+        | None ->
+          Atomic.incr builds_counter;
+          t.idxs <- (key_pos, idx) :: t.idxs;
+          idx)
 
 let index_stats t = List.map (fun (_, idx) -> Bag_index.occupancy idx) t.idxs
 

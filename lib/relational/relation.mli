@@ -78,9 +78,11 @@ val columnar : t -> Columnar.t
     chunks, so a version no such plan reads never pays for one. *)
 
 val index : t -> key_pos:int array -> Bag_index.t
-(** Memoized hash index over the contents keyed at [key_pos]: built at
-    most once per version (counted by {!index_builds}), or carried from
-    the parent by {!derive}. The returned index is shared; the delta
+(** Memoized hash index over the contents keyed at [key_pos]: installed
+    at most once per version (counted by {!index_builds}), or carried
+    from the parent by {!derive}. Safe to call from several domains: a
+    build that loses the install race is dropped uncounted and the
+    winner's index returned. The returned index is shared; the delta
     rules only probe it. *)
 
 val index_stats : t -> Bag_index.occupancy list

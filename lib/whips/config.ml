@@ -239,6 +239,25 @@ let default_durability =
     work per-row). *)
 type merge_batch = Coalesced | Fused
 
+(** Tenant sharding (Section 6.1, Figure 3): the views are partitioned
+    over [shards] warehouse shards, each a set of merge groups with its
+    own warehouse and published version history, and cross-shard union
+    views are read by stitching their legs at a version-vector cut
+    ({!Dist.Global_cut}). Views sharing a base relation must share a
+    shard, so no update's merge work spans shards. *)
+type sharding = {
+  shards : int;
+  tenant_of : string -> int;
+      (** A view's owning tenant; the view lives on shard
+          [tenant mod shards] ({!Dist.Router}). *)
+  union_views : (string * string list) list;
+      (** Cross-shard union views as (name, leg view names). *)
+  union_reads : int;
+      (** Union reads spread uniformly over the script horizon. One
+          final read per union view is always taken after the drain. *)
+  union_sessions : int;  (** Reader sessions the union reads round-robin over. *)
+}
+
 type config = {
   scenario : Workload.Scenarios.t;
   vm_kind : vm_kind;
@@ -310,6 +329,10 @@ type config = {
           [semantic_filter], or, in the pipelined runtime, a view whose
           manager is not [Complete_vm]. The sequential strawman runs no
           managers and shares under any [vm_kind]. Off by default. *)
+  sharding : sharding option;
+      (** [Some sh] partitions the views over [sh.shards] warehouse
+          shards (see {!sharding}); [None] (the default) runs one
+          warehouse. *)
   seed : int;
 }
 
@@ -325,7 +348,14 @@ let default scenario =
     durable = None; reads = None;
     store_retention = Warehouse.Store.Keep_all;
     record_timeline = false; parallel = Parallel.Config.default ();
-    shared_plans = false; seed = 1 }
+    shared_plans = false; sharding = None; seed = 1 }
+
+(** A multi-tenant workload's placement and union views over [shards]
+    (default 2) shards, with 8 mid-run union reads over 2 sessions. *)
+let tenant_sharding ?(shards = 2) (w : Workload.Tenants.t) =
+  { shards; tenant_of = Workload.Tenants.tenant_of w;
+    union_views = w.Workload.Tenants.unions; union_reads = 8;
+    union_sessions = 2 }
 
 (** One served read, recorded in arrival order. [read_state] is the
     exact warehouse state the read was evaluated against (persistent, so
@@ -379,9 +409,27 @@ type durability_report = {
           recoveries. *)
 }
 
+(** One shard of a sharded run. *)
+type shard_result = {
+  sh_id : int;
+  sh_views : string list;
+  sh_store : Warehouse.Store.t;
+  sh_merge_events : int;
+      (** Messages (RELs + action lists) its merge groups handled. *)
+  sh_wts : int;  (** Warehouse transactions its merge groups emitted. *)
+  sh_wal_appends : int;  (** WT records its warehouse WAL appended. *)
+}
+
+type sharded = {
+  per_shard : shard_result list;  (** Ascending by shard id. *)
+  unions : Dist.Union_view.t list;
+  cut_reads : Consistency.Checker.cut_read list;
+      (** Every served union read (mid-run + final), in issue order. *)
+}
+
 type result = {
   config : config;
-  store : Warehouse.Store.t;
+  store : Warehouse.Store.t;  (** Shard 0's store in a sharded run. *)
   sources : Source.Sources.t;
   transactions : Relational.Update.Transaction.t list;
   metrics : Metrics.t;
@@ -404,5 +452,6 @@ type result = {
           rows) and, per fused batch in release order, the constituent
           (rows, action lists) parts — the raw material
           {!fused_certificate} feeds to the checker. *)
+  sharded : sharded option;  (** Present iff [config.sharding] was set. *)
 }
 

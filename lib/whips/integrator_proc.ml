@@ -20,6 +20,7 @@ type t = {
   position : (string, int) Hashtbl.t;
   tick_hungry : int list;
   group_of : string -> int;
+  shard_of : (string -> int) option;  (* a sharded run's view placement *)
   last_routed : int array;  (* per group, the last row routed via a manager *)
   trigger : Proc.trigger;
   mutable down : bool;
@@ -27,7 +28,7 @@ type t = {
 }
 
 let create (ctx : Proc.ctx) ~integ ~durable ~routing ~rel_links ~hosts ~vm_links
-    ~group_of ~crash =
+    ~group_of ~shard_of ~crash =
   let vms = Array.map Vm_host.vm hosts in
   let position = Hashtbl.create 16 in
   Array.iteri (fun i vm -> Hashtbl.replace position (Viewmgr.Vm.name vm) i) vms;
@@ -37,7 +38,7 @@ let create (ctx : Proc.ctx) ~integ ~durable ~routing ~rel_links ~hosts ~vm_links
     tick_hungry =
       List.filter (fun i -> vms.(i).Viewmgr.Vm.needs_ticks)
         (List.init (Array.length vms) Fun.id);
-    group_of; last_routed = Array.make (Array.length rel_links) 0;
+    group_of; shard_of; last_routed = Array.make (Array.length rel_links) 0;
     trigger = crash; down = false; feed = Link.no_port }
 
 (* REL_i to the merge(s) owning affected views, split by group
@@ -80,6 +81,13 @@ let ingest t txn =
     Update.Transaction.pp stamped Proc.names rel;
   route_rels t stamped rel;
   route_updates t stamped rel;
+  (* How many shards the update wakes. *)
+  (match (t.shard_of, rel) with
+  | Some shard_of, _ :: _ ->
+    Sim.Stats.Summary.add t.ctx.metrics.Metrics.routed_shards
+      (float_of_int
+         (List.length (List.sort_uniq Int.compare (List.map shard_of rel))))
+  | _ -> ());
   let pending =
     Array.fold_left (fun acc vm -> acc + vm.Viewmgr.Vm.pending ()) 0 t.vms
   in

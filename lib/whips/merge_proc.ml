@@ -76,10 +76,17 @@ let make_server ~batch engine ~exec ~latency =
 (* Merge groups balanced by estimated evaluation cost — the summed
    initial cardinality of each view's base relations — so that with
    parallel merge groups every domain gets comparable work, not just a
-   comparable view count. *)
-let partition ~initial views = function
-  | None -> [ views ]
-  | Some k ->
+   comparable view count. Under [affinity] (a view's shard) no group
+   straddles a shard; without [k] each shard is one group, its views in
+   input order, ascending by shard. *)
+let partition ~initial ?affinity views k =
+  match (k, affinity) with
+  | None, None -> [ views ]
+  | None, Some shard_of ->
+    List.map
+      (fun s -> List.filter (fun v -> shard_of v = s) views)
+      (List.sort_uniq Int.compare (List.map shard_of views))
+  | Some k, _ ->
     let weight v =
       List.fold_left
         (fun acc r ->
@@ -90,7 +97,8 @@ let partition ~initial views = function
           | exception _ -> 0)
         1 (Query.View.base_relations v)
     in
-    Mvc.Partition.coarsen ~weight ~max_groups:k (Mvc.Partition.groups views)
+    Mvc.Partition.coarsen ~weight ?affinity ~max_groups:k
+      (Mvc.Partition.groups views)
 
 (* Forwarded RELs can reach the merge out of row order (they travel on
    different managers' channels), while the painting algorithms assume
@@ -159,8 +167,8 @@ type t = {
   mutable ctrls : Proc.ctrl_msg Link.t list;
       (* merge -> manager, newest first: resync demands go out in this
          order, and each send draws a latency *)
-  wh : Warehouse_proc.t;  (* where ready runs go *)
-  mutable jobs : int;  (* jobs finished: a shard's merge events *)
+  whs : Warehouse_proc.t array;  (* per group, where its ready runs go *)
+  jobs : int array;  (* per group, jobs finished: its merge events *)
 }
 
 (* A fresh merge for group [gi], emitting into a fresh queue. The work
@@ -174,7 +182,7 @@ let incarnate algorithm emitted gi views =
   Mvc.Merge.create algorithm ~views ~emit:(fun wt -> Queue.push wt queue)
 
 let create (ctx : Proc.ctx) ~algorithm ~groups ~batch ~latency ~dedup
-    ~crash ~wh =
+    ~crash ~whs =
   let groups = Array.of_list (List.map (List.map Query.View.name) groups) in
   let n = Array.length groups in
   let emitted = Array.make n (Queue.create ()) in
@@ -199,8 +207,7 @@ let create (ctx : Proc.ctx) ~algorithm ~groups ~batch ~latency ~dedup
     watermarks = Hashtbl.create 16; awaiting_resync = Hashtbl.create 16;
     held = Array.make n 0; live = Array.make n 0; dedup;
     trigger = crash; down = false; incarnation = 0;
-    ports = []; ctrls = []; wh;
-    jobs = 0 }
+    ports = []; ctrls = []; whs; jobs = Array.make n 0 }
 
 let group_of t view = Hashtbl.find t.group_of view
 
@@ -216,9 +223,9 @@ let snapshot t gi =
 (* A job's finish: refresh the group's snapshot, hand the ready run on
    and sample the merge gauges. *)
 let settle t gi =
-  t.jobs <- t.jobs + 1;
+  t.jobs.(gi) <- t.jobs.(gi) + 1;
   snapshot t gi;
-  Warehouse_proc.take t.wh t.emitted.(gi);
+  Warehouse_proc.take t.whs.(gi) t.emitted.(gi);
   let m = t.ctx.metrics in
   Sim.Stats.Summary.add m.Metrics.merge_held
     (float_of_int (Array.fold_left ( + ) 0 t.held));
@@ -324,7 +331,7 @@ let flush t gi =
   if not t.down then begin
     Mvc.Merge.flush t.merges.(gi);
     snapshot t gi;
-    Warehouse_proc.take t.wh t.emitted.(gi)
+    Warehouse_proc.take t.whs.(gi) t.emitted.(gi)
   end
 
 let quiescent t =
@@ -349,7 +356,6 @@ let wipe t =
    watermark table restarts at what actually reached the warehouse — the
    resync replies tell each manager to replay everything after that. *)
 let restart t =
-  let wh = t.wh in
   Array.iteri
     (fun gi views -> t.merges.(gi) <- incarnate t.algorithm t.emitted gi views)
     t.groups;
@@ -358,11 +364,15 @@ let restart t =
       Hashtbl.reset seen;
       Hashtbl.iter
         (fun row () -> Hashtbl.replace seen row ())
-        wh.Warehouse_proc.submitted_rows;
+        t.whs.(gi).Warehouse_proc.submitted_rows;
       snapshot t gi)
     t.rel_seen;
   Hashtbl.reset t.watermarks;
-  Hashtbl.iter (fun v s -> Hashtbl.replace t.watermarks v s) wh.submitted_marks;
+  Array.iter
+    (fun (wh : Warehouse_proc.t) ->
+      Hashtbl.iter (fun v s -> Hashtbl.replace t.watermarks v s)
+        wh.submitted_marks)
+    t.whs;
   (* Fence every manager's stream until its fresh-epoch [`Resync] marker
      arrives: the replay after it re-derives every list past the
      watermark. *)
@@ -385,16 +395,19 @@ let transfer t integ =
   List.iter
     (fun ((stamped : Relational.Update.Transaction.t), rel) ->
       let row = stamped.Relational.Update.Transaction.id in
-      if not (Warehouse_proc.submitted t.wh row) then
-        List.iter
-          (fun (gi, rel_group) ->
-            if not (Hashtbl.mem t.rel_seen.(gi) row) then begin
-              Hashtbl.replace t.rel_seen.(gi) row ();
-              t.ctx.record
-                "merge restart: REL_%d transferred from integrator log" row;
-              deliver_rel t gi row rel_group
-            end)
-          (Integrator.route_shards ~assignment:(group_of t) rel))
+      List.iter
+        (fun (gi, rel_group) ->
+          if
+            not
+              (Warehouse_proc.submitted t.whs.(gi) row
+              || Hashtbl.mem t.rel_seen.(gi) row)
+          then begin
+            Hashtbl.replace t.rel_seen.(gi) row ();
+            t.ctx.record
+              "merge restart: REL_%d transferred from integrator log" row;
+            deliver_rel t gi row rel_group
+          end)
+        (Integrator.route_shards ~assignment:(group_of t) rel))
     (Integrator.retained_log integ);
   List.iter (fun (l : Proc.ctrl_msg Link.t) -> l.send Proc.Resync_demand) t.ctrls
 

@@ -256,7 +256,7 @@ let run_sequential cfg =
     transactions = Source.Sources.transactions sources; metrics;
     merge_algorithm = "sequential"; timeline = []; stuck = false;
     serving = Option.map Serving_proc.result serving; durability = None;
-    fused = None }
+    fused = None; sharded = None }
 
 (* The config's channel-level fault plan plus the deterministic
    translation of Drop_action_list faults (the nth physical message on
@@ -302,13 +302,13 @@ let crash_triggers cfg =
 (* What a warehouse commit reports: the timeline line, the commit
    counters, the published version, the covered updates' staleness and
    the occupancy of every memoized index of the views it touched. *)
-let on_commit (ctx : Proc.ctx) ~store ~serving ~arrival_times wt =
+let on_commit (ctx : Proc.ctx) ~store ~publish ~arrival_times wt =
   let m = ctx.metrics and views = Warehouse.Wt.views wt in
   ctx.record "warehouse commit: rows [%a] -> views {%a}" Proc.row_ids
     wt.Warehouse.Wt.rows Proc.names views;
   Atomic.incr m.Metrics.commits;
   Metrics.add m.Metrics.actions_applied (Warehouse.Wt.action_count wt);
-  Option.iter (fun s -> Serving_proc.publish ctx s store ~changed:views) serving;
+  publish ~changed:views;
   List.iter
     (fun row ->
       Option.iter
@@ -353,15 +353,17 @@ let host_view cfg env links mp ~crash_of ~shared view =
   host.Vm_host.ctrl <- Link.port ctrl;
   (host, feed)
 
-let durability_report (ctx : Proc.ctx) ~(wh : Warehouse_proc.t)
-    ~(ip : Integrator_proc.t) =
+let durability_report (ctx : Proc.ctx) ~whs ~(ip : Integrator_proc.t) =
+  let whs = Array.to_list whs in
   let stats =
-    Durable.Wal.stats wh.wal :: Durable.Wal.stats ip.wal
-    :: List.filter_map
-         (fun (h : Vm_host.t) -> Option.map Durable.Wal.stats h.aux_wal)
-         (Array.to_list ip.hosts)
+    List.map (fun (wh : Warehouse_proc.t) -> Durable.Wal.stats wh.wal) whs
+    @ Durable.Wal.stats ip.wal
+      :: List.filter_map
+           (fun (h : Vm_host.t) -> Option.map Durable.Wal.stats h.aux_wal)
+           (Array.to_list ip.hosts)
   in
   let total f = List.fold_left (fun acc s -> acc + f s) 0 stats in
+  let sum f = List.fold_left (fun acc wh -> acc + f wh) 0 whs in
   { wal_appends = total (fun s -> s.Durable.Disk.appends);
     wal_syncs = total (fun s -> s.Durable.Disk.syncs);
     wal_bytes = total (fun s -> s.Durable.Disk.synced_bytes);
@@ -369,14 +371,67 @@ let durability_report (ctx : Proc.ctx) ~(wh : Warehouse_proc.t)
     wal_truncated = total (fun s -> s.Durable.Disk.truncated_records);
     torn_discarded = total (fun s -> s.Durable.Disk.torn_discarded);
     wal_replayed = ctx.recovery.wal_replayed;
-    commits_restored = wh.commits_restored;
-    dup_wts_dropped = wh.dup_wts;
+    commits_restored = sum (fun wh -> wh.Warehouse_proc.commits_restored);
+    dup_wts_dropped = sum (fun wh -> wh.Warehouse_proc.dup_wts);
     recovery_time = ctx.recovery.recovery_time }
+
+(* A view's shard: [tenant mod shards] under sharding, else 0. *)
+let placement cfg =
+  match cfg.sharding with
+  | None -> fun _ -> 0
+  | Some sh ->
+    Dist.Router.shard_of_view
+      (Dist.Router.create ~shards:sh.shards ~tenant_of:sh.tenant_of)
+
+(* Cross-shard union reads. A read pins the newest version of every
+   shard holding one of its legs (a global cut), stitches the legs
+   there, is recorded for the distributed certificate, and releases the
+   cut one read latency later; reads take the sessions round-robin. The
+   mid-run reads spread over the script's [horizon]; [serve] is also
+   the final read of each union after the drain. *)
+let union_reader (ctx : Proc.ctx) sh ~shard_of ~versions ~latency ~horizon =
+  let cuts =
+    Dist.Global_cut.create
+      (Array.to_list (Array.mapi (fun s vm -> (s, vm)) versions))
+  in
+  let unions =
+    List.map
+      (fun (name, legs) -> Dist.Union_view.make ~name ~assignment:shard_of legs)
+      sh.union_views
+  in
+  let reads = ref [] and issued = ref 0 in
+  let serve u =
+    let t0 = Proc.now ctx in
+    let cut = Dist.Global_cut.acquire cuts ~shards:(Dist.Union_view.shards u) in
+    reads :=
+      { Consistency.Checker.cr_session = !issued mod sh.union_sessions;
+        cr_legs = u.Dist.Union_view.legs;
+        cr_vector = Dist.Global_cut.vector cut;
+        cr_result =
+          Dist.Union_view.stitch u ~state_of:(Dist.Global_cut.state_of cut) }
+      :: !reads;
+    incr issued;
+    Atomic.incr ctx.metrics.Metrics.union_reads;
+    Sim.Engine.schedule_after ctx.engine (ctx.sample latency) (fun () ->
+        Dist.Global_cut.release cuts cut;
+        Sim.Stats.Summary.add ctx.metrics.Metrics.union_read_latency
+          (Proc.now ctx -. t0))
+  in
+  let n = sh.union_reads in
+  if unions <> [] then
+    for i = 1 to n do
+      let u = List.nth unions ((i - 1) mod List.length unions) in
+      Sim.Engine.schedule_at ctx.engine
+        (horizon *. float_of_int i /. float_of_int (n + 1))
+        (fun () -> serve u)
+    done;
+  (unions, serve, reads)
 
 (* The Figure 1 pipeline, assembled from its process components: sources
    feed the integrator, which routes REL_i to the merge groups and U_i
    to the view managers; the managers' action lists meet the RELs at the
-   merges, whose ready runs the warehouse commits. *)
+   merges, whose ready runs the warehouse commits. Under sharding every
+   shard has its own warehouse, fed by the merge groups of its views. *)
 let run_pipelined cfg =
   let engine = Sim.Engine.create () in
   let rng = Sim.Rng.create cfg.seed in
@@ -404,7 +459,14 @@ let run_pipelined cfg =
   let schemas = Source.Sources.schema_lookup sources in
   let views = effective_views cfg schemas in
   let initial = Source.Sources.initial sources in
-  let store = make_store cfg initial views in
+  let shard_of = placement cfg in
+  let n_shards = match cfg.sharding with None -> 1 | Some sh -> sh.shards in
+  let shard_views =
+    Array.init n_shards (fun s ->
+        List.filter (fun v -> shard_of (Query.View.name v) = s) views)
+  in
+  let stores = Array.map (make_store cfg initial) shard_views in
+  let store = stores.(0) in
   let kernel0 = Metrics.kernel_counters () in
   (* Under [shared_plans] every view is a complete manager ([run] checks
      it), and their plans are built here, together, so they share one
@@ -421,6 +483,27 @@ let run_pipelined cfg =
       (Serving_proc.create ctx ~rng ~latencies:cfg.latencies ~store ~views)
       cfg.reads
   in
+  (* A sharded run publishes every shard's commits for the union reads'
+     cuts; the one shard of a run with session reads publishes through
+     its serving layer. *)
+  let versions =
+    match (cfg.sharding, serving) with
+    | None, _ -> [||]
+    | Some _, Some s -> [| s.Serving_proc.vm |]
+    | Some _, None ->
+      Array.map
+        (fun st -> Serve.Version_manager.create (Warehouse.Store.snapshot st))
+        stores
+  in
+  let publish s store ~changed =
+    match serving with
+    | Some sv -> Serving_proc.publish ctx sv store ~changed
+    | None when Array.length versions > 0 ->
+      ignore
+        (Serve.Version_manager.publish versions.(s) ~time:(Proc.now ctx)
+           ~changed (Warehouse.Store.snapshot store))
+    | None -> ()
+  in
   (* Process crashes wipe a whole process's in-memory state and recover
      from the durable layer: two write-ahead logs back the two stateful
      singleton processes, and self-maintaining managers log their
@@ -433,19 +516,36 @@ let run_pipelined cfg =
   in
   let dur = Option.value ~default:default_durability durable in
   let merge_crash, integ_crash, wh_crash, vm_crash = crash_triggers cfg in
-  let wh =
-    Warehouse_proc.create ctx ~policy:cfg.submit
-      ~commit_latency:cfg.latencies.commit ~store ~durable
-      ~fused:(cfg.merge_batch = Fused) ~track:process_crashes
-      ~crash:wh_crash
-      ~on_commit:(on_commit ctx ~store ~serving ~arrival_times)
+  let whs =
+    Array.mapi
+      (fun s store ->
+        Warehouse_proc.create ctx ~policy:cfg.submit
+          ~commit_latency:cfg.latencies.commit ~store ~durable
+          ~fused:(cfg.merge_batch = Fused) ~track:process_crashes
+          ~crash:wh_crash
+          ~on_commit:(on_commit ctx ~store ~publish:(publish s store)
+                        ~arrival_times))
+      stores
   in
+  (* Process crashes and [Fused] runs have one shard ([check_config]). *)
+  let wh = whs.(0) in
   let algorithm = algorithm_for cfg in
+  let groups =
+    Merge_proc.partition ~initial
+      ?affinity:
+        (Option.map (fun _ v -> shard_of (Query.View.name v)) cfg.sharding)
+      views cfg.merge_groups
+  in
+  let group_shard =
+    Array.of_list
+      (List.map
+         (function v :: _ -> shard_of (Query.View.name v) | [] -> 0)
+         groups)
+  in
   let mp =
-    Merge_proc.create ctx ~algorithm
-      ~groups:(Merge_proc.partition ~initial views cfg.merge_groups)
-      ~batch:(cfg.merge_batch = Fused) ~latency:cfg.latencies.merge
-      ~dedup:process_crashes ~crash:merge_crash ~wh
+    Merge_proc.create ctx ~algorithm ~groups ~batch:(cfg.merge_batch = Fused)
+      ~latency:cfg.latencies.merge ~dedup:process_crashes ~crash:merge_crash
+      ~whs:(Array.map (Array.get whs) group_shard)
   in
   (* Crash recovery of a manager replays the integrator's retained log. *)
   let retain_log =
@@ -478,7 +578,9 @@ let run_pipelined cfg =
       ~rel_links
       ~hosts:(Array.of_list (List.map fst hosted))
       ~vm_links:(Array.of_list (List.map snd hosted))
-      ~group_of:(Merge_proc.group_of mp) ~crash:integ_crash
+      ~group_of:(Merge_proc.group_of mp)
+      ~shard_of:(Option.map (fun _ -> shard_of) cfg.sharding)
+      ~crash:integ_crash
   in
   let feed =
     Link.make links ~faultable:false ~name:"sources->integ"
@@ -511,21 +613,31 @@ let run_pipelined cfg =
             serving;
           Merge_proc.restart mp;
           Merge_proc.schedule_transfer mp integ ~latency:query_roundtrip));
-  ignore
-    (schedule_script engine arrival_rng cfg.arrival cfg.scenario.script
-       ~execute:(fun updates ->
-         let txn = Source.Sources.execute sources updates in
-         ctx.record "source commit: U%d at %s" txn.Update.Transaction.id
-           txn.Update.Transaction.source;
-         Atomic.incr metrics.Metrics.transactions;
-         Hashtbl.replace arrival_times txn.Update.Transaction.id (Proc.now ctx);
-         feed.send txn));
+  let horizon =
+    schedule_script engine arrival_rng cfg.arrival cfg.scenario.script
+      ~execute:(fun updates ->
+        let txn = Source.Sources.execute sources updates in
+        ctx.record "source commit: U%d at %s" txn.Update.Transaction.id
+          txn.Update.Transaction.source;
+        Atomic.incr metrics.Metrics.transactions;
+        Hashtbl.replace arrival_times txn.Update.Transaction.id (Proc.now ctx);
+        feed.send txn)
+  in
+  let unions =
+    Option.map
+      (union_reader ctx ~shard_of ~versions ~latency:cfg.latencies.read
+         ~horizon)
+      cfg.sharding
+  in
   let vms = Array.to_list ip.vms in
   let drained () =
-    (not ip.down) && (not wh.down)
+    (not ip.down)
+    && Array.for_all
+         (fun (wh : Warehouse_proc.t) ->
+           (not wh.down) && Warehouse_proc.outstanding wh = 0)
+         whs
     && List.for_all (fun vm -> vm.Viewmgr.Vm.pending () = 0) vms
     && Merge_proc.quiescent mp
-    && Warehouse_proc.outstanding wh = 0
     && serving_pending serving = 0
     && Link.quiescent links
   in
@@ -539,6 +651,12 @@ let run_pipelined cfg =
   in
   if (not ok) && faultless cfg then
     raise (Stuck "system failed to drain after flushing view managers");
+  (* Final union reads, against the drained shards. *)
+  Option.iter
+    (fun (unions, serve, _) ->
+      List.iter serve unions;
+      Sim.Engine.run engine)
+    unions;
   metrics.Metrics.completed_at <- Proc.now ctx;
   finalize_perf_metrics metrics ~kernel0 ~slots ~serving;
   Link.fold_stats links metrics;
@@ -548,11 +666,72 @@ let run_pipelined cfg =
     timeline = List.rev !timeline; stuck = not ok;
     serving = Option.map Serving_proc.result serving;
     durability =
-      Option.map (fun _ -> durability_report ctx ~wh ~ip) durable;
+      Option.map (fun _ -> durability_report ctx ~whs ~ip) durable;
     fused =
       (if cfg.merge_batch = Fused then
          Some (List.rev wh.fused_emitted, List.rev wh.fused_parts)
-       else None) }
+       else None);
+    sharded =
+      Option.map
+        (fun (unions, _, reads) ->
+          let of_shard s f =
+            Array.fold_left ( + ) 0
+              (Array.mapi (fun gi s' -> if s' = s then f gi else 0) group_shard)
+          in
+          { per_shard =
+              List.init n_shards (fun s ->
+                  { sh_id = s;
+                    sh_views = List.map Query.View.name shard_views.(s);
+                    sh_store = stores.(s);
+                    sh_merge_events = of_shard s (Array.get mp.jobs);
+                    sh_wts =
+                      of_shard s (fun gi ->
+                          Mvc.Merge.wts_emitted mp.merges.(gi));
+                    sh_wal_appends =
+                      (Durable.Wal.stats whs.(s).wal).Durable.Disk.appends });
+            unions; cut_reads = List.rev !reads })
+        unions }
+
+(* The sharded corners the axis does not serve: recovery and the fused
+   certificate assume one warehouse, session reads serve one store (union
+   reads are the sharded read path), and a view family sharing base
+   relations must live on one shard, or an update's merge work would
+   straddle shards. *)
+let check_sharding cfg sh =
+  let refuse why = invalid_arg ("System: sharding " ^ why) in
+  if sh.shards < 1 then refuse "needs at least one shard";
+  if sh.union_sessions < 1 then refuse "needs at least one union session";
+  if cfg.merge_kind = Sequential then
+    refuse "needs the pipelined runtime (the Sequential baseline has no merge)";
+  if sh.shards > 1 then begin
+    if process_crash_faults cfg then
+      refuse
+        "over more than one shard excludes process crash faults (recovery \
+         assumes one warehouse)";
+    if cfg.reads <> None then
+      refuse
+        "over more than one shard excludes session reads (union reads are \
+         the sharded read path)";
+    if cfg.merge_batch = Fused then
+      refuse
+        "over more than one shard excludes Fused merging (the fused \
+         certificate covers one warehouse)"
+  end;
+  let place = placement cfg in
+  let shard_of v = place (Query.View.name v) in
+  List.iter
+    (fun family ->
+      if List.exists (fun v -> shard_of v <> shard_of (List.hd family)) family
+      then
+        refuse
+          ("places views sharing base relations on different shards: "
+          ^ String.concat ", "
+              (List.map
+                 (fun v ->
+                   Printf.sprintf "%s->shard %d" (Query.View.name v)
+                     (shard_of v))
+                 family)))
+    (Mvc.Partition.groups cfg.scenario.Workload.Scenarios.views)
 
 (* Every configuration corner a run cannot serve is refused here, before
    any engine, WAL or store exists — nothing is silently downgraded.
@@ -659,7 +838,8 @@ let check_config cfg =
                    and Batching_vm managers (log-replay recovery)")
           cfg.scenario.Workload.Scenarios.views
       | _ -> ())
-    cfg.faults
+    cfg.faults;
+  Option.iter (check_sharding cfg) cfg.sharding
 
 let run cfg =
   check_config cfg;
@@ -678,6 +858,41 @@ let verdict result = fst (verdict_with_witness result)
 
 let view_contents result name =
   Relation.contents (Warehouse.Store.view result.store name)
+
+let sharded r =
+  match r.sharded with
+  | Some s -> s
+  | None -> invalid_arg "System: the run was not sharded"
+
+let shard_verdicts r =
+  let source_states = Source.Sources.states r.sources in
+  List.filter_map
+    (fun sh ->
+      if sh.sh_views = [] then None
+      else
+        Some
+          ( sh.sh_id,
+            Consistency.Checker.check
+              ~views:
+                (List.filter
+                   (fun v -> List.mem (Query.View.name v) sh.sh_views)
+                   r.config.scenario.Workload.Scenarios.views)
+              ~transactions:r.transactions ~source_states
+              ~warehouse_states:(Warehouse.Store.states sh.sh_store) ))
+    (sharded r).per_shard
+
+let distributed_certificate r =
+  let s = sharded r in
+  Consistency.Checker.certify_distributed
+    ~shard_states:
+      (List.map (fun sh -> Warehouse.Store.states sh.sh_store) s.per_shard)
+    ~reads:s.cut_reads
+
+let union_contents r name =
+  let s = sharded r in
+  let u = List.find (fun u -> u.Dist.Union_view.name = name) s.unions in
+  Dist.Union_view.stitch u ~state_of:(fun i ->
+      Warehouse.Store.snapshot (List.nth s.per_shard i).sh_store)
 
 (* The crash-recovery certificate: durability (every relevant
    (view, transaction) application reached some committed WT),

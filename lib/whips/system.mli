@@ -13,7 +13,12 @@
     Committed transactions are reported to the integrator in commit order
     (one shared FIFO), matching the paper's Section 2.1 assumption that the
     serializable source schedule coincides with the integrator's update
-    numbering. *)
+    numbering.
+
+    Under [sharding] (Figure 3) the same pipeline runs with its views
+    placed on shards: each shard's merge groups commit to the shard's own
+    warehouse and version history, and cross-shard union views are read
+    at recorded global cuts (see docs/DISTRIBUTED.md). *)
 
 include module type of struct
   include Config
@@ -50,8 +55,12 @@ val run : config -> result
     managers and [Keep_all] store retention. Also refused: [Sequential]
     with faults, a fault plan, [Acked] reliability or [durable] (the
     strawman has none of those layers); a [Crash_vm] on a manager other
-    than [Complete_vm], [Selfmaint_vm] or [Batching_vm]; and [reads]
-    without a session. *)
+    than [Complete_vm], [Selfmaint_vm] or [Batching_vm]; [reads]
+    without a session; and, under [sharding], fewer than one shard or
+    union session, the [Sequential] baseline, a placement putting views
+    that share a base relation on different shards, and — over more
+    than one shard — process crash faults, session [reads] or [Fused]
+    merging. *)
 
 val verdict : result -> Consistency.Checker.verdict
 (** Run the consistency oracle on the recorded source and warehouse state
@@ -64,6 +73,23 @@ val verdict_with_witness :
 
 val view_contents : result -> string -> Relational.Bag.t
 (** Final contents of a view at the warehouse. *)
+
+(** {2 Sharded runs}
+
+    Each raises [Invalid_argument] on a run without [sharding]. *)
+
+val shard_verdicts : result -> (int * Consistency.Checker.verdict) list
+(** The consistency oracle applied to each non-empty shard's own commit
+    history (its views, the full source schedule). *)
+
+val distributed_certificate :
+  result -> Consistency.Checker.distributed_certificate
+(** Re-check every recorded union read against the recorded per-shard
+    commit sequences (see {!Consistency.Checker.certify_distributed}). *)
+
+val union_contents : result -> string -> Relational.Bag.t
+(** Final stitched contents of a union view, its legs read from the
+    final shard stores. @raise Not_found on an unknown union name. *)
 
 val recovery_certificate : result -> Consistency.Checker.recovery_certificate
 (** Judge the run's {e application} history across restarts: no committed

@@ -4,6 +4,7 @@
    evaluation over the final source state — produces). *)
 
 open Relational
+open Whips
 
 let case = Helpers.case
 
@@ -18,32 +19,40 @@ let workload ?(tenants = 4) ?(skew = 1.0) ?(n_transactions = 24) ?(seed = 7) () 
     { Workload.Tenants.default with tenants; skew; n_transactions; seed }
 
 let config ?(shards = 2) ?(seed = 11) w =
-  { (Dist.System.default ~shards w) with seed }
+  { (System.default w.Workload.Tenants.scenario) with
+    sharding = Some (System.tenant_sharding ~shards w);
+    seed }
+
+let with_shards shards (cfg : System.config) =
+  { cfg with
+    sharding =
+      Option.map (fun sh -> { sh with System.shards }) cfg.System.sharding }
+
+let sharded (r : System.result) = Option.get r.System.sharded
+
+let unions r = (sharded r).System.unions
 
 (* Ground truth: evaluate every leg over the final source state and
    union the results. *)
-let expected_union (r : Dist.System.result) (u : Dist.Union_view.t) =
-  let final = Source.Sources.current r.Dist.System.sources in
-  let views =
-    r.Dist.System.config.Dist.System.workload.Workload.Tenants.scenario
-      .Workload.Scenarios.views
-  in
+let expected_union (r : System.result) (u : Dist.Union_view.t) =
+  let final = Source.Sources.current r.System.sources in
+  let views = r.System.config.System.scenario.Workload.Scenarios.views in
   List.fold_left
     (fun acc (_, leg) ->
       let v = List.find (fun v -> Query.View.name v = leg) views in
       Bag.union acc (Relation.contents (Query.View.materialize final v)))
     Bag.empty u.Dist.Union_view.legs
 
-let check_run ?(faulty = false) (r : Dist.System.result) =
-  Alcotest.(check bool) "drained" false r.Dist.System.stuck;
+let check_run (r : System.result) =
+  Alcotest.(check bool) "drained" false r.System.stuck;
   List.iter
     (fun (s, v) ->
       Alcotest.(check bool)
         (Printf.sprintf "shard %d complete MVC" s)
         true
         (Consistency.Checker.at_least Consistency.Checker.Complete v))
-    (Dist.System.shard_verdicts r);
-  let cert = Dist.System.certificate r in
+    (System.shard_verdicts r);
+  let cert = System.distributed_certificate r in
   Alcotest.(check bool)
     (Fmt.str "distributed certificate: %a" Consistency.Checker.pp_distributed
        cert)
@@ -54,49 +63,50 @@ let check_run ?(faulty = false) (r : Dist.System.result) =
       Alcotest.check Helpers.bag
         (u.Dist.Union_view.name ^ " matches direct evaluation")
         (expected_union r u)
-        (Dist.System.union_contents r u.Dist.Union_view.name))
-    r.Dist.System.unions;
-  if faulty then ()
+        (System.union_contents r u.Dist.Union_view.name))
+    (unions r)
 
 (* One line per shard (committed row sequence, merge events, emitted
    WTs, WAL appends) plus one per union read (its cut vector): the
    record the distributed golden pins. *)
-let golden_lines (r : Dist.System.result) =
+let golden_lines (r : System.result) =
   List.map
-    (fun (sh : Dist.System.shard_result) ->
-      Fmt.str "shard %d rows [%a] events %d wts %d wal %d" sh.Dist.System.sh_id
+    (fun (sh : System.shard_result) ->
+      Fmt.str "shard %d rows [%a] events %d wts %d wal %d" sh.System.sh_id
         Fmt.(list ~sep:(any ";") (list ~sep:(any ",") int))
         (List.map
            (fun (c : Warehouse.Store.commit) ->
              c.Warehouse.Store.transaction.Warehouse.Wt.rows)
-           (Warehouse.Store.commits sh.Dist.System.sh_store))
-        sh.Dist.System.sh_merge_events sh.Dist.System.sh_wts
-        sh.Dist.System.sh_wal_appends)
-    r.Dist.System.shards
+           (Warehouse.Store.commits sh.System.sh_store))
+        sh.System.sh_merge_events sh.System.sh_wts sh.System.sh_wal_appends)
+    (sharded r).System.per_shard
   @ List.map
       (fun (c : Consistency.Checker.cut_read) ->
         Fmt.str "read %d cut [%a]" c.Consistency.Checker.cr_session
           Fmt.(list ~sep:(any ";") (pair ~sep:(any ":") int int))
           c.Consistency.Checker.cr_vector)
-      r.Dist.System.reads
+      (sharded r).System.cut_reads
   @ [ Fmt.str "dropped %d retransmits %d"
-        (Atomic.get r.Dist.System.metrics.Whips.Metrics.msgs_dropped)
-        (Atomic.get r.Dist.System.metrics.Whips.Metrics.retransmits) ]
+        (Atomic.get r.System.metrics.Metrics.msgs_dropped)
+        (Atomic.get r.System.metrics.Metrics.retransmits) ]
+
+let acked = System.Acked Sim.Reliable.default_params
 
 (* Seed 42, acked links under a random fault plan, durable shards. *)
-let golden_run shards =
+let golden_cfg shards =
   let plan =
     Workload.Fault_plan.union
-      [ Workload.Fault_plan.random ~drop:0.15 ~duplicate:0.1 "integ->shard*";
+      [ Workload.Fault_plan.random ~drop:0.15 ~duplicate:0.1 "integ->*";
         Workload.Fault_plan.random ~drop:0.15 "*->merge*" ]
   in
-  Dist.System.run
-    { (config ~shards ~seed:42 (workload ~tenants:6 ~n_transactions:24 ())) with
-      fault_plan = plan;
-      reliability = Whips.System.Acked Sim.Reliable.default_params;
-      durable = true }
+  { (config ~shards ~seed:42 (workload ~tenants:6 ~n_transactions:24 ())) with
+    fault_plan = plan;
+    reliability = acked;
+    durable = Some System.default_durability }
 
-let tests =
+let golden_run shards = System.run (golden_cfg shards)
+
+let ported_tests =
   [ case "router assigns by tenant mod shards" (fun () ->
         let router = Dist.Router.create ~shards:2 ~tenant_of:tenant_of_name in
         Alcotest.(check int) "t0 -> shard 0" 0
@@ -105,19 +115,23 @@ let tests =
           (Dist.Router.shard_of_view router "hot_t3"));
     case "router fans out only to affected shards" (fun () ->
         let router = Dist.Router.create ~shards:3 ~tenant_of:tenant_of_name in
+        let fan_out =
+          Integrator.route_shards
+            ~assignment:(Dist.Router.shard_of_view router)
+        in
         Alcotest.(check (list (pair int (list string))))
           "tenant-1 update wakes only shard 1"
           [ (1, [ "sales_t1"; "hot_t1" ]) ]
-          (Dist.Router.fan_out router [ "sales_t1"; "hot_t1" ]);
+          (fan_out [ "sales_t1"; "hot_t1" ]);
         Alcotest.(check (list (pair int (list string))))
           "cross-tenant REL splits by shard"
           [ (0, [ "sales_t0"; "sales_t3" ]); (2, [ "hot_t2" ]) ]
-          (Dist.Router.fan_out router [ "sales_t0"; "hot_t2"; "sales_t3" ]));
+          (fan_out [ "sales_t0"; "hot_t2"; "sales_t3" ]));
     case "union view places legs and lists shards" (fun () ->
         let router = Dist.Router.create ~shards:2 ~tenant_of:tenant_of_name in
         let u =
           Dist.Union_view.make ~name:"sales_all"
-            ~assignment:(Dist.Router.assignment router)
+            ~assignment:(Dist.Router.shard_of_view router)
             [ "sales_t0"; "sales_t1"; "sales_t2" ]
         in
         Alcotest.(check (list (pair int string)))
@@ -196,95 +210,91 @@ let tests =
     case "golden: seed 42 under acked links, faults and WAL, 2 and 4 shards"
       (fun () ->
         let expect shards lines =
+          let r = golden_run shards in
+          check_run r;
           Alcotest.(check (list string))
             (Printf.sprintf "%d shards" shards)
-            lines
-            (golden_lines (golden_run shards))
+            lines (golden_lines r)
         in
         expect 2
-          [ "shard 0 rows [1;2;4;3;5;6;7;8;10;11;12;13;14;16;17;18;19;20;22] \
+          [ "shard 0 rows [1;3;2;4;5;6;7;8;10;11;12;13;14;16;18;17;19;20;22] \
              events 50 wts 19 wal 19";
             "shard 1 rows [9;15;21;23;24] events 12 wts 5 wal 5";
-            "read 0 cut [0:2;1:0]"; "read 1 cut [0:3;1:0]";
-            "read 0 cut [0:7;1:0]"; "read 1 cut [0:9;1:1]";
-            "read 0 cut [0:11;1:1]"; "read 1 cut [0:13;1:2]";
-            "read 0 cut [0:16;1:2]"; "read 1 cut [0:18;1:2]";
+            "read 0 cut [0:1;1:0]"; "read 1 cut [0:4;1:0]";
+            "read 0 cut [0:7;1:0]"; "read 1 cut [0:8;1:1]";
+            "read 0 cut [0:11;1:1]"; "read 1 cut [0:12;1:1]";
+            "read 0 cut [0:15;1:2]"; "read 1 cut [0:18;1:2]";
             "read 0 cut [0:19;1:5]"; "read 1 cut [0:19;1:5]";
-            "dropped 6 retransmits 4" ];
+            "dropped 28 retransmits 27" ];
         expect 4
           [ "shard 0 rows [2;4;5;6;7;8;10;11;12;13;14;16;18;20;22] events 38 \
              wts 15 wal 15";
             "shard 1 rows [9;15;21;24] events 9 wts 4 wal 4";
             "shard 2 rows [1;3;17;19] events 12 wts 4 wal 4";
             "shard 3 rows [23] events 3 wts 1 wal 1";
-            "read 0 cut [0:1;1:0;2:1;3:0]"; "read 1 cut [0:2;1:0;2:2;3:0]";
-            "read 0 cut [0:5;1:0;2:2;3:0]"; "read 1 cut [0:7;1:1;2:2;3:0]";
-            "read 0 cut [0:9;1:1;2:2;3:0]"; "read 1 cut [0:11;1:2;2:2;3:0]";
-            "read 0 cut [0:13;1:2;2:3;3:0]"; "read 1 cut [0:14;1:2;2:4;3:0]";
+            "read 0 cut [0:0;1:0;2:1;3:0]"; "read 1 cut [0:2;1:0;2:2;3:0]";
+            "read 0 cut [0:5;1:0;2:2;3:0]"; "read 1 cut [0:6;1:1;2:2;3:0]";
+            "read 0 cut [0:8;1:1;2:2;3:0]"; "read 1 cut [0:11;1:1;2:2;3:0]";
+            "read 0 cut [0:12;1:2;2:3;3:0]"; "read 1 cut [0:14;1:3;2:3;3:0]";
             "read 0 cut [0:15;1:4;2:4;3:1]"; "read 1 cut [0:15;1:4;2:4;3:1]";
-            "dropped 6 retransmits 4" ]);
+            "dropped 24 retransmits 18" ]);
     case "two shards: certified, complete per shard, oracle-exact" (fun () ->
-        check_run (Dist.System.run (config ~shards:2 (workload ()))));
+        check_run (System.run (config ~shards:2 (workload ()))));
     case "four shards with skew: certified and oracle-exact" (fun () ->
         check_run
-          (Dist.System.run (config ~shards:4 (workload ~tenants:8 ~skew:1.5 ()))));
+          (System.run (config ~shards:4 (workload ~tenants:8 ~skew:1.5 ()))));
     case "single-tenant updates route to exactly one shard" (fun () ->
-        let r = Dist.System.run (config ~shards:4 (workload ~tenants:8 ())) in
+        let r = System.run (config ~shards:4 (workload ~tenants:8 ())) in
         Alcotest.(check bool) "mean fanout = 1" true
-          (Sim.Stats.Summary.mean
-             r.Dist.System.metrics.Whips.Metrics.routed_shards
-          = 1.0));
+          (Sim.Stats.Summary.mean r.System.metrics.Metrics.routed_shards = 1.0));
     case "cross-shard contents match the N=1 oracle" (fun () ->
         let w = workload ~tenants:6 ~n_transactions:30 () in
-        let r1 = Dist.System.run (config ~shards:1 w) in
-        let r3 = Dist.System.run (config ~shards:3 w) in
+        let r1 = System.run (config ~shards:1 w) in
+        let r3 = System.run (config ~shards:3 w) in
         List.iter
           (fun (u : Dist.Union_view.t) ->
             Alcotest.check Helpers.bag u.Dist.Union_view.name
-              (Dist.System.union_contents r1 u.Dist.Union_view.name)
-              (Dist.System.union_contents r3 u.Dist.Union_view.name))
-          r3.Dist.System.unions);
+              (System.union_contents r1 u.Dist.Union_view.name)
+              (System.union_contents r3 u.Dist.Union_view.name))
+          (unions r3));
     case "fault plan + ARQ: still certified and oracle-exact" (fun () ->
         let w = workload ~tenants:4 ~n_transactions:20 () in
         let plan =
           Workload.Fault_plan.union
-            [ Workload.Fault_plan.random ~drop:0.15 ~duplicate:0.1
-                "integ->shard*";
-              Workload.Fault_plan.random ~drop:0.15 "*->merge0";
-              Workload.Fault_plan.random ~drop:0.15 "*->merge1";
-              Workload.Fault_plan.nth ~channel:"integ->shard0" ~nth:3
+            [ Workload.Fault_plan.random ~drop:0.15 ~duplicate:0.1 "integ->*";
+              Workload.Fault_plan.random ~drop:0.15 "*->merge";
+              Workload.Fault_plan.nth ~channel:"integ->merge" ~nth:3
                 Workload.Fault_plan.Drop ]
         in
-        let cfg =
-          { (config ~shards:2 w) with
-            fault_plan = plan;
-            reliability = Whips.System.Acked Sim.Reliable.default_params }
+        let r =
+          System.run
+            { (config ~shards:2 w) with fault_plan = plan; reliability = acked }
         in
-        let r = Dist.System.run cfg in
         Alcotest.(check bool) "faults actually fired" true
-          (Atomic.get r.Dist.System.metrics.Whips.Metrics.msgs_dropped > 0);
-        check_run ~faulty:true r);
+          (Atomic.get r.System.metrics.Metrics.msgs_dropped > 0);
+        check_run r);
     case "durable shards log every commit write-ahead" (fun () ->
         let r =
-          Dist.System.run
-            { (config ~shards:2 (workload ())) with durable = true }
+          System.run
+            { (config ~shards:2 (workload ())) with
+              durable = Some System.default_durability }
         in
         List.iter
-          (fun (sh : Dist.System.shard_result) ->
+          (fun (sh : System.shard_result) ->
             Alcotest.(check int)
-              (Printf.sprintf "shard %d WAL covers its commits"
-                 sh.Dist.System.sh_id)
-              sh.Dist.System.sh_commits sh.Dist.System.sh_wal_appends)
-          r.Dist.System.shards);
+              (Printf.sprintf "shard %d WAL covers its commits" sh.System.sh_id)
+              (Warehouse.Store.commit_count sh.System.sh_store)
+              sh.System.sh_wal_appends)
+          (sharded r).System.per_shard);
     case "certificate rejects tampered reads" (fun () ->
-        let r = Dist.System.run (config ~shards:2 (workload ())) in
+        let r = System.run (config ~shards:2 (workload ())) in
         let states =
           List.map
-            (fun (sh : Dist.System.shard_result) ->
-              Warehouse.Store.states sh.Dist.System.sh_store)
-            r.Dist.System.shards
+            (fun (sh : System.shard_result) ->
+              Warehouse.Store.states sh.System.sh_store)
+            (sharded r).System.per_shard
         in
-        let genuine = List.hd r.Dist.System.reads in
+        let genuine = List.hd (sharded r).System.cut_reads in
         let tampered_result =
           { genuine with
             Consistency.Checker.cr_result =
@@ -345,28 +355,171 @@ let tests =
         tup4 (int_range 0 1000) (int_range 2 6) (int_range 2 5) bool)
       (fun (seed, tenants, shards, faulty) ->
         let w = workload ~tenants ~n_transactions:16 ~seed () in
-        let base = { (config ~shards w) with seed = seed + 1 } in
+        let base = config ~shards ~seed:(seed + 1) w in
         let cfg =
           if faulty then
             { base with
               fault_plan =
-                Workload.Fault_plan.random ~drop:0.1 ~duplicate:0.05
-                  "integ->shard*";
-              reliability =
-                Whips.System.Acked Sim.Reliable.default_params }
+                Workload.Fault_plan.random ~drop:0.1 ~duplicate:0.05 "integ->*";
+              reliability = acked }
           else base
         in
-        let r = Dist.System.run cfg in
-        let r1 = Dist.System.run { cfg with shards = 1 } in
-        (not r.Dist.System.stuck)
+        let r = System.run cfg in
+        let r1 = System.run (with_shards 1 cfg) in
+        (not r.System.stuck)
         && Consistency.Checker.certified_distributed
-             (Dist.System.certificate r)
+             (System.distributed_certificate r)
         && List.for_all
              (fun (u : Dist.Union_view.t) ->
                let name = u.Dist.Union_view.name in
                Bag.equal
-                 (Dist.System.union_contents r name)
-                 (Dist.System.union_contents r1 name)
-               && Bag.equal (Dist.System.union_contents r name)
-                    (expected_union r u))
-             r.Dist.System.unions) ]
+                 (System.union_contents r name)
+                 (System.union_contents r1 name)
+               && Bag.equal (System.union_contents r name) (expected_union r u))
+             (unions r)) ]
+
+(* ---- the sharding axis of System.config ---- *)
+
+let rejects name expected cfg =
+  case name (fun () ->
+      Alcotest.check_raises "invalid_arg" (Invalid_argument expected)
+        (fun () -> ignore (System.run cfg)))
+
+let reshard f (cfg : System.config) =
+  { cfg with sharding = Option.map f cfg.System.sharding }
+
+(* The metrics report without its distributed line: routed_shards is
+   sampled only in sharded runs. *)
+let metrics_lines (r : System.result) =
+  Fmt.str "%a" Metrics.pp r.System.metrics
+  |> String.split_on_char '\n'
+  |> List.filter (fun l ->
+         not (String.starts_with ~prefix:"distributed:" (String.trim l)))
+
+let commit_history (r : System.result) =
+  List.map
+    (fun (c : Warehouse.Store.commit) ->
+      ( c.Warehouse.Store.transaction.Warehouse.Wt.rows,
+        Fmt.str "%a" Database.pp c.Warehouse.Store.state ))
+    (Warehouse.Store.commits r.System.store)
+
+let axis_tests =
+  let two = config ~shards:2 (workload ()) in
+  [ case "one shard without union views == unsharded" (fun () ->
+        let w = workload ~tenants:4 () in
+        let plain =
+          { (System.default w.Workload.Tenants.scenario) with
+            record_timeline = true;
+            reliability = acked;
+            fault_plan =
+              Workload.Fault_plan.random ~drop:0.1 ~duplicate:0.05 "*";
+            durable = Some System.default_durability;
+            seed = 5 }
+        in
+        let one =
+          { plain with
+            sharding =
+              Some
+                { (System.tenant_sharding ~shards:1 w) with
+                  union_views = [];
+                  union_reads = 0 } }
+        in
+        (* The scenario's initial relations memoize their indexes across
+           runs, so a warm-up run makes both compared runs start warm. *)
+        ignore (System.run plain);
+        let a = System.run plain in
+        let b = System.run one in
+        Alcotest.(check (list (pair (list int) string)))
+          "commit history" (commit_history a) (commit_history b);
+        Alcotest.(check (list string))
+          "metrics" (metrics_lines a) (metrics_lines b);
+        Alcotest.(check (list (pair (float 0.0) string)))
+          "timeline" a.System.timeline b.System.timeline;
+        Alcotest.(check bool) "timeline recorded" true (a.System.timeline <> []));
+    rejects "sharding rejects zero shards"
+      "System: sharding needs at least one shard"
+      (reshard (fun sh -> { sh with shards = 0 }) two);
+    rejects "sharding rejects zero union sessions"
+      "System: sharding needs at least one union session"
+      (reshard (fun sh -> { sh with union_sessions = 0 }) two);
+    rejects "sharding rejects the Sequential baseline"
+      "System: sharding needs the pipelined runtime (the Sequential baseline \
+       has no merge)"
+      { two with merge_kind = System.Sequential };
+    rejects "sharding rejects process crashes over two shards"
+      "System: sharding over more than one shard excludes process crash \
+       faults (recovery assumes one warehouse)"
+      { two with
+        reliability = acked;
+        faults = [ System.Crash_merge { at_event = 3; restart_after = 0.05 } ]
+      };
+    rejects "sharding rejects session reads over two shards"
+      "System: sharding over more than one shard excludes session reads \
+       (union reads are the sharded read path)"
+      { two with reads = Some System.default_reads };
+    rejects "sharding rejects Fused merging over two shards"
+      "System: sharding over more than one shard excludes Fused merging (the \
+       fused certificate covers one warehouse)"
+      { two with merge_batch = System.Fused };
+    rejects "sharding rejects a placement splitting a view family"
+      "System: sharding places views sharing base relations on different \
+       shards: V1->shard 0, V2->shard 1, V3->shard 1"
+      { (System.default Workload.Scenarios.paper_views) with
+        sharding =
+          Some
+            { System.shards = 2;
+              tenant_of = (fun v -> if v = "V1" then 0 else 1);
+              union_views = []; union_reads = 0; union_sessions = 1 } };
+    Helpers.qcheck ~count:12
+      "qcheck: shards x managers x merge groups x faults: drained, certified, \
+       promised level, exact unions"
+      QCheck2.Gen.(
+        tup5 (int_range 0 1000) (oneofl [ 1; 2; 4 ])
+          (oneofl [ System.Complete_vm; System.Selfmaint_vm; System.Batching_vm ])
+          bool bool)
+      (fun (seed, shards, vm_kind, grouped, faulty) ->
+        let w = workload ~tenants:4 ~n_transactions:16 ~seed () in
+        let views = w.Workload.Tenants.scenario.Workload.Scenarios.views in
+        let base =
+          { (config ~shards ~seed:(seed + 1) w) with
+            vm_kind;
+            merge_groups = (if grouped then Some (2 * shards) else None) }
+        in
+        let cfg =
+          if faulty then
+            { base with
+              reliability = acked;
+              fault_plan =
+                Workload.Fault_plan.random ~drop:0.1 ~duplicate:0.05 "*";
+              faults =
+                [ System.Crash_vm
+                    { view =
+                        Query.View.name
+                          (List.nth views (seed mod List.length views));
+                      at_event = 1 + (seed mod 3);
+                      restart_after = 0.05 } ] }
+          else base
+        in
+        let promised =
+          match vm_kind with
+          | System.Batching_vm -> Consistency.Checker.Strong
+          | _ -> Consistency.Checker.Complete
+        in
+        let r = System.run cfg in
+        let r1 = System.run (with_shards 1 cfg) in
+        (not r.System.stuck)
+        && Consistency.Checker.certified_distributed
+             (System.distributed_certificate r)
+        && List.for_all
+             (fun (_, v) -> Consistency.Checker.at_least promised v)
+             (System.shard_verdicts r)
+        && List.for_all
+             (fun (u : Dist.Union_view.t) ->
+               let name = u.Dist.Union_view.name in
+               Bag.equal (System.union_contents r name) (expected_union r u)
+               && Bag.equal
+                    (System.union_contents r name)
+                    (System.union_contents r1 name))
+             (unions r)) ]
+
+let tests = ported_tests @ axis_tests

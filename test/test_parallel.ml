@@ -253,4 +253,38 @@ let oracle_tests =
           (fun d -> observation (run_at scen ~domains:d) = reference)
           [ 2; 4 ]) ]
 
-let tests = pool_tests @ sharded_join_tests @ coarsen_tests @ oracle_tests
+(* Pool domains missing on one fresh relation's index memo: each key
+   position is installed once and its build counted once, however many
+   domains raced to build it. *)
+let memo_tests =
+  [ case "racing index builds install and count one per key position"
+      (fun () ->
+        let exec = Parallel.Exec.pooled (Parallel.Pool.get ~domains:4) in
+        let base =
+          Helpers.rel
+            (Helpers.int_schema [ "a"; "b"; "c"; "d" ])
+            (List.init 2000 (fun i -> [ i; i mod 7; i mod 11; i mod 13 ]))
+        in
+        let keys = [ [| 0 |]; [| 1 |]; [| 2 |]; [| 3 |]; [| 1; 2 |] ] in
+        let k = List.length keys in
+        for round = 1 to 40 do
+          (* A fresh version: its memos start empty. *)
+          let r = Relation.insert (Tuple.ints [ -round; 0; 0; 0 ]) base in
+          let builds0 = Relation.index_builds () in
+          List.concat (List.init 4 (fun _ -> keys))
+          |> List.map (fun key_pos ->
+                 Parallel.Exec.spawn exec (fun () ->
+                     ignore (Relation.index r ~key_pos)))
+          |> List.iter Parallel.Exec.await;
+          Alcotest.(check int)
+            (Printf.sprintf "round %d: one entry per key position" round)
+            k
+            (List.length (Relation.index_stats r));
+          Alcotest.(check int)
+            (Printf.sprintf "round %d: one build per key position" round)
+            k
+            (Relation.index_builds () - builds0)
+        done) ]
+
+let tests =
+  pool_tests @ sharded_join_tests @ coarsen_tests @ oracle_tests @ memo_tests

@@ -303,27 +303,34 @@ let dist_tests =
           Workload.Tenants.generate
             { Workload.Tenants.default with tenants = 3; seed = 5 }
         in
-        let run selfmaint =
-          Dist.System.run
-            { (Dist.System.default tenants) with selfmaint; seed = 7 }
+        let run vm_kind =
+          System.run
+            { (System.default tenants.Workload.Tenants.scenario) with
+              vm_kind;
+              sharding = Some (System.tenant_sharding tenants);
+              seed = 7 }
         in
-        let replica = run false and self = run true in
+        let replica = run System.Complete_vm
+        and self = run System.Selfmaint_vm in
         Alcotest.(check bool) "not stuck" false self.stuck;
+        let shards (r : System.result) = (Option.get r.sharded).per_shard in
         List.iter2
-          (fun (a : Dist.System.shard_result) (b : Dist.System.shard_result) ->
-            Alcotest.(check int) "same commits" a.sh_commits b.sh_commits;
+          (fun (a : System.shard_result) (b : System.shard_result) ->
+            Alcotest.(check int) "same commits"
+              (Warehouse.Store.commit_count a.sh_store)
+              (Warehouse.Store.commit_count b.sh_store);
             Alcotest.(check int) "same wts" a.sh_wts b.sh_wts;
             List.iter2
               (fun da db -> Alcotest.(check bool) "same state" true
                   (Relational.Database.equal da db))
               (Warehouse.Store.states a.sh_store)
               (Warehouse.Store.states b.sh_store))
-          replica.shards self.shards;
+          (shards replica) (shards self);
         List.iter
           (fun (_, v) ->
             Alcotest.(check bool) "shard complete" true
               v.Consistency.Checker.complete)
-          (Dist.System.shard_verdicts self)) ]
+          (System.shard_verdicts self)) ]
 
 (* ---- aux WAL checkpoints hold contents only ---- *)
 
