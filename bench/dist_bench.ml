@@ -280,5 +280,5 @@ let diff_rows =
               sharding =
                 Some
                   { System.shards = 1; tenant_of = (fun _ -> 0);
-                    union_views = []; union_reads = 0; union_sessions = 1 } });
+                    union_views = [] } });
       extra = Diffsmoke.no_extra } ]

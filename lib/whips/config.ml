@@ -251,11 +251,9 @@ type sharding = {
       (** A view's owning tenant; the view lives on shard
           [tenant mod shards] ({!Dist.Router}). *)
   union_views : (string * string list) list;
-      (** Cross-shard union views as (name, leg view names). *)
-  union_reads : int;
-      (** Union reads spread uniformly over the script horizon. One
-          final read per union view is always taken after the drain. *)
-  union_sessions : int;  (** Reader sessions the union reads round-robin over. *)
+      (** Cross-shard union views as (name, leg view names), read 8
+          times spread over the script horizon and once each after the
+          drain, round-robin over 2 reader sessions. *)
 }
 
 type config = {
@@ -351,11 +349,10 @@ let default scenario =
     shared_plans = false; sharding = None; seed = 1 }
 
 (** A multi-tenant workload's placement and union views over [shards]
-    (default 2) shards, with 8 mid-run union reads over 2 sessions. *)
+    (default 2) shards. *)
 let tenant_sharding ?(shards = 2) (w : Workload.Tenants.t) =
   { shards; tenant_of = Workload.Tenants.tenant_of w;
-    union_views = w.Workload.Tenants.unions; union_reads = 8;
-    union_sessions = 2 }
+    union_views = w.Workload.Tenants.unions }
 
 (** One served read, recorded in arrival order. [read_state] is the
     exact warehouse state the read was evaluated against (persistent, so
@@ -429,7 +426,10 @@ type sharded = {
 
 type result = {
   config : config;
-  store : Warehouse.Store.t;  (** Shard 0's store in a sharded run. *)
+  store : Warehouse.Store.t;
+      (** Shard 0's store in a sharded run; the single-store accessors
+          ({!System.verdict} and the like) refuse a run of more than one
+          shard. *)
   sources : Source.Sources.t;
   transactions : Relational.Update.Transaction.t list;
   metrics : Metrics.t;

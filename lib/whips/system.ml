@@ -386,8 +386,8 @@ let placement cfg =
 (* Cross-shard union reads. A read pins the newest version of every
    shard holding one of its legs (a global cut), stitches the legs
    there, is recorded for the distributed certificate, and releases the
-   cut one read latency later; reads take the sessions round-robin. The
-   mid-run reads spread over the script's [horizon]; [serve] is also
+   cut one read latency later; reads take 2 sessions round-robin. The
+   8 mid-run reads spread over the script's [horizon]; [serve] is also
    the final read of each union after the drain. *)
 let union_reader (ctx : Proc.ctx) sh ~shard_of ~versions ~latency ~horizon =
   let cuts =
@@ -404,7 +404,7 @@ let union_reader (ctx : Proc.ctx) sh ~shard_of ~versions ~latency ~horizon =
     let t0 = Proc.now ctx in
     let cut = Dist.Global_cut.acquire cuts ~shards:(Dist.Union_view.shards u) in
     reads :=
-      { Consistency.Checker.cr_session = !issued mod sh.union_sessions;
+      { Consistency.Checker.cr_session = !issued mod 2;
         cr_legs = u.Dist.Union_view.legs;
         cr_vector = Dist.Global_cut.vector cut;
         cr_result =
@@ -417,7 +417,7 @@ let union_reader (ctx : Proc.ctx) sh ~shard_of ~versions ~latency ~horizon =
         Sim.Stats.Summary.add ctx.metrics.Metrics.union_read_latency
           (Proc.now ctx -. t0))
   in
-  let n = sh.union_reads in
+  let n = 8 in
   if unions <> [] then
     for i = 1 to n do
       let u = List.nth unions ((i - 1) mod List.length unions) in
@@ -700,7 +700,6 @@ let run_pipelined cfg =
 let check_sharding cfg sh =
   let refuse why = invalid_arg ("System: sharding " ^ why) in
   if sh.shards < 1 then refuse "needs at least one shard";
-  if sh.union_sessions < 1 then refuse "needs at least one union session";
   if cfg.merge_kind = Sequential then
     refuse "needs the pipelined runtime (the Sequential baseline has no merge)";
   if sh.shards > 1 then begin
@@ -718,20 +717,12 @@ let check_sharding cfg sh =
          certificate covers one warehouse)"
   end;
   let place = placement cfg in
-  let shard_of v = place (Query.View.name v) in
-  List.iter
-    (fun family ->
-      if List.exists (fun v -> shard_of v <> shard_of (List.hd family)) family
-      then
-        refuse
-          ("places views sharing base relations on different shards: "
-          ^ String.concat ", "
-              (List.map
-                 (fun v ->
-                   Printf.sprintf "%s->shard %d" (Query.View.name v)
-                     (shard_of v))
-                 family)))
-    (Mvc.Partition.groups cfg.scenario.Workload.Scenarios.views)
+  try
+    ignore
+      (Mvc.Partition.coarsen ~max_groups:1
+         ~affinity:(fun v -> place (Query.View.name v))
+         (Mvc.Partition.groups cfg.scenario.Workload.Scenarios.views))
+  with Invalid_argument why -> refuse ("placement refused: " ^ why)
 
 (* Every configuration corner a run cannot serve is refused here, before
    any engine, WAL or store exists — nothing is silently downgraded.
@@ -848,16 +839,26 @@ let run cfg =
   | Auto | Force_spa | Force_pa | Force_passthrough | Force_holdall ->
     run_pipelined cfg
 
+(* [result.store] is shard 0's store, so a run of several shards has
+   no single store to judge. *)
+let the_store result =
+  match result.config.sharding with
+  | Some sh when sh.shards > 1 ->
+    invalid_arg
+      (Printf.sprintf "System: the run has %d shards; use shard_verdicts"
+         sh.shards)
+  | _ -> result.store
+
 let verdict_with_witness result =
   Consistency.Checker.check_with_witness
     ~views:result.config.scenario.views ~transactions:result.transactions
     ~source_states:(Source.Sources.states result.sources)
-    ~warehouse_states:(Warehouse.Store.states result.store)
+    ~warehouse_states:(Warehouse.Store.states (the_store result))
 
 let verdict result = fst (verdict_with_witness result)
 
 let view_contents result name =
-  Relation.contents (Warehouse.Store.view result.store name)
+  Relation.contents (Warehouse.Store.view (the_store result) name)
 
 let sharded r =
   match r.sharded with
@@ -921,7 +922,7 @@ let recovery_certificate result =
         List.map
           (fun al -> (al.Query.Action_list.view, al.Query.Action_list.state))
           c.transaction.Warehouse.Wt.actions)
-      (Warehouse.Store.commits result.store)
+      (Warehouse.Store.commits (the_store result))
   in
   let served =
     match result.serving with

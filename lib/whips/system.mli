@@ -56,15 +56,20 @@ val run : config -> result
     with faults, a fault plan, [Acked] reliability or [durable] (the
     strawman has none of those layers); a [Crash_vm] on a manager other
     than [Complete_vm], [Selfmaint_vm] or [Batching_vm]; [reads]
-    without a session; and, under [sharding], fewer than one shard or
-    union session, the [Sequential] baseline, a placement putting views
+    without a session; and, under [sharding], fewer than one shard,
+    the [Sequential] baseline, a placement putting views
     that share a base relation on different shards, and — over more
     than one shard — process crash faults, session [reads] or [Fused]
     merging. *)
 
 val verdict : result -> Consistency.Checker.verdict
 (** Run the consistency oracle on the recorded source and warehouse state
-    sequences. *)
+    sequences.
+
+    [verdict], [verdict_with_witness], [view_contents] and
+    [recovery_certificate] read the one warehouse store: each raises
+    [Invalid_argument] on a run of more than one shard, whose stores
+    {!shard_verdicts} judges. *)
 
 val verdict_with_witness :
   result -> Consistency.Checker.verdict * Consistency.Checker.witness option

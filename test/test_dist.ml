@@ -420,9 +420,8 @@ let axis_tests =
           { plain with
             sharding =
               Some
-                { (System.tenant_sharding ~shards:1 w) with
-                  union_views = [];
-                  union_reads = 0 } }
+                { (System.tenant_sharding ~shards:1 w) with union_views = [] }
+          }
         in
         (* The scenario's initial relations memoize their indexes across
            runs, so a warm-up run makes both compared runs start warm. *)
@@ -439,9 +438,6 @@ let axis_tests =
     rejects "sharding rejects zero shards"
       "System: sharding needs at least one shard"
       (reshard (fun sh -> { sh with shards = 0 }) two);
-    rejects "sharding rejects zero union sessions"
-      "System: sharding needs at least one union session"
-      (reshard (fun sh -> { sh with union_sessions = 0 }) two);
     rejects "sharding rejects the Sequential baseline"
       "System: sharding needs the pipelined runtime (the Sequential baseline \
        has no merge)"
@@ -462,14 +458,20 @@ let axis_tests =
        fused certificate covers one warehouse)"
       { two with merge_batch = System.Fused };
     rejects "sharding rejects a placement splitting a view family"
-      "System: sharding places views sharing base relations on different \
-       shards: V1->shard 0, V2->shard 1, V3->shard 1"
+      "System: sharding placement refused: Partition.coarsen: fine group \
+       {V1->shard 0, V2->shard 1, V3->shard 1} straddles shards 0 and 1 \
+       (views V1 and V2 share a base-relation closure but are pinned to \
+       different shards; views sharing base relations must share a shard)"
       { (System.default Workload.Scenarios.paper_views) with
         sharding =
           Some
             { System.shards = 2;
               tenant_of = (fun v -> if v = "V1" then 0 else 1);
-              union_views = []; union_reads = 0; union_sessions = 1 } };
+              union_views = [] } };
+    case "single-store accessors refuse a run of two shards" (fun () ->
+        Alcotest.check_raises "verdict"
+          (Invalid_argument "System: the run has 2 shards; use shard_verdicts")
+          (fun () -> ignore (System.verdict (System.run two))));
     Helpers.qcheck ~count:12
       "qcheck: shards x managers x merge groups x faults: drained, certified, \
        promised level, exact unions"
